@@ -20,6 +20,7 @@ from .errors import (
     InvalidParameterError,
     NotBipartiteError,
     ParameterViolationError,
+    SearchTooDeepError,
     SelfLoopError,
     UnknownEdgeError,
     UnknownVertexError,

@@ -60,6 +60,13 @@ def _parse_set_literal(text: str):
     return frozenset(out)
 
 
+_KIND_TEXT = {
+    "int": "an integer",
+    "set": "a set like empty, 2, 1-3 or 1+3",
+    "flag": "true or false",
+}
+
+
 def _parse_param_grid(tokens: list[str], reduction: str) -> dict:
     types = dict(REDUCTIONS[reduction].param_types)
     grid: dict[str, list] = {}
@@ -73,14 +80,32 @@ def _parse_param_grid(tokens: list[str], reduction: str) -> dict:
         values = []
         for piece in raw.split(","):
             kind = types[key]
-            if kind == "int":
-                values.append(int(piece))
-            elif kind == "set":
-                values.append(_parse_set_literal(piece))
-            else:
-                values.append(piece.lower() == "true")
+            try:
+                if kind == "int":
+                    values.append(int(piece))
+                elif kind == "set":
+                    values.append(_parse_set_literal(piece))
+                elif piece.lower() in ("true", "false"):
+                    values.append(piece.lower() == "true")
+                else:
+                    raise ValueError(piece)
+            except ValueError:
+                raise InvalidParameterError(
+                    f"bad value {piece!r} for {key}; expected {_KIND_TEXT[kind]}"
+                ) from None
         grid[key] = values
     return grid
+
+
+def _parse_depth_cap(text: str):
+    """'auto', None for 'full', or a ply count >= 0."""
+    if text == "auto":
+        return "auto"
+    if text == "full":
+        return None
+    if text.isdecimal():
+        return int(text)
+    raise InvalidParameterError(f"bad depth cap {text!r}; use auto, full, or a ply count >= 0")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -249,12 +274,7 @@ def _cmd_gadget(args) -> int:
 def _cmd_verify(args) -> int:
     corpus = CorpusSpec.parse(args.corpus)
     grid = _parse_param_grid(args.params, args.reduction) if args.params else {}
-    if args.depth_cap == "auto":
-        cap = "auto"
-    elif args.depth_cap == "full":
-        cap = None
-    else:
-        cap = int(args.depth_cap)
+    cap = _parse_depth_cap(args.depth_cap)
     report = run_corpus(args.reduction, corpus, grid, depth_cap=cap, jobs=args.jobs)
     for line in report.lines():
         print(line)

@@ -49,6 +49,10 @@ class ParameterViolationError(DistanceGameError):
     """Reduction parameters fall outside the range the construction supports."""
 
 
+class SearchTooDeepError(DistanceGameError):
+    """A game tree is too deep for the recursive search or verifier walk."""
+
+
 class FormatError(DistanceGameError):
     """A text graph file failed to parse.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
-from .errors import NotBipartiteError, ParameterViolationError
+from .errors import InvalidParameterError, NotBipartiteError, ParameterViolationError
 from .gadgets import (
     GadgetInstance,
     _splice_edges,
@@ -341,6 +341,15 @@ class ReductionSpec:
     bipartite: bool
     param_types: tuple[tuple[str, str], ...]  # (param name, "int"|"set"|"flag")
     build: Callable[[Graph, Bipartition | None, dict], ReducedInstance]
+    required: tuple[str, ...] = ()
+
+    def check_params(self, params) -> None:
+        """Raise InvalidParameterError naming any required parameter not given."""
+        missing = [name for name in self.required if name not in params]
+        if missing:
+            raise InvalidParameterError(
+                f"{self.name} needs parameter(s) {', '.join(missing)}"
+            )
 
 
 def _build_bgnk_d12(g, bipartition, params):
@@ -372,13 +381,16 @@ REDUCTIONS: dict[str, ReductionSpec] = {
     spec.name: spec
     for spec in (
         ReductionSpec("bgnk-d12", True, (("s", "set"),), _build_bgnk_d12),
-        ReductionSpec("snort-family", False, (("n", "int"), ("s", "set")), _build_snort_family),
-        ReductionSpec("node-kayles-equalmax", False, (("d", "set"), ("s", "set")), _build_equalmax),
-        ReductionSpec("col-family", False, (("k", "int"), ("d", "set")), _build_col_family),
+        ReductionSpec("snort-family", False, (("n", "int"), ("s", "set")),
+                      _build_snort_family, ("n",)),
+        ReductionSpec("node-kayles-equalmax", False, (("d", "set"), ("s", "set")),
+                      _build_equalmax, ("d", "s")),
+        ReductionSpec("col-family", False, (("k", "int"), ("d", "set")),
+                      _build_col_family, ("k",)),
         ReductionSpec(
             "bgnk-window", True,
             (("d", "set"), ("k", "int"), ("allow_out_of_range", "flag")),
-            _build_bgnk_window,
+            _build_bgnk_window, ("d", "k"),
         ),
     )
 }

@@ -263,13 +263,19 @@ def position_is_legal(g: Graph, rs: Ruleset, pos: Position) -> bool:
 class LegalityIndex:
     """Per-vertex forbidden-witness bitmasks for one (graph, ruleset) pair.
 
-    For each vertex, `d_mask` collects the vertices whose stones of the
-    opposite colour would forbid a placement there, `s_mask` the same-colour
-    witnesses. A legality test is then three mask intersections. Freezes the
-    graph on construction; safe to share once built.
+    For each vertex i, `d_mask[i]` collects the vertices at a distance in
+    `d` from i and `s_mask[i]` those at a distance in `s`. Distance is
+    symmetric, so these are also the vertices a stone on i forbids: a blue
+    stone on i blocks `s_mask[i]` for Left and `d_mask[i]` for Right, a red
+    stone the mirror image. `blocked(pos)` ORs those masks over the stones,
+    and the legal moves are then one expression,
+    `allowed & ~occupied & ~blocked`. Callers that place stones one at a
+    time (the verifier walk) keep the two blocked masks up to date with the
+    same rule instead of recomputing them. Freezes the graph on
+    construction; safe to share once built.
     """
 
-    __slots__ = ("graph", "ruleset", "_d_mask", "_s_mask", "_allowed", "_all")
+    __slots__ = ("graph", "ruleset", "d_mask", "s_mask", "_left", "_right")
 
     def __init__(self, g: Graph, rs: Ruleset):
         g.freeze()
@@ -277,57 +283,70 @@ class LegalityIndex:
         self.ruleset = rs
         n = g.vertex_count
         radius = rs.max_radius
+        d, s = rs.d, rs.s  # distances >= 1, so a vertex never witnesses itself
         d_mask = [0] * n
         s_mask = [0] * n
         if radius:
             for i in range(n):
+                dm = sm = 0
                 for w, dist in g.ball(i, radius).items():
-                    if dist:
-                        if dist in rs.d:
-                            d_mask[i] |= 1 << w
-                        if dist in rs.s:
-                            s_mask[i] |= 1 << w
-        self._d_mask = d_mask
-        self._s_mask = s_mask
-        self._all = (1 << n) - 1
+                    if dist in d:
+                        dm |= 1 << w
+                    if dist in s:
+                        sm |= 1 << w
+                d_mask[i] = dm
+                s_mask[i] = sm
+        self.d_mask = d_mask
+        self.s_mask = s_mask
         if rs.ownership is None:
-            self._allowed = {Player.LEFT: self._all, Player.RIGHT: self._all}
+            self._left = self._right = (1 << n) - 1
         else:
             if not rs.ownership.covers(n):
                 raise InvalidParameterError("ownership map must cover every vertex")
-            self._allowed = {
-                Player.LEFT: sum(1 << i for i in rs.ownership.left),
-                Player.RIGHT: sum(1 << i for i in rs.ownership.right),
-            }
+            self._left = sum(1 << i for i in rs.ownership.left)
+            self._right = sum(1 << i for i in rs.ownership.right)
+
+    def allowed(self, player: Player) -> int:
+        """Vertices `player` may ever occupy (all of them outside bigraphs)."""
+        return self._left if player is Player.LEFT else self._right
+
+    def _blocked_for(self, own: int, opp: int) -> int:
+        # Vertices where a stone of the `own` colour is forbidden.
+        d_mask, s_mask = self.d_mask, self.s_mask
+        out = 0
+        while own:
+            bit = own & -own
+            out |= s_mask[bit.bit_length() - 1]
+            own ^= bit
+        while opp:
+            bit = opp & -opp
+            out |= d_mask[bit.bit_length() - 1]
+            opp ^= bit
+        return out
+
+    def blocked(self, pos: Position) -> tuple[int, int]:
+        """(Left, Right): the vertices each player is forbidden to take in `pos`."""
+        return self._blocked_for(pos.blue, pos.red), self._blocked_for(pos.red, pos.blue)
 
     def is_legal(self, pos: Position, i: int, player: Player) -> bool:
         bit = 1 << i
-        if (pos.blue | pos.red) & bit or not self._allowed[player] & bit:
+        if (pos.blue | pos.red) & bit or not self.allowed(player) & bit:
             return False
         own, opp = (
             (pos.blue, pos.red) if player is Player.LEFT else (pos.red, pos.blue)
         )
-        return not self._d_mask[i] & opp and not self._s_mask[i] & own
+        return not self.d_mask[i] & opp and not self.s_mask[i] & own
 
-    def legal_moves_mask(self, pos: Position, player: Player, candidates: int | None = None) -> int:
-        scan = self._all if candidates is None else candidates
-        scan &= ~(pos.blue | pos.red) & self._allowed[player]
-        own, opp = (
-            (pos.blue, pos.red) if player is Player.LEFT else (pos.red, pos.blue)
-        )
-        d_mask, s_mask = self._d_mask, self._s_mask
-        out = 0
-        while scan:
-            bit = scan & -scan
-            i = bit.bit_length() - 1
-            if not d_mask[i] & opp and not s_mask[i] & own:
-                out |= bit
-            scan ^= bit
-        return out
+    def legal_moves_mask(self, pos: Position, player: Player) -> int:
+        if player is Player.LEFT:
+            allowed, own, opp = self._left, pos.blue, pos.red
+        else:
+            allowed, own, opp = self._right, pos.red, pos.blue
+        return allowed & ~(own | opp) & ~self._blocked_for(own, opp)
 
-    def legal_moves(self, pos: Position, player: Player, candidates: int | None = None) -> list[int]:
-        """Legal placement indices, ascending, optionally limited to a mask."""
-        mask = self.legal_moves_mask(pos, player, candidates)
+    def legal_moves(self, pos: Position, player: Player) -> list[int]:
+        """Legal placement indices, ascending."""
+        mask = self.legal_moves_mask(pos, player)
         out = []
         while mask:
             bit = mask & -mask

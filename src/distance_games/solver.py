@@ -5,13 +5,20 @@ table keyed by the two colour bitmasks plus the player to move. Moves are
 tried in ascending vertex index, so results and reported best moves are
 deterministic. Gadget vertices in reduced instances get no special
 treatment; if they are unplayable that has to come out of the rules.
+
+The search recurses once per ply. Stones only ever add constraints, so no
+line of play is longer than the number of vertices someone could take now;
+a search that could go deeper than the recursion limit allows is refused
+with `SearchTooDeepError` before it starts.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import SearchTooDeepError
 from .graph import Graph
 from .rules import LegalityIndex, Player, Position, Ruleset
 
@@ -61,6 +68,26 @@ class SearchStats:
         self.peak_entries = max(self.peak_entries, other.peak_entries)
 
 
+# Frames left free below the interpreter's recursion limit for the callers
+# above the first search frame (CLI, worker pool, test runner).
+RECURSION_HEADROOM = 200
+
+
+def check_depth(plies: int) -> None:
+    """Refuse a recursive search or walk that may nest `plies` frames deep."""
+    limit = sys.getrecursionlimit() - RECURSION_HEADROOM
+    if plies > limit:
+        raise SearchTooDeepError(
+            f"the game tree may be {plies} plies deep; the recursive search "
+            f"handles at most {limit}"
+        )
+
+
+def _check_playable(index: LegalityIndex, pos: Position):
+    playable = index.legal_moves_mask(pos, Player.LEFT) | index.legal_moves_mask(pos, Player.RIGHT)
+    check_depth(playable.bit_count())
+
+
 def _search(index: LegalityIndex, table: dict, stats: SearchStats,
             pos: Position, player: Player) -> bool:
     stats.nodes += 1
@@ -88,6 +115,7 @@ def wins_moving_first(g: Graph, rs: Ruleset, pos: Position = Position(),
                       stats: SearchStats | None = None) -> bool:
     """Whether `player`, moving next from `pos`, can force the last move."""
     idx = index if index is not None else LegalityIndex(g, rs)
+    _check_playable(idx, pos)
     local = SearchStats()
     result = _search(idx, {}, local, pos, player)
     if stats is not None:
@@ -115,6 +143,7 @@ def best_move(g: Graph, rs: Ruleset, pos: Position = Position(),
     MoveStatus.NO_WINNING_MOVE when every legal placement loses.
     """
     idx = index if index is not None else LegalityIndex(g, rs)
+    _check_playable(idx, pos)
     local = SearchStats()
     table: dict = {}
     moves = idx.legal_moves(pos, player)

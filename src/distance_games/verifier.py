@@ -9,11 +9,12 @@ Three checks per reduced instance:
   the two move sets match under the embedding at every node;
 * outcome preservation: the solved outcome of source and target agree.
 
-The correspondence walk scans the full target vertex set at the root and at
-depth one; deeper nodes restrict the scan to embedded vertices, which is
-sound because placements only ever add constraints, so a vertex illegal at
-the start can never become legal later (and the rules tests pin that
-monotonicity down separately).
+The correspondence walk compares the full target move set, added vertices
+included, at every node. It carries each game's position and its two
+blocked masks (`LegalityIndex.blocked`) down the tree as plain ints and
+updates them per placed stone, so each node's move sets are one mask
+expression per player; the check does not rely on legality being
+monotone.
 
 Every failure carries a replayable trace; `replays_violation` re-derives
 the violation through the public rules API alone.
@@ -21,8 +22,8 @@ the violation through the public rules API alone.
 
 from __future__ import annotations
 
+import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -85,15 +86,6 @@ def format_trace(trace: Trace) -> str:
     return ",".join(f"{player.value}:{vertex}" for player, vertex in trace) or "-"
 
 
-def _mask_to_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        bit = mask & -mask
-        out.append(bit.bit_length() - 1)
-        mask ^= bit
-    return out
-
-
 def check_vertex_condition(ri: ReducedInstance) -> VerificationReport:
     """No target vertex outside the embedded originals is playable initially."""
     index = LegalityIndex(ri.target_graph, ri.target_ruleset)
@@ -101,7 +93,7 @@ def check_vertex_condition(ri: ReducedInstance) -> VerificationReport:
     outside = ((1 << ri.target_graph.vertex_count) - 1) & ~ri.embedded_mask
     result = None
     for player in (Player.LEFT, Player.RIGHT):
-        playable = index.legal_moves_mask(pos, player, outside)
+        playable = index.legal_moves_mask(pos, player) & outside
         if playable:
             bad = (playable & -playable).bit_length() - 1
             result = CheckResult(
@@ -127,69 +119,95 @@ def check_play_for_play(ri: ReducedInstance, depth_cap: int | None = None) -> Ve
     tgt_index = LegalityIndex(ri.target_graph, ri.target_ruleset)
     mapping = ri.source_to_target
     emb_mask = ri.embedded_mask
+    src_names = ri.source_graph.names
     tgt_names = ri.target_graph.names
     n_src = ri.source_graph.vertex_count
     max_depth = n_src if depth_cap is None else min(depth_cap, n_src)
+    solver.check_depth(max_depth)
 
-    visited: set[tuple[int, int]] = set()
+    LEFT, RIGHT = Player.LEFT, Player.RIGHT
+    s_left, s_right = src_index.allowed(LEFT), src_index.allowed(RIGHT)
+    t_left, t_right = tgt_index.allowed(LEFT), tgt_index.allowed(RIGHT)
+    sd, ss = src_index.d_mask, src_index.s_mask
+    td, ts = tgt_index.d_mask, tgt_index.s_mask
+    tbits = [1 << t for t in mapping]
+
+    visited: set[int] = set()
+    path: list[tuple[Player, int]] = []
     nodes = 0
 
-    def node_check(spos: Position, tpos: Position, depth: int, trace: Trace) -> CheckResult | None:
-        # Full target scan near the root; embedded-only below (monotonicity).
-        candidates = None if depth <= 1 else emb_mask
-        for player in (Player.LEFT, Player.RIGHT):
-            src_moves = src_index.legal_moves(spos, player)
-            mapped = 0
-            for i in src_moves:
-                mapped |= 1 << mapping[i]
-            tgt_mask = tgt_index.legal_moves_mask(tpos, player, candidates)
-            if tgt_mask == mapped:
-                continue
-            diff = tgt_mask ^ mapped
-            bad = (diff & -diff).bit_length() - 1
-            bit = 1 << bad
-            name = tgt_names[bad]
-            if bit & tgt_mask:
-                kind = KIND_TARGET_ONLY if bit & emb_mask else KIND_UNEMBEDDED
-                what = "legal in target but not in source" if bit & emb_mask \
-                    else "added vertex is playable"
-            else:
-                kind = KIND_SOURCE_ONLY
-                what = "legal in source but not in target"
-            return CheckResult(
-                PLAY_FOR_PLAY, False,
-                detail=f"after [{format_trace(trace)}]: {name!r} {what} for {player.name}",
-                trace=trace, vertex=name, player=player, kind=kind,
-            )
-        return None
+    def mismatch(player: Player, mapped: int, tgt_mask: int) -> CheckResult:
+        trace = tuple((p, src_names[i]) for p, i in path)
+        diff = tgt_mask ^ mapped
+        bad = (diff & -diff).bit_length() - 1
+        bit = 1 << bad
+        name = tgt_names[bad]
+        if bit & tgt_mask:
+            kind = KIND_TARGET_ONLY if bit & emb_mask else KIND_UNEMBEDDED
+            what = "legal in target but not in source" if bit & emb_mask \
+                else "added vertex is playable"
+        else:
+            kind = KIND_SOURCE_ONLY
+            what = "legal in source but not in target"
+        return CheckResult(
+            PLAY_FOR_PLAY, False,
+            detail=f"after [{format_trace(trace)}]: {name!r} {what} for {player.name}",
+            trace=trace, vertex=name, player=player, kind=kind,
+        )
 
-    def walk(spos: Position, tpos: Position, depth: int, trace: Trace) -> CheckResult | None:
+    # Positions are plain ints: each game's blue and red stones, plus the
+    # vertices blocked for Left and for Right, updated per placed stone.
+    def walk(sb, sr, s_bl, s_br, tb, tr, t_bl, t_br, depth) -> CheckResult | None:
         nonlocal nodes
-        key = (spos.blue, spos.red)
+        key = sb | sr << n_src
         if key in visited:
             return None
         visited.add(key)
         nodes += 1
-        bad = node_check(spos, tpos, depth, trace)
-        if bad is not None:
-            return bad
+        s_free = ~(sb | sr)
+        t_free = ~(tb | tr)
+        left = s_left & s_free & ~s_bl
+        right = s_right & s_free & ~s_br
+        for player, moves, tgt_mask in (
+            (LEFT, left, t_left & t_free & ~t_bl),
+            (RIGHT, right, t_right & t_free & ~t_br),
+        ):
+            mapped = 0
+            while moves:
+                bit = moves & -moves
+                mapped |= tbits[bit.bit_length() - 1]
+                moves ^= bit
+            if mapped != tgt_mask:
+                return mismatch(player, mapped, tgt_mask)
         if depth >= max_depth:
             return None
-        for player in (Player.LEFT, Player.RIGHT):
-            colour = player.colour
-            for i in src_index.legal_moves(spos, player):
-                step = (player, ri.source_graph.name_of(i))
-                bad = walk(
-                    spos.place(i, colour),
-                    tpos.place(mapping[i], colour),
-                    depth + 1,
-                    trace + (step,),
-                )
-                if bad is not None:
-                    return bad
+        depth += 1
+        while left:
+            bit = left & -left
+            i = bit.bit_length() - 1
+            j = mapping[i]
+            path.append((LEFT, i))
+            bad = walk(sb | bit, sr, s_bl | ss[i], s_br | sd[i],
+                       tb | tbits[i], tr, t_bl | ts[j], t_br | td[j], depth)
+            if bad is not None:
+                return bad
+            path.pop()
+            left ^= bit
+        while right:
+            bit = right & -right
+            i = bit.bit_length() - 1
+            j = mapping[i]
+            path.append((RIGHT, i))
+            bad = walk(sb, sr | bit, s_bl | sd[i], s_br | ss[i],
+                       tb, tr | tbits[i], t_bl | td[j], t_br | ts[j], depth)
+            if bad is not None:
+                return bad
+            path.pop()
+            right ^= bit
         return None
 
-    bad = walk(Position(), ri.initial_position, 0, ())
+    start = ri.initial_position
+    bad = walk(0, 0, 0, 0, start.blue, start.red, *tgt_index.blocked(start), 0)
     cap_text = "full" if depth_cap is None else str(depth_cap)
     if bad is None:
         result = CheckResult(PLAY_FOR_PLAY, True, detail=f"nodes={nodes} depth={cap_text}")
@@ -280,15 +298,22 @@ class CorpusSpec:
     @classmethod
     def parse(cls, text: str) -> "CorpusSpec":
         parts = text.split(":")
-        if parts[0] == "exhaustive" and len(parts) == 2:
-            return cls(exhaustive_max=int(parts[1]))
-        if parts[0] == "random" and len(parts) == 5:
-            return cls(
-                random_count=int(parts[1]),
-                random_size=int(parts[2]),
-                random_edge_prob=float(parts[3]),
-                seed=int(parts[4]),
-            )
+        spec = None
+        try:
+            if parts[0] == "exhaustive" and len(parts) == 2:
+                spec = cls(exhaustive_max=int(parts[1]))
+            elif parts[0] == "random" and len(parts) == 5:
+                spec = cls(
+                    random_count=int(parts[1]),
+                    random_size=int(parts[2]),
+                    random_edge_prob=float(parts[3]),
+                    seed=int(parts[4]),
+                )
+        except ValueError:
+            pass
+        if spec is not None and min(spec.exhaustive_max or 0, spec.random_count,
+                                    spec.random_size) >= 0:
+            return spec
         raise InvalidParameterError(
             f"bad corpus spec {text!r}; use exhaustive:N or random:COUNT:SIZE:PROB:SEED"
         )
@@ -409,6 +434,13 @@ def _run_task(task: _Task) -> InstanceRecord:
     return InstanceRecord(task.index, task.descriptor, report)
 
 
+def worker_count(jobs: int, cpus: int | None) -> int:
+    """`jobs` checked (at least 1) and clamped to `cpus` when that is known."""
+    if jobs < 1:
+        raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, cpus) if cpus else jobs
+
+
 def run_corpus(reduction: str, corpus: CorpusSpec, param_grid: dict | None = None,
                depth_cap="auto", jobs: int = 1) -> CorpusReport:
     """Verify one reduction across a corpus and a parameter grid.
@@ -422,8 +454,10 @@ def run_corpus(reduction: str, corpus: CorpusSpec, param_grid: dict | None = Non
             f"unknown reduction {reduction!r}; choose from {sorted(REDUCTIONS)}"
         )
     spec = REDUCTIONS[reduction]
-    graphs = _corpus_graphs(corpus, spec.bipartite)
+    jobs = worker_count(jobs, os.cpu_count())
     grid = param_grid or {}
+    spec.check_params(grid)
+    graphs = _corpus_graphs(corpus, spec.bipartite)
     keys = sorted(grid)
     combos = [dict(zip(keys, values)) for values in product(*(grid[k] for k in keys))]
     if not combos:
@@ -438,9 +472,11 @@ def run_corpus(reduction: str, corpus: CorpusSpec, param_grid: dict | None = Non
             )
             tasks.append(_Task(index, reduction, g, bipartition, params, depth_cap, descriptor))
             index += 1
-    if jobs <= 1:
+    if jobs == 1:
         records = [_run_task(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_run_task, tasks, chunksize=8))
     records.sort(key=lambda r: r.index)

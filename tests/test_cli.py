@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from distance_games import parse_graph
 from distance_games.cli import main
 
@@ -44,6 +46,12 @@ class TestSolve:
         assert code == 0
         assert "outcome FirstWins" in out
         assert "best-move L v0" in out
+
+    def test_too_deep_board_is_input_error(self, capsys, tmp_path):
+        board = tmp_path / "edgeless.graph"
+        run(capsys, "gen", "--kind", "gnp", "--n", "1200", "--prob", "0",
+            "--seed", "1", "--out", str(board))
+        assert_input_error(capsys, "solve", "--in", str(board), mentions="1200 plies")
 
     def test_illegal_position_rejected(self, capsys, tmp_path):
         board = tmp_path / "bad.graph"
@@ -168,6 +176,60 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--reduction", "snort-family",
                            "--corpus", "exhaustive:2", "--params", "zz=1")
         assert code == 2 and "zz" in err
+
+
+def assert_input_error(capsys, *argv, mentions=""):
+    """Exit 2, nothing on stdout, one `error:` line on stderr."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert mentions in err
+
+
+class TestBadVerifyInput:
+    def verify(self, capsys, *argv, mentions=""):
+        assert_input_error(capsys, "verify", *argv, mentions=mentions)
+
+    def test_non_numeric_corpus_bound(self, capsys):
+        self.verify(capsys, "--reduction", "snort-family", "--corpus", "exhaustive:x",
+                    "--params", "n=2", mentions="exhaustive:x")
+
+    def test_non_numeric_int_param(self, capsys):
+        self.verify(capsys, "--reduction", "snort-family", "--corpus", "exhaustive:2",
+                    "--params", "n=x", mentions="'x' for n")
+
+    def test_non_numeric_set_param(self, capsys):
+        self.verify(capsys, "--reduction", "snort-family", "--corpus", "exhaustive:2",
+                    "--params", "n=2", "s=a", mentions="'a' for s")
+
+    def test_bad_flag_param(self, capsys):
+        self.verify(capsys, "--reduction", "bgnk-window", "--corpus", "exhaustive:2",
+                    "--params", "d=1-2", "k=3", "allow_out_of_range=maybe",
+                    mentions="'maybe' for allow_out_of_range")
+
+    def test_non_numeric_depth_cap(self, capsys):
+        self.verify(capsys, "--reduction", "snort-family", "--corpus", "exhaustive:2",
+                    "--params", "n=2", "--depth-cap", "foo", mentions="foo")
+
+    def test_negative_depth_cap(self, capsys):
+        self.verify(capsys, "--reduction", "snort-family", "--corpus", "exhaustive:2",
+                    "--params", "n=2", "--depth-cap", "-1", mentions="-1")
+
+    @pytest.mark.parametrize("reduction, params, missing", [
+        ("snort-family", [], "n"),
+        ("col-family", ["d=1"], "k"),
+        ("node-kayles-equalmax", ["s=1"], "d"),
+        ("bgnk-window", [], "d, k"),
+    ])
+    def test_missing_required_param(self, capsys, reduction, params, missing):
+        self.verify(capsys, "--reduction", reduction, "--corpus", "exhaustive:2",
+                    "--params", *params, mentions=f"{reduction} needs parameter(s) {missing}")
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one(self, capsys, jobs):
+        self.verify(capsys, "--reduction", "snort-family", "--corpus", "exhaustive:2",
+                    "--params", "n=2", "--jobs", jobs, mentions="jobs")
 
 
 class TestDot:

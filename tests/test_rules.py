@@ -217,6 +217,29 @@ def test_legality_index_matches_reference(n, mask, seed):
         for v in range(n):
             assert index.is_legal(pos, v, p) == is_legal(g, rs, pos, v, p)
 
+    # Blocked masks kept up to date one stone at a time, as the verifier
+    # walk does, must equal the from-scratch masks and give the legal moves.
+    def moves(blocked_mask, pos, p):
+        mask = index.allowed(p) & ~pos.occupied & ~blocked_mask
+        return [v for v in range(n) if mask >> v & 1]
+
+    # Either player may move at each step, as in the walk.
+    pos = Position()
+    left = right = 0
+    while True:
+        assert (left, right) == index.blocked(pos)
+        assert moves(left, pos, L) == legal_moves(g, rs, pos, L)
+        assert moves(right, pos, R) == legal_moves(g, rs, pos, R)
+        options = [(L, v) for v in moves(left, pos, L)] + [(R, v) for v in moves(right, pos, R)]
+        if not options:
+            break
+        p, v = rng.choice(options)
+        pos = apply_move(g, rs, pos, v, p)
+        if p is L:
+            left, right = left | index.s_mask[v], right | index.d_mask[v]
+        else:
+            left, right = left | index.d_mask[v], right | index.s_mask[v]
+
 
 @given(st.integers(1, 6), st.integers(0, 2**15 - 1), small_seed)
 def test_node_kayles_is_impartial(n, mask, seed):

@@ -1,8 +1,11 @@
 import random
+import sys
 
+import pytest
 from hypothesis import given, strategies as st
 
 from distance_games import (
+    Colour,
     Graph,
     LegalityIndex,
     MoveStatus,
@@ -10,6 +13,7 @@ from distance_games import (
     Player,
     Position,
     SearchStats,
+    SearchTooDeepError,
     apply_move,
     best_move,
     bigraph_node_kayles,
@@ -21,6 +25,7 @@ from distance_games import (
     snort,
     wins_moving_first,
 )
+from distance_games.solver import RECURSION_HEADROOM, check_depth
 
 from helpers import (
     build_graph,
@@ -170,3 +175,19 @@ class TestDeterminismAndStats:
         assert stats.nodes > 0
         assert stats.hits <= stats.nodes
         assert 0 < stats.peak_entries <= stats.nodes
+
+
+class TestDepthGuard:
+    def test_limit_is_fixed_headroom_below_recursion_limit(self):
+        limit = sys.getrecursionlimit() - RECURSION_HEADROOM
+        check_depth(limit)
+        with pytest.raises(SearchTooDeepError):
+            check_depth(limit + 1)
+
+    def test_counts_playable_not_empty_vertices(self):
+        # 1,200 empty leaves, none playable: the stone on the hub blocks all.
+        g, (hub, _leaves) = gen_complete_bipartite(1, 1200)
+        pos = Position().place(min(hub), Colour.BLUE)
+        assert outcome(g, node_kayles(), pos) is Outcome.SECOND_WINS
+        with pytest.raises(SearchTooDeepError):
+            outcome(g, node_kayles())

@@ -27,6 +27,7 @@ from distance_games.verifier import (
     VERTEX_CONDITION,
     WINNABILITY,
     resolve_depth_cap,
+    worker_count,
 )
 
 from helpers import build_graph
@@ -194,6 +195,14 @@ class TestCorpus:
         two = run_corpus("col-family", spec, {"k": [2]}, jobs=2)
         assert one.lines() == two.lines()
 
+    def test_worker_count_clamps_to_cpus(self):
+        assert worker_count(1, 2) == 1
+        assert worker_count(64, 2) == 2
+        assert worker_count(3, None) == 3
+        for jobs in (0, -3):
+            with pytest.raises(InvalidParameterError):
+                worker_count(jobs, 2)
+
     def test_corpus_spec_parse(self):
         assert CorpusSpec.parse("exhaustive:4") == CorpusSpec(exhaustive_max=4)
         assert CorpusSpec.parse("random:30:7:0.4:9") == CorpusSpec(
@@ -201,3 +210,7 @@ class TestCorpus:
         )
         with pytest.raises(InvalidParameterError):
             CorpusSpec.parse("everything")
+        for bad in ("exhaustive:x", "exhaustive:-1", "random:3:x:0.5:1",
+                    "random:3:4:p:1", "random:-3:4:0.5:1"):
+            with pytest.raises(InvalidParameterError):
+                CorpusSpec.parse(bad)
