@@ -28,8 +28,6 @@ from .errors import (
 from .fileformat import format_ruleset, parse_graph, parse_ruleset_text, serialize, to_dot
 from .gadgets import (
     GadgetInstance,
-    GadgetReport,
-    check_gadget_lemma,
     forbidden_path,
     forbidden_vertex_gadget,
     replace_all_edges,
@@ -79,6 +77,7 @@ from .verifier import (
     CorpusReport,
     CorpusSpec,
     VerificationReport,
+    check_gadget_lemma,
     check_play_for_play,
     check_vertex_condition,
     check_winnability,

@@ -24,17 +24,10 @@ from .graph import (
     gen_path,
     gen_random_bipartite,
 )
-from .reductions import (
-    REDUCTIONS,
-    reduce_bgnk_to_d12,
-    reduce_bgnk_window,
-    reduce_col_family,
-    reduce_node_kayles_equalmax,
-    reduce_snort_family,
-)
+from .reductions import REDUCTIONS, SOURCE_KINDS, source_kind
 from .rules import Player, Position, Ruleset, position_is_legal
 from .solver import MoveStatus
-from .verifier import CorpusSpec, run_corpus
+from .verifier import CorpusSpec, check_gadget_lemma, run_corpus
 
 _GADGET_NAME = re.compile(r"^g\d+\.")
 
@@ -54,7 +47,12 @@ def _parse_set_literal(text: str):
     for piece in text.split("+"):
         if "-" in piece:
             lo, _, hi = piece.partition("-")
-            out.update(range(int(lo), int(hi) + 1))
+            lo, hi = int(lo), int(hi)
+            if lo > hi:
+                raise InvalidParameterError(
+                    f"bad range {piece!r}; its low end is above its high end"
+                )
+            out.update(range(lo, hi + 1))
         else:
             out.add(int(piece))
     return frozenset(out)
@@ -76,6 +74,10 @@ def _parse_param_grid(tokens: list[str], reduction: str) -> dict:
         if not eq or key not in types:
             raise InvalidParameterError(
                 f"bad parameter {token!r}; {reduction} takes {sorted(types)}"
+            )
+        if key in grid:
+            raise InvalidParameterError(
+                f"parameter {key} given twice; list its values in one entry, like {key}=1,2"
             )
         values = []
         for piece in raw.split(","):
@@ -158,81 +160,42 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-_SOURCE_NAMES = {"snort", "col", "node-kayles", "bgnk"}
-
-
-def _source_kind(rs: Ruleset) -> str | None:
-    if rs.ownership is not None:
-        return "bgnk"
-    if rs.d == {1} and not rs.s:
-        return "snort"
-    if not rs.d and rs.s == {1}:
-        return "col"
-    if rs.d == {1} and rs.s == {1}:
-        return "node-kayles"
-    return None
-
-
-def _full_interval(values: frozenset) -> int | None:
-    """Largest k with values == {1..k}, or None."""
-    k = len(values)
-    return k if values == frozenset(range(1, k + 1)) else None
-
-
 def _cmd_reduce(args) -> int:
     g, pos, src_rs = parse_graph(Path(args.infile).read_text())
     if pos.stone_count:
         raise InvalidParameterError("reduce expects an empty starting position")
-    kind = _source_kind(src_rs)
+    kind = source_kind(src_rs)
     if kind is None:
         raise InvalidParameterError(
-            "input ruleset is not one of the supported sources "
-            "(snort, col, node-kayles, bgnk)"
+            f"input ruleset is not one of the supported sources ({', '.join(SOURCE_KINDS)})"
         )
     if args.source:
         wanted = args.source
         if "=" in wanted:  # also accept the textual ruleset form
-            wanted = _source_kind(parse_ruleset_text(wanted))
-        elif wanted not in _SOURCE_NAMES:
+            wanted = source_kind(parse_ruleset_text(wanted))
+        elif wanted not in SOURCE_KINDS:
             raise InvalidParameterError(
-                f"unknown source {args.source!r}; use one of {sorted(_SOURCE_NAMES)} "
+                f"unknown source {args.source!r}; use one of {list(SOURCE_KINDS)} "
                 "or a textual ruleset"
             )
         if wanted != kind:
             raise InvalidParameterError(f"input file is a {kind} board, not {args.source}")
     target = parse_ruleset_text(args.to)
 
-    if kind == "bgnk":
-        sides = (src_rs.ownership.left, src_rs.ownership.right)
-        if target.d == {1, 2} and target.s in (frozenset(), frozenset({1})):
-            ri = reduce_bgnk_to_d12(g, *sides, s=target.s)
-        else:
-            k = _full_interval(target.s)
-            if k is None:
-                raise InvalidParameterError(
-                    "from bgnk the target needs D={1,2} with S empty or {1}, "
-                    "or S a full interval {1..k}"
-                )
-            ri = reduce_bgnk_window(
-                g, *sides, d=target.d, k=k, allow_out_of_range=args.allow_out_of_range
-            )
-    elif kind == "snort":
-        n = _full_interval(target.d)
-        if n is None:
-            raise InvalidParameterError("from snort the target D must be a full interval {1..n}")
-        ri = reduce_snort_family(g, n, target.s)
-    elif kind == "col":
-        k = _full_interval(target.s)
-        if k is None:
-            raise InvalidParameterError("from col the target S must be a full interval {1..k}")
-        ri = reduce_col_family(g, k, target.d)
+    specs = [spec for spec in REDUCTIONS.values() if spec.source == kind]
+    for spec in specs:
+        params = spec.accepts(target)
+        if params is not None:
+            break
     else:
-        ri = reduce_node_kayles_equalmax(g, target.d, target.s)
-
-    if ri.target_ruleset.d != target.d or ri.target_ruleset.s != target.s:
         raise InvalidParameterError(
-            f"no reduction from {kind} reaches {format_ruleset(target)}"
+            f"no reduction from {kind} reaches {format_ruleset(target)}; "
+            + "; ".join(f"{spec.name} needs {spec.reaches}" for spec in specs)
         )
+    own = src_rs.ownership
+    bipartition = (own.left, own.right) if spec.bipartite else None
+    params["allow_out_of_range"] = args.allow_out_of_range
+    ri = spec.build(g, bipartition, params)
     _write(serialize(ri.target_graph, ri.initial_position, ri.target_ruleset), args.out)
     map_path = args.map or (args.out + ".map")
     Path(map_path).write_text(
@@ -256,6 +219,8 @@ def _cmd_gadget(args) -> int:
         d, s = check_rs.d, check_rs.s
     else:
         d, s = frozenset(range(1, args.r + 1)), frozenset()
+    # Checked before the board is written, so a refused check writes nothing.
+    report = check_gadget_lemma(gadget, d, s, args.probes) if args.check else None
 
     host_rs = Ruleset(d, s)
     host = Graph()
@@ -263,12 +228,11 @@ def _cmd_gadget(args) -> int:
     host.freeze()
     _write(serialize(host, gadgets.stones_position(host, [gadget]), host_rs), args.out)
 
-    if args.check:
-        report = gadgets.check_gadget_lemma(gadget, d, s, args.probes)
-        for line in report.lines():
-            print(line)
-        return 0 if report.passed else 1
-    return 0
+    if report is None:
+        return 0
+    for line in report.lines():
+        print(line)
+    return 0 if report.passed else 1
 
 
 def _cmd_verify(args) -> int:

@@ -9,7 +9,7 @@ unplayable while leaving anything attached to the port by a single edge
 untouched, because both stones are at distance r+1 or more from it.
 
 The construction here is derived from those distance requirements and
-deliberately treated as untrusted: `check_gadget_lemma` re-derives every
+deliberately treated as untrusted: `verifier.check_gadget_lemma` re-derives every
 guarantee through the legality rules, and the test suite requires it to
 pass for r up to 8.
 
@@ -35,10 +35,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HypothesisViolatedError, InvalidParameterError, UnknownEdgeError
+from .errors import InvalidParameterError, UnknownEdgeError
 from .graph import Graph
-from . import rules
-from .rules import Colour, Player, Position
+from .rules import Colour, Position
+
+# Largest gadget size r, path length t and probe count accepted. A blocker
+# has about r vertices and a path t times that, so without a cap a single
+# number could ask for a board of any size; reductions build through these
+# constructors and inherit the cap.
+MAX_GADGET_SIZE = 64
+
+
+def check_gadget_size(what: str, value: int, least: int) -> None:
+    """Raise InvalidParameterError unless least <= value <= MAX_GADGET_SIZE."""
+    if not least <= value <= MAX_GADGET_SIZE:
+        raise InvalidParameterError(
+            f"{what} must be between {least} and {MAX_GADGET_SIZE}, got {value}"
+        )
 
 
 @dataclass(frozen=True)
@@ -71,8 +84,7 @@ class GadgetInstance:
 
 def forbidden_vertex_gadget(r: int, prefix: str = "g0", origin: str = "") -> GadgetInstance:
     """Size-r blocker gadget; the single port is the vertex named `.v`."""
-    if r < 1:
-        raise InvalidParameterError("gadget size r must be >= 1")
+    check_gadget_size("gadget size r", r, 1)
     if r % 2:
         q, m = (r + 1) // 2, (r - 1) // 2
     else:
@@ -107,8 +119,7 @@ def forbidden_vertex_gadget(r: int, prefix: str = "g0", origin: str = "") -> Gad
 
 def forbidden_path(t: int, r: int, prefix: str = "g0", origin: str = "") -> GadgetInstance:
     """Chain of t size-r blocker gadgets with `left` and `right` end ports."""
-    if t < 1 or r < 1:
-        raise InvalidParameterError("path gadget needs t >= 1 and r >= 1")
+    check_gadget_size("path length t", t, 1)
     copies = [forbidden_vertex_gadget(r, prefix=f"{prefix}.f{i}") for i in range(1, t + 1)]
     vertices: list[str] = []
     edges: list[tuple[str, str]] = []
@@ -191,111 +202,3 @@ def replace_all_edges(g: Graph, t: int, r: int) -> tuple[Graph, dict[tuple[int, 
     """Splice every edge, each with its own disjoint gadget copy."""
     new, gadget_map = _splice_edges(g, list(g.edges()), t, r)
     return new.freeze(), gadget_map
-
-
-@dataclass(frozen=True)
-class GadgetCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class GadgetReport:
-    description: str
-    checks: tuple[GadgetCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            suffix = f" {c.detail}" if c.detail else ""
-            out.append(f"{status} {c.name} {self.description}{suffix}")
-        return out
-
-
-def check_gadget_lemma(gadget: GadgetInstance, d, s, probes: int) -> GadgetReport:
-    """Re-derive the gadget guarantees from the rules instead of trusting them.
-
-    Embeds the gadget in a host graph with `probes` fresh external vertices
-    hanging off each port, then checks that (i) every uncoloured gadget
-    vertex is illegal for both players at the start, (ii) it stays illegal
-    after each single legal probe placement (full persistence follows from
-    legality monotonicity), and (iii) the probes themselves sit farther from
-    every fixed stone than the largest forbidden distance.
-
-    Refuses to vouch unless one of d, s is exactly {1..r} and the other is
-    a subset of it.
-    """
-    d, s = frozenset(d), frozenset(s)
-    if gadget.radius is None:
-        raise HypothesisViolatedError("gadget carries no blocking radius")
-    if probes < 0:
-        raise InvalidParameterError("probes must be >= 0")
-    interval = frozenset(range(1, gadget.radius + 1))
-    if not ((d == interval and s <= interval) or (s == interval and d <= interval)):
-        raise HypothesisViolatedError(
-            f"need d or s equal to {{1..{gadget.radius}}} and the other a subset"
-        )
-
-    host = Graph()
-    embed_gadget(host, gadget)
-    probe_names = []
-    for role, port in gadget.ports:
-        for i in range(probes):
-            name = f"probe.{role}.{i}"
-            host.add_vertex(name)
-            host.add_edge(name, port)
-            probe_names.append(name)
-    host.freeze()
-
-    rs = rules.distance_game(d, s)
-    start = stones_position(host, [gadget])
-    players = (Player.LEFT, Player.RIGHT)
-
-    def first_playable(pos: Position) -> str | None:
-        for name in gadget.uncoloured:
-            for player in players:
-                if rules.is_legal(host, rs, pos, name, player):
-                    return f"{name} playable by {player.name}"
-        return None
-
-    checks = []
-    bad = first_playable(start)
-    checks.append(GadgetCheck("unplayable-initially", bad is None, bad or ""))
-
-    persistence_bad = None
-    for name in probe_names:
-        for player in players:
-            if not rules.is_legal(host, rs, start, name, player):
-                continue
-            after = rules.apply_move(host, rs, start, name, player)
-            bad = first_playable(after)
-            if bad is not None:
-                persistence_bad = f"after {player.name} plays {name}: {bad}"
-                break
-        if persistence_bad:
-            break
-    checks.append(
-        GadgetCheck("unplayable-after-probe-moves", persistence_bad is None,
-                    persistence_bad or "")
-    )
-
-    radius = rs.max_radius
-    probe_bad = None
-    for name in probe_names:
-        for stone, _ in gadget.precoloured:
-            dist = host.distance(name, stone)
-            if dist is not None and dist <= radius:
-                probe_bad = f"{name} at distance {dist} from stone {stone}"
-                break
-        if probe_bad:
-            break
-    checks.append(GadgetCheck("probes-unaffected", probe_bad is None, probe_bad or ""))
-
-    desc = f"r={gadget.radius} t={gadget.span} D={sorted(d)} S={sorted(s)}"
-    return GadgetReport(desc, tuple(checks))

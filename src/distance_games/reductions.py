@@ -102,15 +102,6 @@ def _check_bipartition(g: Graph, left, right) -> Bipartition:
     return left, right
 
 
-def _copy_original(g: Graph) -> Graph:
-    new = Graph()
-    for name in g.names:
-        new.add_vertex(name)
-    for i, j in g.edges():
-        new.add_edge(i, j)
-    return new
-
-
 def _finish(source_graph: Graph, source_rs: Ruleset, target_graph: Graph,
             target_rs: Ruleset, gadgets: Iterable[GadgetInstance]) -> ReducedInstance:
     gadgets = tuple(gadgets)
@@ -137,7 +128,7 @@ def _finish(source_graph: Graph, source_rs: Ruleset, target_graph: Graph,
 
 
 def _identity(g: Graph, source_rs: Ruleset, target_rs: Ruleset) -> ReducedInstance:
-    return _finish(g, source_rs, _copy_original(g), target_rs, ())
+    return _finish(g, source_rs, g.copy(), target_rs, ())
 
 
 def _edge_gadget_list(gadget_map: dict[tuple[int, int], GadgetInstance]) -> list[GadgetInstance]:
@@ -158,7 +149,7 @@ def reduce_bgnk_to_d12(g: Graph, left, right, s: Iterable[int] = ()) -> ReducedI
         raise ParameterViolationError("same-colour set must be {} or {1}")
     left, right = _check_bipartition(g, left, right)
 
-    new = _copy_original(g)
+    new = g.copy()
     gadgets: list[GadgetInstance] = []
     gid = 0
     for side, colour, label in ((left, Colour.BLUE, "left"), (right, Colour.RED, "right")):
@@ -333,15 +324,40 @@ def reduce_bgnk_window(g: Graph, left, right, d: Iterable[int], k: int,
 # -- registry (used by the verifier corpora and the CLI) ----------------------
 
 
+def source_kind(rs: Ruleset) -> str | None:
+    """The source game a ruleset plays: bgnk, snort, col, node-kayles, or None."""
+    if rs.ownership is not None:
+        return "bgnk"
+    if rs.d == {1} and not rs.s:
+        return "snort"
+    if not rs.d and rs.s == {1}:
+        return "col"
+    if rs.d == {1} and rs.s == {1}:
+        return "node-kayles"
+    return None
+
+
 @dataclass(frozen=True)
 class ReductionSpec:
-    """How to drive one reduction generically from (graph, params)."""
+    """One reduction: the source kind it starts from, the targets it reaches,
+    and how to build it generically from (graph, bipartition, params).
+
+    `accepts(target)` returns the build parameters for a target ruleset, or
+    None when the reduction does not reach it; the build may still refuse
+    parameters outside the construction's range.
+    """
 
     name: str
-    bipartite: bool
+    source: str  # a source_kind() value
     param_types: tuple[tuple[str, str], ...]  # (param name, "int"|"set"|"flag")
     build: Callable[[Graph, Bipartition | None, dict], ReducedInstance]
+    accepts: Callable[[Ruleset], dict | None]
+    reaches: str  # the accepted targets, for messages
     required: tuple[str, ...] = ()
+
+    @property
+    def bipartite(self) -> bool:
+        return self.source == "bgnk"
 
     def check_params(self, params) -> None:
         """Raise InvalidParameterError naming any required parameter not given."""
@@ -352,45 +368,80 @@ class ReductionSpec:
             )
 
 
+def _interval_top(values: frozenset) -> int | None:
+    """k when values == {1..k}, else None."""
+    k = len(values)
+    return k if values == frozenset(range(1, k + 1)) else None
+
+
 def _build_bgnk_d12(g, bipartition, params):
-    left, right = bipartition
-    return reduce_bgnk_to_d12(g, left, right, params.get("s", frozenset()))
+    return reduce_bgnk_to_d12(g, *bipartition, params.get("s", frozenset()))
+
+
+def _accepts_bgnk_d12(target):
+    return {"s": target.s} if target.d == {1, 2} and target.s <= {1} else None
 
 
 def _build_snort_family(g, bipartition, params):
     return reduce_snort_family(g, params["n"], params.get("s", frozenset()))
 
 
+def _accepts_snort_family(target):
+    n = _interval_top(target.d)
+    return None if n is None else {"n": n, "s": target.s}
+
+
 def _build_equalmax(g, bipartition, params):
     return reduce_node_kayles_equalmax(g, params["d"], params["s"])
+
+
+def _accepts_equalmax(target):
+    return {"d": target.d, "s": target.s}
 
 
 def _build_col_family(g, bipartition, params):
     return reduce_col_family(g, params["k"], params.get("d", frozenset()))
 
 
+def _accepts_col_family(target):
+    k = _interval_top(target.s)
+    return None if k is None else {"k": k, "d": target.d}
+
+
 def _build_bgnk_window(g, bipartition, params):
-    left, right = bipartition
     return reduce_bgnk_window(
-        g, left, right, params["d"], params["k"],
+        g, *bipartition, params["d"], params["k"],
         allow_out_of_range=params.get("allow_out_of_range", False),
     )
 
 
+def _accepts_bgnk_window(target):
+    k = _interval_top(target.s)
+    return None if k is None else {"d": target.d, "k": k}
+
+
+# For one source kind, the first spec that accepts a target is the one used.
 REDUCTIONS: dict[str, ReductionSpec] = {
     spec.name: spec
     for spec in (
-        ReductionSpec("bgnk-d12", True, (("s", "set"),), _build_bgnk_d12),
-        ReductionSpec("snort-family", False, (("n", "int"), ("s", "set")),
-                      _build_snort_family, ("n",)),
-        ReductionSpec("node-kayles-equalmax", False, (("d", "set"), ("s", "set")),
-                      _build_equalmax, ("d", "s")),
-        ReductionSpec("col-family", False, (("k", "int"), ("d", "set")),
-                      _build_col_family, ("k",)),
+        ReductionSpec("bgnk-d12", "bgnk", (("s", "set"),), _build_bgnk_d12,
+                      _accepts_bgnk_d12, "D={1,2} with S empty or {1}"),
+        ReductionSpec("snort-family", "snort", (("n", "int"), ("s", "set")),
+                      _build_snort_family, _accepts_snort_family,
+                      "D a full interval {1..n}, max(S) < n", ("n",)),
+        ReductionSpec("node-kayles-equalmax", "node-kayles", (("d", "set"), ("s", "set")),
+                      _build_equalmax, _accepts_equalmax,
+                      "max(D) = max(S) = m, D or S the full interval {1..m}", ("d", "s")),
+        ReductionSpec("col-family", "col", (("k", "int"), ("d", "set")),
+                      _build_col_family, _accepts_col_family,
+                      "S a full interval {1..k}, max(D) < k", ("k",)),
         ReductionSpec(
-            "bgnk-window", True,
+            "bgnk-window", "bgnk",
             (("d", "set"), ("k", "int"), ("allow_out_of_range", "flag")),
-            _build_bgnk_window, ("d", "k"),
+            _build_bgnk_window, _accepts_bgnk_window,
+            "S a full interval {1..k}, 1 < max(D) < k < 2*max(D)", ("d", "k"),
         ),
     )
 }
+
+SOURCE_KINDS = tuple(sorted({spec.source for spec in REDUCTIONS.values()}))

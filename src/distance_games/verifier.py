@@ -1,6 +1,6 @@
 """Machine checks that a reduction really preserves the game.
 
-Three checks per reduced instance:
+Three checks per reduced instance, each returning a `CheckResult`:
 
 * vertex condition: in the starting position, nothing outside the embedded
   original vertices is playable by either player;
@@ -18,6 +18,9 @@ monotone.
 
 Every failure carries a replayable trace; `replays_violation` re-derives
 the violation through the public rules API alone.
+
+`check_gadget_lemma` checks one blocker gadget the same way, through the
+rules rather than the construction, and reports in the same types.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import InvalidParameterError
+from .errors import HypothesisViolatedError, InvalidParameterError
+from .gadgets import GadgetInstance, check_gadget_size, embed_gadget, stones_position
 from .graph import (
     Graph,
     all_labelled_bipartite,
@@ -75,41 +79,40 @@ class VerificationReport:
     def failed_checks(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
-    def check(self, name: str) -> CheckResult:
+    def lines(self) -> list[str]:
+        """One `PASS|FAIL <check> <descriptor> [detail]` line per check."""
+        out = []
         for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+            status = "PASS" if c.passed else "FAIL"
+            suffix = f" {c.detail}" if c.detail else ""
+            out.append(f"{status} {c.name} {self.descriptor}{suffix}")
+        return out
 
 
 def format_trace(trace: Trace) -> str:
     return ",".join(f"{player.value}:{vertex}" for player, vertex in trace) or "-"
 
 
-def check_vertex_condition(ri: ReducedInstance) -> VerificationReport:
+def check_vertex_condition(ri: ReducedInstance) -> CheckResult:
     """No target vertex outside the embedded originals is playable initially."""
     index = LegalityIndex(ri.target_graph, ri.target_ruleset)
     pos = ri.initial_position
     outside = ((1 << ri.target_graph.vertex_count) - 1) & ~ri.embedded_mask
-    result = None
     for player in (Player.LEFT, Player.RIGHT):
         playable = index.legal_moves_mask(pos, player) & outside
         if playable:
             bad = (playable & -playable).bit_length() - 1
-            result = CheckResult(
+            return CheckResult(
                 VERTEX_CONDITION, False,
                 detail=f"added vertex {ri.target_graph.name_of(bad)!r} playable by {player.name}",
                 vertex=ri.target_graph.name_of(bad), player=player,
                 kind=KIND_UNEMBEDDED,
             )
-            break
-    if result is None:
-        checked = ri.target_graph.vertex_count - ri.source_graph.vertex_count
-        result = CheckResult(VERTEX_CONDITION, True, detail=f"checked={checked}")
-    return VerificationReport("vertex condition", (result,))
+    checked = ri.target_graph.vertex_count - ri.source_graph.vertex_count
+    return CheckResult(VERTEX_CONDITION, True, detail=f"checked={checked}")
 
 
-def check_play_for_play(ri: ReducedInstance, depth_cap: int | None = None) -> VerificationReport:
+def check_play_for_play(ri: ReducedInstance, depth_cap: int | None = None) -> CheckResult:
     """Walk both game trees in lockstep and compare move sets at every node.
 
     `depth_cap` limits the walk to that many plies from the start; None
@@ -208,23 +211,20 @@ def check_play_for_play(ri: ReducedInstance, depth_cap: int | None = None) -> Ve
 
     start = ri.initial_position
     bad = walk(0, 0, 0, 0, start.blue, start.red, *tgt_index.blocked(start), 0)
+    if bad is not None:
+        return bad
     cap_text = "full" if depth_cap is None else str(depth_cap)
-    if bad is None:
-        result = CheckResult(PLAY_FOR_PLAY, True, detail=f"nodes={nodes} depth={cap_text}")
-    else:
-        result = bad
-    return VerificationReport("play-for-play correspondence", (result,))
+    return CheckResult(PLAY_FOR_PLAY, True, detail=f"nodes={nodes} depth={cap_text}")
 
 
-def check_winnability(ri: ReducedInstance) -> VerificationReport:
+def check_winnability(ri: ReducedInstance) -> CheckResult:
     """Solved outcomes of source and target must coincide."""
     src = solver.outcome(ri.source_graph, ri.source_ruleset)
     tgt = solver.outcome(ri.target_graph, ri.target_ruleset, ri.initial_position)
-    result = CheckResult(
+    return CheckResult(
         WINNABILITY, src is tgt,
         detail=f"source={src.value} target={tgt.value}",
     )
-    return VerificationReport("outcome preservation", (result,))
 
 
 def resolve_depth_cap(ri: ReducedInstance, depth_cap) -> int | None:
@@ -238,9 +238,9 @@ def verify_instance(ri: ReducedInstance, depth_cap="auto", descriptor: str = "")
     """Run all three checks, plus the tree-shape-implies-outcome cross-check."""
     cap = resolve_depth_cap(ri, depth_cap)
     checks = [
-        check_vertex_condition(ri).checks[0],
-        check_play_for_play(ri, cap).checks[0],
-        check_winnability(ri).checks[0],
+        check_vertex_condition(ri),
+        check_play_for_play(ri, cap),
+        check_winnability(ri),
     ]
     full = cap is None or cap >= ri.source_graph.vertex_count
     if full and checks[1].passed and not checks[2].passed:
@@ -275,6 +275,78 @@ def replays_violation(ri: ReducedInstance, result: CheckResult) -> bool:
     if result.kind == KIND_TARGET_ONLY:
         return target_legal and not source_legal
     return False
+
+
+def check_gadget_lemma(gadget: GadgetInstance, d, s, probes: int) -> VerificationReport:
+    """Re-derive the gadget guarantees from the rules instead of trusting them.
+
+    Embeds the gadget in a host graph with `probes` fresh external vertices
+    hanging off each port, then checks that (i) every uncoloured gadget
+    vertex is illegal for both players at the start, (ii) it stays illegal
+    after each single legal probe placement (full persistence follows from
+    legality monotonicity), and (iii) the probes themselves sit farther from
+    every fixed stone than the largest forbidden distance.
+
+    Refuses to vouch unless one of d, s is exactly {1..r} and the other is
+    a subset of it.
+    """
+    d, s = frozenset(d), frozenset(s)
+    if gadget.radius is None:
+        raise HypothesisViolatedError("gadget carries no blocking radius")
+    check_gadget_size("probes", probes, 0)
+    interval = frozenset(range(1, gadget.radius + 1))
+    if not ((d == interval and s <= interval) or (s == interval and d <= interval)):
+        raise HypothesisViolatedError(
+            f"need d or s equal to {{1..{gadget.radius}}} and the other a subset"
+        )
+
+    host = Graph()
+    embed_gadget(host, gadget)
+    probe_names = []
+    for role, port in gadget.ports:
+        for i in range(probes):
+            name = f"probe.{role}.{i}"
+            host.add_vertex(name)
+            host.add_edge(name, port)
+            probe_names.append(name)
+    host.freeze()
+
+    rs = rules.distance_game(d, s)
+    start = stones_position(host, [gadget])
+    players = (Player.LEFT, Player.RIGHT)
+
+    def first_playable(pos: Position) -> str | None:
+        for name in gadget.uncoloured:
+            for player in players:
+                if rules.is_legal(host, rs, pos, name, player):
+                    return f"{name} playable by {player.name}"
+        return None
+
+    def after_probe_moves() -> str | None:
+        for name in probe_names:
+            for player in players:
+                if rules.is_legal(host, rs, start, name, player):
+                    bad = first_playable(rules.apply_move(host, rs, start, name, player))
+                    if bad is not None:
+                        return f"after {player.name} plays {name}: {bad}"
+        return None
+
+    def probe_near_stone() -> str | None:
+        for name in probe_names:
+            for stone, _ in gadget.precoloured:
+                dist = host.distance(name, stone)
+                if dist is not None and dist <= rs.max_radius:
+                    return f"{name} at distance {dist} from stone {stone}"
+        return None
+
+    found = (
+        ("unplayable-initially", first_playable(start)),
+        ("unplayable-after-probe-moves", after_probe_moves()),
+        ("probes-unaffected", probe_near_stone()),
+    )
+    checks = tuple(CheckResult(name, bad is None, bad or "") for name, bad in found)
+    desc = f"r={gadget.radius} t={gadget.span} D={sorted(d)} S={sorted(s)}"
+    return VerificationReport(desc, checks)
 
 
 # -- corpus running -----------------------------------------------------------
@@ -370,8 +442,11 @@ class _Task:
 @dataclass(frozen=True)
 class InstanceRecord:
     index: int
-    descriptor: str
     report: VerificationReport
+
+    @property
+    def descriptor(self) -> str:
+        return self.report.descriptor
 
     @property
     def passed(self) -> bool:
@@ -431,7 +506,7 @@ def _run_task(task: _Task) -> InstanceRecord:
     spec = REDUCTIONS[task.reduction]
     ri = spec.build(task.graph, task.bipartition, task.params)
     report = verify_instance(ri, depth_cap=task.depth_cap, descriptor=task.descriptor)
-    return InstanceRecord(task.index, task.descriptor, report)
+    return InstanceRecord(task.index, report)
 
 
 def worker_count(jobs: int, cpus: int | None) -> int:

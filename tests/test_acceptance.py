@@ -163,7 +163,7 @@ def test_criterion_5_out_of_range_counterexample_trace():
     ri = reduce_bgnk_window(
         g, ["x", "z"], ["y"], d={1, 2}, k=4, allow_out_of_range=True
     )
-    result = check_play_for_play(ri).checks[0]
+    result = check_play_for_play(ri)
     ok = (
         not result.passed
         and result.trace == ((L, "x"),)

@@ -1,9 +1,21 @@
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from distance_games import parse_graph
+from distance_games import (
+    REDUCTIONS,
+    ParameterViolationError,
+    Position,
+    format_ruleset,
+    gen_gnp,
+    gen_random_bipartite,
+    parse_graph,
+    serialize,
+)
 from distance_games.cli import main
+from distance_games.gadgets import MAX_GADGET_SIZE
+from distance_games.rules import distance_game
 
 
 def run(capsys, *argv):
@@ -82,6 +94,18 @@ class TestGadget:
         code, _, err = run(capsys, "gadget", "--r", "3", "--check", "D=1,2 S=")
         assert code == 2 and "subset" in err
 
+    @pytest.mark.parametrize("argv, what", [
+        (["--r", str(MAX_GADGET_SIZE + 1)], "gadget size r"),
+        (["--r", "2", "--t", str(MAX_GADGET_SIZE + 1)], "path length t"),
+        (["--r", "2", "--check", "D=1,2 S=", "--probes", str(MAX_GADGET_SIZE + 1)],
+         "probes"),
+    ])
+    def test_size_above_cap_writes_nothing(self, capsys, tmp_path, argv, what):
+        out_path = tmp_path / "g.graph"
+        assert_input_error(capsys, "gadget", *argv, "--out", str(out_path),
+                           mentions=f"{what} must be between")
+        assert not out_path.exists()
+
 
 class TestReduce:
     def make_bgnk(self, capsys, tmp_path):
@@ -135,6 +159,44 @@ class TestReduce:
                          "--to", "D=1,2 S=1,2,3,4", "--out", str(out_path),
                          "--allow-out-of-range")
         assert code == 0
+
+    @pytest.mark.parametrize("name", list(REDUCTIONS))
+    def test_reduce_builds_what_the_registry_builds(self, capsys, tmp_path, name):
+        """For every target with D, S within {1,2,3} that this spec is the
+        first of its source kind to accept and can build, `reduce` writes
+        the board and map of `spec.build`."""
+        spec = REDUCTIONS[name]
+        if spec.bipartite:
+            g, bipartition = gen_random_bipartite(2, 3, 0.6, 1)
+        else:
+            g, bipartition = gen_gnp(5, 0.5, 1), None
+        subsets = [frozenset(c) for n in range(4) for c in combinations((1, 2, 3), n)]
+        checked = 0
+        for d in subsets:
+            for s in subsets:
+                target = distance_game(d, s)
+                first = next((other for other in REDUCTIONS.values()
+                              if other.source == spec.source
+                              and other.accepts(target) is not None), None)
+                if first is not spec:
+                    continue
+                try:
+                    ri = spec.build(g, bipartition, spec.accepts(target))
+                except ParameterViolationError:
+                    continue
+                assert ri.target_ruleset == target
+                board = tmp_path / "source.graph"
+                board.write_text(serialize(g, Position(), ri.source_ruleset))
+                out_path = tmp_path / "out.graph"
+                code, _, _ = run(capsys, "reduce", "--in", str(board),
+                                 "--to", format_ruleset(target), "--out", str(out_path))
+                assert code == 0, format_ruleset(target)
+                assert out_path.read_text() == serialize(
+                    ri.target_graph, ri.initial_position, ri.target_ruleset)
+                assert Path(str(out_path) + ".map").read_text() == "".join(
+                    f"{a} -> {b}\n" for a, b in ri.embedded)
+                checked += 1
+        assert checked
 
     def test_unreachable_target(self, capsys, tmp_path):
         board = tmp_path / "k2.graph"
@@ -225,6 +287,14 @@ class TestBadVerifyInput:
     def test_missing_required_param(self, capsys, reduction, params, missing):
         self.verify(capsys, "--reduction", reduction, "--corpus", "exhaustive:2",
                     "--params", *params, mentions=f"{reduction} needs parameter(s) {missing}")
+
+    def test_reversed_range(self, capsys):
+        self.verify(capsys, "--reduction", "snort-family", "--corpus", "exhaustive:2",
+                    "--params", "n=2", "s=3-1", mentions="'3-1'")
+
+    def test_repeated_param(self, capsys):
+        self.verify(capsys, "--reduction", "snort-family", "--corpus", "exhaustive:2",
+                    "--params", "n=2", "N=3", mentions="n given twice")
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one(self, capsys, jobs):

@@ -62,7 +62,7 @@ class TestVertexCondition:
                 ri.initial_position.red & ~(1 << removed),
             ),
         )
-        result = check_vertex_condition(broken).checks[0]
+        result = check_vertex_condition(broken)
         assert not result.passed
         assert result.vertex == "g0.v2"
         assert result.player is L
@@ -71,7 +71,7 @@ class TestVertexCondition:
     def test_degenerate_identity_passes_vacuously(self):
         g = build_graph("ab", [("a", "b")])
         ri = reduce_snort_family(g, 1)
-        result = check_vertex_condition(ri).checks[0]
+        result = check_vertex_condition(ri)
         assert result.passed and "checked=0" in result.detail
 
 
@@ -86,7 +86,7 @@ class TestPlayForPlay:
 
     def test_example_one_exact_trace(self):
         ri = example_one_instance()
-        result = check_play_for_play(ri).checks[0]
+        result = check_play_for_play(ri)
         assert not result.passed
         assert result.trace == ((L, "x"),)
         assert result.vertex == "z"
@@ -105,7 +105,7 @@ class TestPlayForPlay:
 class TestWinnability:
     def test_equal_outcomes_on_anchor_reduction(self):
         ri = bgnk_edge_instance()
-        result = check_winnability(ri).checks[0]
+        result = check_winnability(ri)
         assert result.passed
         assert outcome(ri.source_graph, ri.source_ruleset) is Outcome.FIRST_WINS
 
@@ -116,7 +116,7 @@ class TestWinnability:
     def test_example_one_winnability_recorded_either_way(self):
         # The negative example is pinned by play-for-play; here we only
         # require a definite report.
-        result = check_winnability(example_one_instance()).checks[0]
+        result = check_winnability(example_one_instance())
         assert "source=" in result.detail and "target=" in result.detail
 
 
