@@ -40,21 +40,23 @@ def _write(text: str, out: str | None):
 
 
 def _parse_set_literal(text: str):
-    """'empty', '2', '1-3' (range), or '1+3' (explicit elements)."""
+    """'empty', '2', '1-3' (range), or '1+3' (explicit elements), each
+    element at most gadgets.MAX_GADGET_SIZE (checked before expanding)."""
     if text == "empty":
         return frozenset()
     out: set[int] = set()
     for piece in text.split("+"):
-        if "-" in piece:
-            lo, _, hi = piece.partition("-")
-            lo, hi = int(lo), int(hi)
-            if lo > hi:
-                raise InvalidParameterError(
-                    f"bad range {piece!r}; its low end is above its high end"
-                )
-            out.update(range(lo, hi + 1))
-        else:
-            out.add(int(piece))
+        lo, dash, hi = piece.partition("-")
+        lo, hi = int(lo), int(hi if dash else lo)
+        if lo > hi:
+            raise InvalidParameterError(
+                f"bad range {piece!r}; its low end is above its high end"
+            )
+        if hi > gadgets.MAX_GADGET_SIZE:
+            raise InvalidParameterError(
+                f"bad set value {piece!r}; elements must be at most {gadgets.MAX_GADGET_SIZE}"
+            )
+        out.update(range(lo, hi + 1))
     return frozenset(out)
 
 

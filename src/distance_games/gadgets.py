@@ -158,13 +158,17 @@ def stones_position(g: Graph, gadgets) -> Position:
     return pos
 
 
-def _splice_edges(g: Graph, targets, t: int, r: int, first_id: int = 0):
-    """Replace each (i, j) target edge with a fresh path gadget copy.
+def splice_edges(g: Graph, targets, t: int, r: int) -> tuple[Graph, list[GadgetInstance]]:
+    """Replace each (i, j) target edge with a fresh path of t size-r blockers.
 
-    Original vertices come first in the new graph, in their old order, so
-    old indices stay valid. Returns the unfrozen graph and the edge-to-gadget
-    map; the caller freezes when construction is complete.
+    Both sizes are checked before any vertex is added, even when there are
+    no targets (t = 0 is allowed only then). Original vertices come first in
+    the new graph, in their old order, so old indices stay valid. Returns
+    the unfrozen graph and the path gadgets in `targets` order; the caller
+    freezes when construction is complete.
     """
+    check_gadget_size("path length t", t, 0)
+    check_gadget_size("gadget size r", r, 1)
     new = Graph()
     for name in g.names:
         new.add_vertex(name)
@@ -172,9 +176,8 @@ def _splice_edges(g: Graph, targets, t: int, r: int, first_id: int = 0):
     for i, j in g.edges():
         if (i, j) not in target_set:
             new.add_edge(i, j)
-    gadget_map: dict[tuple[int, int], GadgetInstance] = {}
-    gid = first_id
-    for i, j in targets:
+    paths = []
+    for gid, (i, j) in enumerate(targets):
         fp = forbidden_path(
             t, r, prefix=f"g{gid}",
             origin=f"edge {g.name_of(i)}--{g.name_of(j)}",
@@ -182,9 +185,8 @@ def _splice_edges(g: Graph, targets, t: int, r: int, first_id: int = 0):
         embed_gadget(new, fp)
         new.add_edge(g.name_of(i), fp.port("left"))
         new.add_edge(fp.port("right"), g.name_of(j))
-        gadget_map[(i, j)] = fp
-        gid += 1
-    return new, gadget_map
+        paths.append(fp)
+    return new, paths
 
 
 def replace_edge(g: Graph, u: int | str, v: int | str, t: int, r: int) -> Graph:
@@ -194,11 +196,12 @@ def replace_edge(g: Graph, u: int | str, v: int | str, t: int, r: int) -> Graph:
         i, j = j, i
     if not g.has_edge(i, j):
         raise UnknownEdgeError(f"no edge {g.name_of(i)!r} -- {g.name_of(j)!r}")
-    new, _ = _splice_edges(g, [(i, j)], t, r)
+    new, _ = splice_edges(g, [(i, j)], t, r)
     return new.freeze()
 
 
 def replace_all_edges(g: Graph, t: int, r: int) -> tuple[Graph, dict[tuple[int, int], GadgetInstance]]:
     """Splice every edge, each with its own disjoint gadget copy."""
-    new, gadget_map = _splice_edges(g, list(g.edges()), t, r)
-    return new.freeze(), gadget_map
+    edges = list(g.edges())
+    new, paths = splice_edges(g, edges, t, r)
+    return new.freeze(), dict(zip(edges, paths))

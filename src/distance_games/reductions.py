@@ -21,10 +21,9 @@ from typing import Callable, Iterable
 from .errors import InvalidParameterError, NotBipartiteError, ParameterViolationError
 from .gadgets import (
     GadgetInstance,
-    _splice_edges,
     embed_gadget,
     forbidden_path,
-    replace_all_edges,
+    splice_edges,
     stones_position,
 )
 from .graph import Bipartition, Graph
@@ -127,12 +126,13 @@ def _finish(source_graph: Graph, source_rs: Ruleset, target_graph: Graph,
     return instance
 
 
-def _identity(g: Graph, source_rs: Ruleset, target_rs: Ruleset) -> ReducedInstance:
-    return _finish(g, source_rs, g.copy(), target_rs, ())
-
-
-def _edge_gadget_list(gadget_map: dict[tuple[int, int], GadgetInstance]) -> list[GadgetInstance]:
-    return [gadget_map[e] for e in sorted(gadget_map)]
+def _spliced(g: Graph, source_rs: Ruleset, d: Iterable[int], s: Iterable[int],
+             r: int) -> ReducedInstance:
+    """Every edge spliced with a path of r-1 size-r blockers (none when
+    r = 1, the identity), then the target ruleset (d, s); the splice checks
+    r against the gadget cap first, so r also bounds the distance sets."""
+    new, paths = splice_edges(g, list(g.edges()) if r > 1 else [], r - 1, r)
+    return _finish(g, source_rs, new, distance_game(d, s), paths)
 
 
 def reduce_bgnk_to_d12(g: Graph, left, right, s: Iterable[int] = ()) -> ReducedInstance:
@@ -200,11 +200,7 @@ def reduce_snort_family(g: Graph, n: int, s: Iterable[int] = ()) -> ReducedInsta
         raise ParameterViolationError("n must be >= 1")
     if max(s, default=0) >= n:
         raise ParameterViolationError("same-colour set must have max below n")
-    target = distance_game(range(1, n + 1), s)
-    if n == 1:
-        return _identity(g, snort(), target)
-    new, gadget_map = replace_all_edges(g, n - 1, n)
-    return _finish(g, snort(), new, target, _edge_gadget_list(gadget_map))
+    return _spliced(g, snort(), range(1, n + 1), s, n)
 
 
 def reduce_node_kayles_equalmax(g: Graph, d: Iterable[int], s: Iterable[int]) -> ReducedInstance:
@@ -221,14 +217,9 @@ def reduce_node_kayles_equalmax(g: Graph, d: Iterable[int], s: Iterable[int]) ->
     m = max(d)
     if max(s) != m:
         raise ParameterViolationError("the two sets must share their maximum")
-    interval = frozenset(range(1, m + 1))
-    if d != interval and s != interval:
+    if _interval_top(d) is None and _interval_top(s) is None:
         raise ParameterViolationError("one set must be the full interval up to the maximum")
-    target = distance_game(d, s)
-    if m == 1:
-        return _identity(g, node_kayles(), target)
-    new, gadget_map = replace_all_edges(g, m - 1, m)
-    return _finish(g, node_kayles(), new, target, _edge_gadget_list(gadget_map))
+    return _spliced(g, node_kayles(), d, s, m)
 
 
 def reduce_col_family(g: Graph, k: int, d: Iterable[int] = ()) -> ReducedInstance:
@@ -243,11 +234,7 @@ def reduce_col_family(g: Graph, k: int, d: Iterable[int] = ()) -> ReducedInstanc
         raise ParameterViolationError("k must be >= 1")
     if max(d, default=0) >= k:
         raise ParameterViolationError("cross-colour set must have max below k")
-    target = distance_game(d, range(1, k + 1))
-    if k == 1:
-        return _identity(g, col(), target)
-    new, gadget_map = replace_all_edges(g, k - 1, k)
-    return _finish(g, col(), new, target, _edge_gadget_list(gadget_map))
+    return _spliced(g, col(), d, range(1, k + 1), k)
 
 
 def reduce_bgnk_window(g: Graph, left, right, d: Iterable[int], k: int,
@@ -280,8 +267,7 @@ def reduce_bgnk_window(g: Graph, left, right, d: Iterable[int], k: int,
         )
     left, right = _check_bipartition(g, left, right)
 
-    new, gadget_map = _splice_edges(g, list(g.edges()), n - 1, k)
-    gadgets = _edge_gadget_list(gadget_map)
+    new, gadgets = splice_edges(g, list(g.edges()), n - 1, k)
     gid = len(gadgets)
     for side, colour, label in ((left, Colour.RED, "left"), (right, Colour.BLUE, "right")):
         # The shared stone carries the colour the side may NOT take.
@@ -350,7 +336,7 @@ class ReductionSpec:
     name: str
     source: str  # a source_kind() value
     param_types: tuple[tuple[str, str], ...]  # (param name, "int"|"set"|"flag")
-    build: Callable[[Graph, Bipartition | None, dict], ReducedInstance]
+    reduce: str  # name of the reduce_* function in this module
     accepts: Callable[[Ruleset], dict | None]
     reaches: str  # the accepted targets, for messages
     required: tuple[str, ...] = ()
@@ -358,6 +344,17 @@ class ReductionSpec:
     @property
     def bipartite(self) -> bool:
         return self.source == "bgnk"
+
+    def build(self, g: Graph, bipartition: Bipartition | None, params: dict) -> ReducedInstance:
+        """Call the reduce function with g, the bipartition's sides for a bgnk
+        source, and the given params named in `param_types`."""
+        # Looked up by name on every call rather than stored, so that wrappers
+        # put on this module's reduce_* functions (perfbench's tracer) see
+        # every build.
+        reduce = globals()[self.reduce]
+        sides = bipartition if self.bipartite else ()
+        kwargs = {name: params[name] for name, _ in self.param_types if name in params}
+        return reduce(g, *sides, **kwargs)
 
     def check_params(self, params) -> None:
         """Raise InvalidParameterError naming any required parameter not given."""
@@ -374,16 +371,8 @@ def _interval_top(values: frozenset) -> int | None:
     return k if values == frozenset(range(1, k + 1)) else None
 
 
-def _build_bgnk_d12(g, bipartition, params):
-    return reduce_bgnk_to_d12(g, *bipartition, params.get("s", frozenset()))
-
-
 def _accepts_bgnk_d12(target):
     return {"s": target.s} if target.d == {1, 2} and target.s <= {1} else None
-
-
-def _build_snort_family(g, bipartition, params):
-    return reduce_snort_family(g, params["n"], params.get("s", frozenset()))
 
 
 def _accepts_snort_family(target):
@@ -391,28 +380,13 @@ def _accepts_snort_family(target):
     return None if n is None else {"n": n, "s": target.s}
 
 
-def _build_equalmax(g, bipartition, params):
-    return reduce_node_kayles_equalmax(g, params["d"], params["s"])
-
-
 def _accepts_equalmax(target):
     return {"d": target.d, "s": target.s}
-
-
-def _build_col_family(g, bipartition, params):
-    return reduce_col_family(g, params["k"], params.get("d", frozenset()))
 
 
 def _accepts_col_family(target):
     k = _interval_top(target.s)
     return None if k is None else {"k": k, "d": target.d}
-
-
-def _build_bgnk_window(g, bipartition, params):
-    return reduce_bgnk_window(
-        g, *bipartition, params["d"], params["k"],
-        allow_out_of_range=params.get("allow_out_of_range", False),
-    )
 
 
 def _accepts_bgnk_window(target):
@@ -424,21 +398,21 @@ def _accepts_bgnk_window(target):
 REDUCTIONS: dict[str, ReductionSpec] = {
     spec.name: spec
     for spec in (
-        ReductionSpec("bgnk-d12", "bgnk", (("s", "set"),), _build_bgnk_d12,
+        ReductionSpec("bgnk-d12", "bgnk", (("s", "set"),), "reduce_bgnk_to_d12",
                       _accepts_bgnk_d12, "D={1,2} with S empty or {1}"),
         ReductionSpec("snort-family", "snort", (("n", "int"), ("s", "set")),
-                      _build_snort_family, _accepts_snort_family,
+                      "reduce_snort_family", _accepts_snort_family,
                       "D a full interval {1..n}, max(S) < n", ("n",)),
         ReductionSpec("node-kayles-equalmax", "node-kayles", (("d", "set"), ("s", "set")),
-                      _build_equalmax, _accepts_equalmax,
+                      "reduce_node_kayles_equalmax", _accepts_equalmax,
                       "max(D) = max(S) = m, D or S the full interval {1..m}", ("d", "s")),
         ReductionSpec("col-family", "col", (("k", "int"), ("d", "set")),
-                      _build_col_family, _accepts_col_family,
+                      "reduce_col_family", _accepts_col_family,
                       "S a full interval {1..k}, max(D) < k", ("k",)),
         ReductionSpec(
             "bgnk-window", "bgnk",
             (("d", "set"), ("k", "int"), ("allow_out_of_range", "flag")),
-            _build_bgnk_window, _accepts_bgnk_window,
+            "reduce_bgnk_window", _accepts_bgnk_window,
             "S a full interval {1..k}, 1 < max(D) < k < 2*max(D)", ("d", "k"),
         ),
     )

@@ -62,11 +62,6 @@ class SearchStats:
     hits: int = 0
     peak_entries: int = 0
 
-    def absorb(self, other: "SearchStats"):
-        self.nodes += other.nodes
-        self.hits += other.hits
-        self.peak_entries = max(self.peak_entries, other.peak_entries)
-
 
 # Frames left free below the interpreter's recursion limit for the callers
 # above the first search frame (CLI, worker pool, test runner).
@@ -116,11 +111,7 @@ def wins_moving_first(g: Graph, rs: Ruleset, pos: Position = Position(),
     """Whether `player`, moving next from `pos`, can force the last move."""
     idx = index if index is not None else LegalityIndex(g, rs)
     _check_playable(idx, pos)
-    local = SearchStats()
-    result = _search(idx, {}, local, pos, player)
-    if stats is not None:
-        stats.absorb(local)
-    return result
+    return _search(idx, {}, stats if stats is not None else SearchStats(), pos, player)
 
 
 def outcome(g: Graph, rs: Ruleset, pos: Position = Position(), *,
@@ -144,15 +135,13 @@ def best_move(g: Graph, rs: Ruleset, pos: Position = Position(),
     """
     idx = index if index is not None else LegalityIndex(g, rs)
     _check_playable(idx, pos)
-    local = SearchStats()
+    stats = stats if stats is not None else SearchStats()
     table: dict = {}
     moves = idx.legal_moves(pos, player)
     result: int | MoveStatus = MoveStatus.NO_MOVE if not moves else MoveStatus.NO_WINNING_MOVE
     for i in moves:
         child = pos.place(i, player.colour)
-        if not _search(idx, table, local, child, player.opponent):
+        if not _search(idx, table, stats, child, player.opponent):
             result = i
             break
-    if stats is not None:
-        stats.absorb(local)
     return result

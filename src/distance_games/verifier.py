@@ -430,7 +430,6 @@ def format_params(params: dict) -> str:
 
 @dataclass(frozen=True)
 class _Task:
-    index: int
     reduction: str
     graph: Graph
     bipartition: tuple[frozenset[int], frozenset[int]] | None
@@ -441,7 +440,6 @@ class _Task:
 
 @dataclass(frozen=True)
 class InstanceRecord:
-    index: int
     report: VerificationReport
 
     @property
@@ -506,7 +504,7 @@ def _run_task(task: _Task) -> InstanceRecord:
     spec = REDUCTIONS[task.reduction]
     ri = spec.build(task.graph, task.bipartition, task.params)
     report = verify_instance(ri, depth_cap=task.depth_cap, descriptor=task.descriptor)
-    return InstanceRecord(task.index, report)
+    return InstanceRecord(report)
 
 
 def worker_count(jobs: int, cpus: int | None) -> int:
@@ -521,8 +519,8 @@ def run_corpus(reduction: str, corpus: CorpusSpec, param_grid: dict | None = Non
     """Verify one reduction across a corpus and a parameter grid.
 
     The grid maps parameter names to lists of values; every combination runs
-    against every corpus graph. Results come back ordered by instance index
-    whatever the worker count, so reports are reproducible.
+    against every corpus graph. Results come back in task order whatever the
+    worker count, so reports are reproducible.
     """
     if reduction not in REDUCTIONS:
         raise InvalidParameterError(
@@ -538,15 +536,13 @@ def run_corpus(reduction: str, corpus: CorpusSpec, param_grid: dict | None = Non
     if not combos:
         combos = [{}]
     tasks = []
-    index = 0
     for params in combos:
         for gi, (g, bipartition) in enumerate(graphs):
             descriptor = (
                 f"reduction={reduction} graph={gi} V={g.vertex_count}"
                 f" E={g.edge_count} params={format_params(params)}"
             )
-            tasks.append(_Task(index, reduction, g, bipartition, params, depth_cap, descriptor))
-            index += 1
+            tasks.append(_Task(reduction, g, bipartition, params, depth_cap, descriptor))
     if jobs == 1:
         records = [_run_task(t) for t in tasks]
     else:
@@ -554,5 +550,4 @@ def run_corpus(reduction: str, corpus: CorpusSpec, param_grid: dict | None = Non
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_run_task, tasks, chunksize=8))
-    records.sort(key=lambda r: r.index)
     return CorpusReport(tuple(records))

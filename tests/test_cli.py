@@ -301,6 +301,25 @@ class TestBadVerifyInput:
         self.verify(capsys, "--reduction", "snort-family", "--corpus", "exhaustive:2",
                     "--params", "n=2", "--jobs", jobs, mentions="jobs")
 
+    @pytest.mark.parametrize("reduction, corpus, params", [
+        ("snort-family", "exhaustive:1", ["n=200000"]),
+        ("col-family", "exhaustive:0", ["k=65"]),
+        ("bgnk-window", "exhaustive:0", ["d=1-2", "k=65", "allow_out_of_range=true"]),
+    ])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_reduction_bound_above_cap_on_edgeless_graphs(self, capsys, reduction,
+                                                          corpus, params, jobs):
+        self.verify(capsys, "--reduction", reduction, "--corpus", corpus,
+                    "--params", *params, "--jobs", jobs, mentions=f"{MAX_GADGET_SIZE}, got")
+
+    @pytest.mark.parametrize("value, piece", [
+        ("1-1000000", "1-1000000"), ("1+65", "65"), ("65-70", "65-70"),
+    ])
+    def test_set_value_above_cap(self, capsys, value, piece):
+        self.verify(capsys, "--reduction", "snort-family", "--corpus", "exhaustive:1",
+                    "--params", "n=2", f"s={value}",
+                    mentions=f"{piece!r}; elements must be at most {MAX_GADGET_SIZE}")
+
 
 class TestDot:
     def test_highlight_gadgets(self, capsys, tmp_path):

@@ -1,7 +1,9 @@
 import pytest
 
 from distance_games import (
+    REDUCTIONS,
     Colour,
+    InvalidParameterError,
     NotBipartiteError,
     ParameterViolationError,
     Player,
@@ -20,6 +22,8 @@ from distance_games import (
     snort,
 )
 
+from distance_games import reductions
+from distance_games.gadgets import MAX_GADGET_SIZE
 from helpers import build_graph
 
 L, R = Player.LEFT, Player.RIGHT
@@ -313,3 +317,63 @@ class TestInstanceShape:
         tgt = ri.embed_position(src)
         assert tgt.colour_at(ri.target_graph.index_of("a")) is Colour.BLUE
         assert tgt.stone_count == ri.initial_position.stone_count + 1
+
+
+class TestRegistryBuild:
+    # The module-level function each spec builds through; perfbench's tracer
+    # wraps these names on `reductions` and counts every build.
+    FUNCTIONS = {
+        "bgnk-d12": ("reduce_bgnk_to_d12", {"s": frozenset()}),
+        "snort-family": ("reduce_snort_family", {"n": 2}),
+        "node-kayles-equalmax": ("reduce_node_kayles_equalmax",
+                                 {"d": frozenset({1, 2}), "s": frozenset({1, 2})}),
+        "col-family": ("reduce_col_family", {"k": 2}),
+        "bgnk-window": ("reduce_bgnk_window", {"d": frozenset({1, 2}), "k": 3}),
+    }
+
+    def test_every_reduction_listed(self):
+        assert set(self.FUNCTIONS) == set(REDUCTIONS)
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    def test_build_calls_module_function_at_call_time(self, monkeypatch, name):
+        attr, params = self.FUNCTIONS[name]
+        original = getattr(reductions, attr)
+        calls = []
+
+        def counting(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append(result)
+            return result
+
+        monkeypatch.setattr(reductions, attr, counting)
+        g, left, right = single_edge_bipartite()
+        spec = REDUCTIONS[name]
+        ri = spec.build(g, (left, right) if spec.bipartite else None, params)
+        assert len(calls) == 1 and calls[0] is ri
+
+
+OVER_CAP = MAX_GADGET_SIZE + 1
+
+
+class TestBoundsCapped:
+    """Reduction bounds above the gadget cap are refused even when the source
+    has no edge to splice, before any target ruleset is built."""
+
+    @pytest.mark.parametrize("build", [
+        lambda g: reduce_snort_family(g, OVER_CAP),
+        lambda g: reduce_col_family(g, OVER_CAP),
+        lambda g: reduce_node_kayles_equalmax(g, range(1, OVER_CAP + 1), {OVER_CAP}),
+        lambda g: reduce_bgnk_window(g, range(g.vertex_count), [], d={1, 2}, k=OVER_CAP,
+                                     allow_out_of_range=True),
+    ], ids=["snort-family", "col-family", "node-kayles-equalmax", "bgnk-window"])
+    @pytest.mark.parametrize("names", ["", "ab"], ids=["empty", "edgeless"])
+    def test_over_cap_refused_on_edgeless_graph(self, build, names):
+        g = build_graph(names, [])
+        with pytest.raises(InvalidParameterError, match=str(OVER_CAP)):
+            build(g)
+
+    def test_cap_itself_accepted_on_edgeless_graph(self):
+        g = build_graph("ab", [])
+        ri = reduce_snort_family(g, MAX_GADGET_SIZE)
+        assert ri.target_ruleset == distance_game(range(1, MAX_GADGET_SIZE + 1), ())
+        assert ri.target_graph.vertex_count == 2 and not ri.gadgets
