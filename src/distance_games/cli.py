@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import gadgets, solver
-from .errors import DistanceGameError, InvalidParameterError
+from .errors import DistanceGameError, FormatError, InvalidParameterError
 from .fileformat import format_ruleset, parse_graph, parse_ruleset_text, serialize, to_dot
 from .graph import (
     Graph,
@@ -37,6 +37,15 @@ def _write(text: str, out: str | None):
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _read_board(path: str):
+    """Parse a board file, which must be UTF-8 text."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_graph(text)
 
 
 def _parse_set_literal(text: str):
@@ -146,7 +155,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    g, pos, rs = parse_graph(Path(args.infile).read_text())
+    g, pos, rs = _read_board(args.infile)
     if not position_is_legal(g, rs, pos):
         raise InvalidParameterError("input position violates the ruleset")
     print(f"outcome {solver.outcome(g, rs, pos).value}")
@@ -163,7 +172,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    g, pos, src_rs = parse_graph(Path(args.infile).read_text())
+    g, pos, src_rs = _read_board(args.infile)
     if pos.stone_count:
         raise InvalidParameterError("reduce expects an empty starting position")
     kind = source_kind(src_rs)
@@ -201,7 +210,7 @@ def _cmd_reduce(args) -> int:
     _write(serialize(ri.target_graph, ri.initial_position, ri.target_ruleset), args.out)
     map_path = args.map or (args.out + ".map")
     Path(map_path).write_text(
-        "".join(f"{s} -> {t}\n" for s, t in ri.embedded)
+        "".join(f"{name} -> {name}\n" for name in ri.source_graph.names)
     )
     print(
         f"reduced source-vertices={ri.source_graph.vertex_count}"
@@ -248,7 +257,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    g, pos, _rs = parse_graph(Path(args.infile).read_text())
+    g, pos, _rs = _read_board(args.infile)
     highlight = ()
     if args.highlight == "gadgets":
         highlight = tuple(name for name in g.names if _GADGET_NAME.match(name))

@@ -73,10 +73,6 @@ class GadgetInstance:
         raise KeyError(f"gadget has no port {role!r}")
 
     @property
-    def stones(self) -> dict[str, Colour]:
-        return dict(self.precoloured)
-
-    @property
     def uncoloured(self) -> tuple[str, ...]:
         fixed = {name for name, _ in self.precoloured}
         return tuple(v for v in self.vertices if v not in fixed)

@@ -94,10 +94,6 @@ class Graph:
     # -- queries -----------------------------------------------------------
 
     @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    @property
     def vertex_count(self) -> int:
         return len(self._names)
 

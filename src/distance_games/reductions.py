@@ -8,14 +8,13 @@ module rather than assumed here, is that play on the original vertices is
 move-for-move the same game as the source.
 
 Degenerate parameters that make the target coincide with the source (for
-example a distance bound of 1) return the source instance unchanged with an
-identity embedding instead of erroring.
+example a distance bound of 1) return a copy of the source graph with no
+gadgets instead of erroring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable
 
 from .errors import InvalidParameterError, NotBipartiteError, ParameterViolationError
@@ -42,44 +41,31 @@ from .rules import (
 
 @dataclass(frozen=True)
 class ReducedInstance:
-    """Output of one reduction, ready for solving and verification."""
+    """Output of one reduction, ready for solving and verification.
+
+    The source's vertices are the target's first vertices, with the same
+    names in the same order; the gadget vertices follow them. So a source
+    index is also the target index of the same vertex.
+    """
 
     source_graph: Graph
     source_ruleset: Ruleset
     target_graph: Graph
     target_ruleset: Ruleset
     initial_position: Position
-    embedded: tuple[tuple[str, str], ...]
     gadgets: tuple[GadgetInstance, ...]
 
-    @property
-    def embedded_map(self) -> dict[str, str]:
-        return dict(self.embedded)
-
-    @cached_property
-    def source_to_target(self) -> tuple[int, ...]:
-        """Target index of each source vertex, in source index order."""
-        mapping = self.embedded_map
-        return tuple(
-            self.target_graph.index_of(mapping[name])
-            for name in self.source_graph.names
-        )
-
-    @cached_property
-    def embedded_mask(self) -> int:
-        return sum(1 << t for t in self.source_to_target)
+    def __post_init__(self):
+        names = self.source_graph.names
+        if self.target_graph.names[:len(names)] != names:
+            raise InvalidParameterError(
+                "the target's first vertices must be the source's vertices, in order"
+            )
 
     def embed_position(self, pos: Position) -> Position:
-        """Target position holding the gadget stones plus the mapped source stones."""
-        blue, red = self.initial_position.blue, self.initial_position.red
-        mapping = self.source_to_target
-        for i, colour in pos.stones():
-            bit = 1 << mapping[i]
-            if colour is Colour.BLUE:
-                blue |= bit
-            else:
-                red |= bit
-        return Position(blue, red)
+        """Target position holding the gadget stones plus the source stones."""
+        start = self.initial_position
+        return Position(start.blue | pos.blue, start.red | pos.red)
 
 
 def _as_index_set(g: Graph, side: Iterable[int | str]) -> frozenset[int]:
@@ -113,7 +99,6 @@ def _finish(source_graph: Graph, source_rs: Ruleset, target_graph: Graph,
         target_graph=target_graph,
         target_ruleset=target_rs,
         initial_position=pos,
-        embedded=tuple((name, name) for name in source_graph.names),
         gadgets=gadgets,
     )
     # Construction invariants; a failure here is a bug in the builder.
@@ -121,8 +106,6 @@ def _finish(source_graph: Graph, source_rs: Ruleset, target_graph: Graph,
     gadget_names = {v for gadget in gadgets for v in gadget.vertices}
     for i, _ in pos.stones():
         assert target_graph.name_of(i) in gadget_names, "stray stone outside gadgets"
-    for idx, name in enumerate(source_graph.names):
-        assert target_graph.index_of(name) == idx, "original vertices must keep indices"
     return instance
 
 

@@ -163,9 +163,6 @@ class Position:
             return Colour.RED
         return None
 
-    def is_empty(self, i: int) -> bool:
-        return not (self.occupied >> i) & 1
-
     def place(self, i: int, colour: Colour) -> "Position":
         bit = 1 << i
         if colour is Colour.BLUE:
@@ -327,15 +324,6 @@ class LegalityIndex:
     def blocked(self, pos: Position) -> tuple[int, int]:
         """(Left, Right): the vertices each player is forbidden to take in `pos`."""
         return self._blocked_for(pos.blue, pos.red), self._blocked_for(pos.red, pos.blue)
-
-    def is_legal(self, pos: Position, i: int, player: Player) -> bool:
-        bit = 1 << i
-        if (pos.blue | pos.red) & bit or not self.allowed(player) & bit:
-            return False
-        own, opp = (
-            (pos.blue, pos.red) if player is Player.LEFT else (pos.red, pos.blue)
-        )
-        return not self.d_mask[i] & opp and not self.s_mask[i] & own
 
     def legal_moves_mask(self, pos: Position, player: Player) -> int:
         if player is Player.LEFT:

@@ -2,19 +2,19 @@
 
 Three checks per reduced instance, each returning a `CheckResult`:
 
-* vertex condition: in the starting position, nothing outside the embedded
-  original vertices is playable by either player;
+* vertex condition: in the starting position, nothing outside the original
+  vertices is playable by either player;
 * move-for-move correspondence: walking the source game tree (every move of
-  either player, recursively) while mirroring each move into the target,
-  the two move sets match under the embedding at every node;
+  either player, recursively) while playing each move on the same vertex of
+  the target, the two move sets are equal at every node;
 * outcome preservation: the solved outcome of source and target agree.
 
-The correspondence walk compares the full target move set, added vertices
-included, at every node. It carries each game's position and its two
-blocked masks (`LegalityIndex.blocked`) down the tree as plain ints and
-updates them per placed stone, so each node's move sets are one mask
-expression per player; the check does not rely on legality being
-monotone.
+The originals are the target's first vertices (`ReducedInstance`), so one
+mask holds a move set of either game. The correspondence walk compares the
+full target move set, added vertices included, with the source's at every
+node. It carries the source stones and each game's two blocked masks
+(`LegalityIndex.blocked`) down the tree as plain ints, updated per placed
+stone; the check does not rely on legality being monotone.
 
 Every failure carries a replayable trace; `replays_violation` re-derives
 the violation through the public rules API alone.
@@ -94,10 +94,11 @@ def format_trace(trace: Trace) -> str:
 
 
 def check_vertex_condition(ri: ReducedInstance) -> CheckResult:
-    """No target vertex outside the embedded originals is playable initially."""
+    """No target vertex outside the originals is playable initially."""
     index = LegalityIndex(ri.target_graph, ri.target_ruleset)
     pos = ri.initial_position
-    outside = ((1 << ri.target_graph.vertex_count) - 1) & ~ri.embedded_mask
+    originals = (1 << ri.source_graph.vertex_count) - 1
+    outside = ((1 << ri.target_graph.vertex_count) - 1) & ~originals
     for player in (Player.LEFT, Player.RIGHT):
         playable = index.legal_moves_mask(pos, player) & outside
         if playable:
@@ -120,8 +121,6 @@ def check_play_for_play(ri: ReducedInstance, depth_cap: int | None = None) -> Ch
     """
     src_index = LegalityIndex(ri.source_graph, ri.source_ruleset)
     tgt_index = LegalityIndex(ri.target_graph, ri.target_ruleset)
-    mapping = ri.source_to_target
-    emb_mask = ri.embedded_mask
     src_names = ri.source_graph.names
     tgt_names = ri.target_graph.names
     n_src = ri.source_graph.vertex_count
@@ -133,21 +132,22 @@ def check_play_for_play(ri: ReducedInstance, depth_cap: int | None = None) -> Ch
     t_left, t_right = tgt_index.allowed(LEFT), tgt_index.allowed(RIGHT)
     sd, ss = src_index.d_mask, src_index.s_mask
     td, ts = tgt_index.d_mask, tgt_index.s_mask
-    tbits = [1 << t for t in mapping]
+    start = ri.initial_position
+    t_empty = ~start.occupied
 
     visited: set[int] = set()
     path: list[tuple[Player, int]] = []
     nodes = 0
 
-    def mismatch(player: Player, mapped: int, tgt_mask: int) -> CheckResult:
+    def mismatch(player: Player, src_mask: int, tgt_mask: int) -> CheckResult:
         trace = tuple((p, src_names[i]) for p, i in path)
-        diff = tgt_mask ^ mapped
+        diff = tgt_mask ^ src_mask
         bad = (diff & -diff).bit_length() - 1
-        bit = 1 << bad
         name = tgt_names[bad]
-        if bit & tgt_mask:
-            kind = KIND_TARGET_ONLY if bit & emb_mask else KIND_UNEMBEDDED
-            what = "legal in target but not in source" if bit & emb_mask \
+        if tgt_mask >> bad & 1:
+            original = bad < n_src
+            kind = KIND_TARGET_ONLY if original else KIND_UNEMBEDDED
+            what = "legal in target but not in source" if original \
                 else "added vertex is playable"
         else:
             kind = KIND_SOURCE_ONLY
@@ -158,9 +158,10 @@ def check_play_for_play(ri: ReducedInstance, depth_cap: int | None = None) -> Ch
             trace=trace, vertex=name, player=player, kind=kind,
         )
 
-    # Positions are plain ints: each game's blue and red stones, plus the
-    # vertices blocked for Left and for Right, updated per placed stone.
-    def walk(sb, sr, s_bl, s_br, tb, tr, t_bl, t_br, depth) -> CheckResult | None:
+    # Positions are plain ints: the source's blue and red stones (the target
+    # adds the gadget stones), plus each game's vertices blocked for Left
+    # and for Right, updated per placed stone.
+    def walk(sb, sr, s_bl, s_br, t_bl, t_br, depth) -> CheckResult | None:
         nonlocal nodes
         key = sb | sr << n_src
         if key in visited:
@@ -168,30 +169,24 @@ def check_play_for_play(ri: ReducedInstance, depth_cap: int | None = None) -> Ch
         visited.add(key)
         nodes += 1
         s_free = ~(sb | sr)
-        t_free = ~(tb | tr)
+        t_free = t_empty & s_free
         left = s_left & s_free & ~s_bl
         right = s_right & s_free & ~s_br
-        for player, moves, tgt_mask in (
-            (LEFT, left, t_left & t_free & ~t_bl),
-            (RIGHT, right, t_right & t_free & ~t_br),
-        ):
-            mapped = 0
-            while moves:
-                bit = moves & -moves
-                mapped |= tbits[bit.bit_length() - 1]
-                moves ^= bit
-            if mapped != tgt_mask:
-                return mismatch(player, mapped, tgt_mask)
+        tgt_left = t_left & t_free & ~t_bl
+        if left != tgt_left:
+            return mismatch(LEFT, left, tgt_left)
+        tgt_right = t_right & t_free & ~t_br
+        if right != tgt_right:
+            return mismatch(RIGHT, right, tgt_right)
         if depth >= max_depth:
             return None
         depth += 1
         while left:
             bit = left & -left
             i = bit.bit_length() - 1
-            j = mapping[i]
             path.append((LEFT, i))
             bad = walk(sb | bit, sr, s_bl | ss[i], s_br | sd[i],
-                       tb | tbits[i], tr, t_bl | ts[j], t_br | td[j], depth)
+                       t_bl | ts[i], t_br | td[i], depth)
             if bad is not None:
                 return bad
             path.pop()
@@ -199,18 +194,16 @@ def check_play_for_play(ri: ReducedInstance, depth_cap: int | None = None) -> Ch
         while right:
             bit = right & -right
             i = bit.bit_length() - 1
-            j = mapping[i]
             path.append((RIGHT, i))
             bad = walk(sb, sr | bit, s_bl | sd[i], s_br | ss[i],
-                       tb, tr | tbits[i], t_bl | td[j], t_br | ts[j], depth)
+                       t_bl | td[i], t_br | ts[i], depth)
             if bad is not None:
                 return bad
             path.pop()
             right ^= bit
         return None
 
-    start = ri.initial_position
-    bad = walk(0, 0, 0, 0, start.blue, start.red, *tgt_index.blocked(start), 0)
+    bad = walk(0, 0, 0, 0, *tgt_index.blocked(start), 0)
     if bad is not None:
         return bad
     cap_text = "full" if depth_cap is None else str(depth_cap)
@@ -257,18 +250,19 @@ def replays_violation(ri: ReducedInstance, result: CheckResult) -> bool:
         return False
     spos = Position()
     tpos = ri.initial_position
-    emap = ri.embedded_map
     for player, name in result.trace:
         spos = rules.apply_move(ri.source_graph, ri.source_ruleset, spos, name, player)
-        tpos = rules.apply_move(ri.target_graph, ri.target_ruleset, tpos, emap[name], player)
+        tpos = rules.apply_move(ri.target_graph, ri.target_ruleset, tpos, name, player)
     target_legal = rules.is_legal(
         ri.target_graph, ri.target_ruleset, tpos, result.vertex, result.player
     )
+    original = ri.target_graph.index_of(result.vertex) < ri.source_graph.vertex_count
     if result.kind == KIND_UNEMBEDDED:
-        return target_legal and result.vertex not in emap.values()
-    sources = {t: s for s, t in emap.items()}
+        return target_legal and not original
+    if not original:
+        return False
     source_legal = rules.is_legal(
-        ri.source_graph, ri.source_ruleset, spos, sources[result.vertex], result.player
+        ri.source_graph, ri.source_ruleset, spos, result.vertex, result.player
     )
     if result.kind == KIND_SOURCE_ONLY:
         return source_legal and not target_legal

@@ -194,7 +194,7 @@ class TestReduce:
                 assert out_path.read_text() == serialize(
                     ri.target_graph, ri.initial_position, ri.target_ruleset)
                 assert Path(str(out_path) + ".map").read_text() == "".join(
-                    f"{a} -> {b}\n" for a, b in ri.embedded)
+                    f"{name} -> {name}\n" for name in ri.source_graph.names)
                 checked += 1
         assert checked
 
@@ -339,6 +339,22 @@ class TestDot:
         run(capsys, "gen", "--kind", "path", "--n", "2", "--out", str(board))
         code, out, _ = run(capsys, "dot", "--in", str(board))
         assert code == 0 and '"v0" -- "v1";' in out
+
+
+class TestUndecodableBoard:
+    @pytest.mark.parametrize("argv", [
+        ("solve",),
+        ("reduce", "--to", "D=1,2 S="),
+        ("dot",),
+    ])
+    def test_non_utf8_board_is_input_error(self, capsys, tmp_path, argv):
+        board = tmp_path / "bad.graph"
+        board.write_bytes(b"\xff\xfe\x00")
+        out_path = tmp_path / "out.graph"
+        extra = ("--out", str(out_path)) if argv[0] == "reduce" else ()
+        assert_input_error(capsys, *argv, "--in", str(board), *extra,
+                           mentions="not UTF-8")
+        assert not out_path.exists()
 
 
 class TestUsageErrors:

@@ -8,6 +8,7 @@ from distance_games import (
     ParameterViolationError,
     Player,
     Position,
+    ReducedInstance,
     distance_game,
     gen_cycle,
     is_legal,
@@ -208,9 +209,20 @@ class TestInstanceShape:
 
     def test_embedding_is_identity_on_names(self, instances):
         for ri in instances:
-            assert all(s == t for s, t in ri.embedded)
             for idx, name in enumerate(ri.source_graph.names):
                 assert ri.target_graph.index_of(name) == idx
+
+    def test_target_must_start_with_the_source_names_in_order(self):
+        src = build_graph("ab", [("a", "b")])
+
+        def instance(target_names):
+            return ReducedInstance(src, snort(), build_graph(target_names, []), snort(),
+                                   Position(), ())
+
+        assert instance("abx").target_graph.names == ("a", "b", "x")
+        for names in ("ba", "xab", "a", ""):
+            with pytest.raises(InvalidParameterError):
+                instance(names)
 
     def test_initial_position_is_legal(self, instances):
         for ri in instances:

@@ -214,8 +214,6 @@ def test_legality_index_matches_reference(n, mask, seed):
     index = LegalityIndex(g, rs)
     for p in (L, R):
         assert index.legal_moves(pos, p) == legal_moves(g, rs, pos, p)
-        for v in range(n):
-            assert index.is_legal(pos, v, p) == is_legal(g, rs, pos, v, p)
 
     # Blocked masks kept up to date one stone at a time, as the verifier
     # walk does, must equal the from-scratch masks and give the legal moves.

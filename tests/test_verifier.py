@@ -13,6 +13,7 @@ from distance_games import (
     check_play_for_play,
     check_vertex_condition,
     check_winnability,
+    node_kayles,
     outcome,
     reduce_bgnk_to_d12,
     reduce_bgnk_window,
@@ -22,7 +23,10 @@ from distance_games import (
     verify_instance,
 )
 from distance_games.verifier import (
+    CheckResult,
     KIND_SOURCE_ONLY,
+    KIND_TARGET_ONLY,
+    KIND_UNEMBEDDED,
     PLAY_FOR_PLAY,
     VERTEX_CONDITION,
     WINNABILITY,
@@ -40,6 +44,15 @@ def bgnk_edge_instance(s=frozenset()):
     return reduce_bgnk_to_d12(g, [0], [1], s=s)
 
 
+def bgnk_edge_instance_without(stone):
+    """The anchor reduction with one gadget stone taken off."""
+    ri = bgnk_edge_instance()
+    bit = 1 << ri.target_graph.index_of(stone)
+    start = ri.initial_position
+    return dataclasses.replace(
+        ri, initial_position=Position(start.blue & ~bit, start.red & ~bit))
+
+
 def example_one_instance():
     """Bipartite path x - y - z, d = {1,2}, s = {1,2,3,4}: k = 2*max(d)."""
     g = build_graph("xyz", [("x", "y"), ("y", "z")])
@@ -53,15 +66,7 @@ class TestVertexCondition:
         assert report.passed
 
     def test_sabotaged_instance_fails_with_vertex_named(self):
-        ri = bgnk_edge_instance()
-        removed = ri.target_graph.index_of("g0.R")
-        broken = dataclasses.replace(
-            ri,
-            initial_position=Position(
-                ri.initial_position.blue,
-                ri.initial_position.red & ~(1 << removed),
-            ),
-        )
+        broken = bgnk_edge_instance_without("g0.R")
         result = check_vertex_condition(broken)
         assert not result.passed
         assert result.vertex == "g0.v2"
@@ -93,6 +98,35 @@ class TestPlayForPlay:
         assert result.player is L
         assert result.kind == KIND_SOURCE_ONLY
         assert replays_violation(ri, result)
+
+    def test_target_only_move_named_with_its_trace(self):
+        # The snort-family target of an edge lets Left take both ends; a
+        # Node-Kayles source does not.
+        g = build_graph("ab", [("a", "b")])
+        ri = dataclasses.replace(reduce_snort_family(g, 2), source_ruleset=node_kayles())
+        result = check_play_for_play(ri)
+        assert not result.passed
+        assert result.trace == ((L, "a"),)
+        assert result.vertex == "b"
+        assert result.player is L
+        assert result.kind == KIND_TARGET_ONLY
+        assert replays_violation(ri, result)
+
+    def test_unembedded_playable_fails_at_the_root(self):
+        broken = bgnk_edge_instance_without("g0.R")
+        result = check_play_for_play(broken)
+        assert not result.passed
+        assert result.trace == ()
+        assert result.vertex == "g0.v2"
+        assert result.player is L
+        assert result.kind == KIND_UNEMBEDDED
+        assert replays_violation(broken, result)
+
+    def test_replay_refuses_an_added_vertex_named_as_target_only(self):
+        ri = bgnk_edge_instance()
+        forged = CheckResult(PLAY_FOR_PLAY, False, vertex="g0.v2", player=L,
+                             kind=KIND_TARGET_ONLY)
+        assert not replays_violation(ri, forged)
 
     def test_snort_family_full_depth_small_corpus(self):
         from distance_games import all_labelled_graphs
