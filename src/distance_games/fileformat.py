@@ -5,8 +5,9 @@
     vertex a [colour=B|R] [owner=L|R]
     edge a b
 
-'#' starts a comment. Owner attributes are required on every vertex exactly
-when the variant is bigraph, and are rejected otherwise. A missing ruleset
+'#' starts a comment. Each attribute may appear at most once on a vertex
+line. Owner attributes are required on every vertex exactly when the
+variant is bigraph, and are rejected otherwise. A missing ruleset
 line defaults to D={1} S={} for the distance variant and D=S={1} for
 bigraph. `parse_graph` and `serialize` round-trip exactly on the canonical
 form serialize emits.
@@ -14,12 +15,17 @@ form serialize emits.
 
 from __future__ import annotations
 
+import re
+
 from .errors import DistanceGameError, FormatError
 from .graph import Graph
 from .rules import Colour, Ownership, Player, Position, Ruleset
 
 _COLOURS = {"B": Colour.BLUE, "R": Colour.RED}
 _OWNERS = {"L": Player.LEFT, "R": Player.RIGHT}
+# A name serialize cannot write: whitespace (exactly the characters where
+# str.isspace() is true) would split its line, and '#' would start a comment.
+_UNSERIALIZABLE = re.compile(r"[\s#]")
 
 
 def _parse_distance_list(text: str, lineno: int) -> frozenset[int]:
@@ -94,10 +100,14 @@ def parse_graph(text: str) -> tuple[Graph, Position, Ruleset]:
                 if not eq:
                     raise FormatError(f"bad attribute {attr!r}", lineno)
                 if key == "colour":
+                    if idx in colours:
+                        raise FormatError("duplicate colour attribute", lineno)
                     if value not in _COLOURS:
                         raise FormatError(f"colour must be B or R, got {value!r}", lineno)
                     colours[idx] = _COLOURS[value]
                 elif key == "owner":
+                    if idx in owners:
+                        raise FormatError("duplicate owner attribute", lineno)
                     if value not in _OWNERS:
                         raise FormatError(f"owner must be L or R, got {value!r}", lineno)
                     owners[idx] = _OWNERS[value]
@@ -147,25 +157,24 @@ def serialize(g: Graph, pos: Position = Position(), rs: Ruleset | None = None) -
     """Canonical text form: ruleset, variant, vertices in index order, sorted edges."""
     if rs is None:
         rs = Ruleset(frozenset({1}), frozenset())
-    for name in g.names:
-        if any(c.isspace() for c in name) or "#" in name:
+    names = g.names
+    for name in names:
+        if _UNSERIALIZABLE.search(name):
             raise FormatError(f"vertex name {name!r} is not serializable")
+    stones = {i: f" colour={colour.value}" for i, colour in pos.stones()}
+    own = rs.ownership
     lines = [f"ruleset {format_ruleset(rs)}", f"variant {rs.variant}"]
-    for i, name in enumerate(g.names):
-        attrs = []
-        colour = pos.colour_at(i)
-        if colour is not None:
-            attrs.append(f"colour={colour.value}")
-        if rs.ownership is not None:
-            if i in rs.ownership.left:
-                attrs.append("owner=L")
-            elif i in rs.ownership.right:
-                attrs.append("owner=R")
+    for i, name in enumerate(names):
+        attrs = stones.get(i, "")
+        if own is not None:
+            if i in own.left:
+                attrs += " owner=L"
+            elif i in own.right:
+                attrs += " owner=R"
             else:
                 raise FormatError(f"vertex {name!r} has no owner in a bigraph ruleset")
-        lines.append(" ".join(["vertex", name] + attrs))
-    for i, j in g.edges():
-        lines.append(f"edge {g.name_of(i)} {g.name_of(j)}")
+        lines.append(f"vertex {name}{attrs}")
+    lines.extend(f"edge {names[i]} {names[j]}" for i, j in g.edges())
     return "\n".join(lines) + "\n"
 
 
@@ -173,25 +182,31 @@ def _quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _dot_attrs(fill: str | None, dashed: bool) -> str:
+    """The bracketed attribute list of one DOT vertex line, or ''."""
+    styles = []
+    attrs = []
+    if fill is not None:
+        styles.append("filled")
+        attrs.append(f"fillcolor={fill}")
+        attrs.append("fontcolor=white")
+    if dashed:
+        styles.append("dashed")
+    if styles:
+        attrs.insert(0, f'style="{",".join(styles)}"')
+    return f" [{', '.join(attrs)}]" if attrs else ""
+
+
 def to_dot(g: Graph, pos: Position = Position(), highlight=()) -> str:
     """Undirected DOT text; stones filled blue/red, highlighted vertices dashed."""
     marked = {g.index_of(v) for v in highlight}
+    fill = {i: "blue" if colour is Colour.BLUE else "red" for i, colour in pos.stones()}
+    # A vertex line's attributes depend only on its fill and on its mark.
+    attrs = {(f, dashed): _dot_attrs(f, dashed)
+             for f in (None, "blue", "red") for dashed in (False, True)}
+    quoted = [_quote(name) for name in g.names]
     lines = ["graph {"]
-    for i, name in enumerate(g.names):
-        styles = []
-        attrs = []
-        colour = pos.colour_at(i)
-        if colour is not None:
-            styles.append("filled")
-            attrs.append(f"fillcolor={'blue' if colour is Colour.BLUE else 'red'}")
-            attrs.append("fontcolor=white")
-        if i in marked:
-            styles.append("dashed")
-        if styles:
-            attrs.insert(0, f'style="{",".join(styles)}"')
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_quote(name)}{suffix};")
-    for i, j in g.edges():
-        lines.append(f"  {_quote(g.name_of(i))} -- {_quote(g.name_of(j))};")
+    lines.extend(f"  {name}{attrs[fill.get(i), i in marked]};" for i, name in enumerate(quoted))
+    lines.extend(f"  {quoted[i]} -- {quoted[j]};" for i, j in g.edges())
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -72,6 +72,23 @@ class GadgetInstance:
                 return name
         raise KeyError(f"gadget has no port {role!r}")
 
+    def renamed(self, prefix: str, origin: str = "") -> "GadgetInstance":
+        """Copy of this gadget with `prefix` put in front of every vertex name.
+
+        Builders make one shape with an empty prefix and rename it once per
+        copy, instead of rebuilding the shape for every copy.
+        """
+        name = {v: prefix + v for v in self.vertices}
+        return GadgetInstance(
+            vertices=tuple(name.values()),
+            edges=tuple((name[a], name[b]) for a, b in self.edges),
+            precoloured=tuple((name[v], colour) for v, colour in self.precoloured),
+            ports=tuple((role, name[v]) for role, v in self.ports),
+            radius=self.radius,
+            span=self.span,
+            origin=origin,
+        )
+
     @property
     def uncoloured(self) -> tuple[str, ...]:
         fixed = {name for name, _ in self.precoloured}
@@ -114,9 +131,14 @@ def forbidden_vertex_gadget(r: int, prefix: str = "g0", origin: str = "") -> Gad
 
 
 def forbidden_path(t: int, r: int, prefix: str = "g0", origin: str = "") -> GadgetInstance:
-    """Chain of t size-r blocker gadgets with `left` and `right` end ports."""
+    """Chain of t size-r blocker gadgets with `left` and `right` end ports.
+
+    With an empty prefix every name starts with '.', ready for `renamed`.
+    """
     check_gadget_size("path length t", t, 1)
-    copies = [forbidden_vertex_gadget(r, prefix=f"{prefix}.f{i}") for i in range(1, t + 1)]
+    blocker = forbidden_vertex_gadget(r, prefix="")
+    copies = [blocker.renamed(f"{prefix}.f{i}") for i in range(1, t + 1)]
+    ports = [copy.port("v") for copy in copies]
     vertices: list[str] = []
     edges: list[tuple[str, str]] = []
     stones: list[tuple[str, Colour]] = []
@@ -124,13 +146,12 @@ def forbidden_path(t: int, r: int, prefix: str = "g0", origin: str = "") -> Gadg
         vertices.extend(copy.vertices)
         edges.extend(copy.edges)
         stones.extend(copy.precoloured)
-    for a, b in zip(copies, copies[1:]):
-        edges.append((a.port("v"), b.port("v")))
+    edges.extend(zip(ports, ports[1:]))
     return GadgetInstance(
         vertices=tuple(vertices),
         edges=tuple(edges),
         precoloured=tuple(stones),
-        ports=(("left", copies[0].port("v")), ("right", copies[-1].port("v"))),
+        ports=(("left", ports[0]), ("right", ports[-1])),
         radius=r,
         span=t,
         origin=origin,
@@ -147,11 +168,15 @@ def embed_gadget(g: Graph, gadget: GadgetInstance) -> None:
 
 def stones_position(g: Graph, gadgets) -> Position:
     """Position holding exactly the fixed stones of the given gadgets."""
-    pos = Position()
+    blue = red = 0
     for gadget in gadgets:
         for name, colour in gadget.precoloured:
-            pos = pos.place(g.index_of(name), colour)
-    return pos
+            bit = 1 << g.index_of(name)
+            if colour is Colour.BLUE:
+                blue |= bit
+            else:
+                red |= bit
+    return Position(blue, red)
 
 
 def splice_edges(g: Graph, targets, t: int, r: int) -> tuple[Graph, list[GadgetInstance]]:
@@ -165,22 +190,23 @@ def splice_edges(g: Graph, targets, t: int, r: int) -> tuple[Graph, list[GadgetI
     """
     check_gadget_size("path length t", t, 0)
     check_gadget_size("gadget size r", r, 1)
+    names = g.names
     new = Graph()
-    for name in g.names:
+    for name in names:
         new.add_vertex(name)
     target_set = set(targets)
     for i, j in g.edges():
         if (i, j) not in target_set:
             new.add_edge(i, j)
+    if not targets:
+        return new, []
+    shape = forbidden_path(t, r, prefix="")
     paths = []
     for gid, (i, j) in enumerate(targets):
-        fp = forbidden_path(
-            t, r, prefix=f"g{gid}",
-            origin=f"edge {g.name_of(i)}--{g.name_of(j)}",
-        )
+        fp = shape.renamed(f"g{gid}", origin=f"edge {names[i]}--{names[j]}")
         embed_gadget(new, fp)
-        new.add_edge(g.name_of(i), fp.port("left"))
-        new.add_edge(fp.port("right"), g.name_of(j))
+        new.add_edge(i, fp.port("left"))
+        new.add_edge(fp.port("right"), j)
         paths.append(fp)
     return new, paths
 

@@ -251,6 +251,8 @@ def reduce_bgnk_window(g: Graph, left, right, d: Iterable[int], k: int,
     left, right = _check_bipartition(g, left, right)
 
     new, gadgets = splice_edges(g, list(g.edges()), n - 1, k)
+    shape = forbidden_path(k - 1, k, prefix="")
+    names = g.names
     gid = len(gadgets)
     for side, colour, label in ((left, Colour.RED, "left"), (right, Colour.BLUE, "right")):
         # The shared stone carries the colour the side may NOT take.
@@ -258,12 +260,9 @@ def reduce_bgnk_window(g: Graph, left, right, d: Iterable[int], k: int,
             continue
         anchors = []
         for u in sorted(side):
-            fp = forbidden_path(
-                k - 1, k, prefix=f"g{gid}",
-                origin=f"{label} side anchor for {g.name_of(u)}",
-            )
+            fp = shape.renamed(f"g{gid}", origin=f"{label} side anchor for {names[u]}")
             embed_gadget(new, fp)
-            new.add_edge(g.name_of(u), fp.port("left"))
+            new.add_edge(u, fp.port("left"))
             anchors.append(fp)
             gid += 1
         stone = f"g{gid}.{colour.value}"

@@ -10,8 +10,17 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from distance_games import Graph, Player, Position, Ruleset, distance_game
-from distance_games import apply_move, is_legal
+from distance_games import (
+    GadgetInstance,
+    Graph,
+    Player,
+    Position,
+    Ruleset,
+    apply_move,
+    distance_game,
+    forbidden_vertex_gadget,
+    is_legal,
+)
 
 
 def build_graph(names, edges) -> Graph:
@@ -97,3 +106,19 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
         if mask >> bit & 1:
             g.add_edge(i, j)
     return g
+
+
+def reference_forbidden_path(t: int, r: int, prefix: str, origin: str = "") -> GadgetInstance:
+    """A path of t blockers with every copy built by its own
+    forbidden_vertex_gadget call, for checking gadgets made by renaming."""
+    copies = [forbidden_vertex_gadget(r, prefix=f"{prefix}.f{i}") for i in range(1, t + 1)]
+    ports = [copy.port("v") for copy in copies]
+    return GadgetInstance(
+        vertices=tuple(v for copy in copies for v in copy.vertices),
+        edges=tuple(e for copy in copies for e in copy.edges) + tuple(zip(ports, ports[1:])),
+        precoloured=tuple(s for copy in copies for s in copy.precoloured),
+        ports=(("left", ports[0]), ("right", ports[-1])),
+        radius=r,
+        span=t,
+        origin=origin,
+    )

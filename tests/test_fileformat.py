@@ -16,6 +16,8 @@ from distance_games import (
     to_dot,
 )
 
+from helpers import build_graph
+
 
 class TestParse:
     def test_minimal(self):
@@ -80,6 +82,18 @@ class TestParse:
         with pytest.raises(FormatError):
             parse_graph("ruleset D=1 S=\nruleset D=1 S=\n")
 
+    def test_duplicate_colour_attribute(self):
+        with pytest.raises(FormatError) as err:
+            parse_graph("vertex a\nvertex b colour=B colour=R\n")
+        assert err.value.line == 2
+        assert "duplicate colour attribute" in str(err.value)
+
+    def test_duplicate_owner_attribute(self):
+        with pytest.raises(FormatError) as err:
+            parse_graph("variant bigraph\nvertex a owner=L owner=R\n")
+        assert err.value.line == 2
+        assert "duplicate owner attribute" in str(err.value)
+
 
 class TestRoundTrip:
     def test_fixpoint(self):
@@ -108,6 +122,30 @@ class TestRoundTrip:
         for seed in range(5):
             text = serialize(gen_gnp(6, 0.5, seed))
             assert serialize(*parse_graph(text)) == text
+
+
+class TestSerializableNames:
+    SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+    def test_refuses_whitespace_and_hash(self):
+        assert len(self.SPACES) > 20 and "\u3000" in self.SPACES
+        for bad in self.SPACES + ["#"]:
+            g = build_graph(["ok", f"a{bad}b"], [])
+            with pytest.raises(FormatError) as err:
+                serialize(g)
+            assert str(err.value) == f"vertex name {'a' + bad + 'b'!r} is not serializable"
+
+    def test_first_bad_name_is_named(self):
+        g = build_graph(["a", "b c", "d#e"], [])
+        with pytest.raises(FormatError, match="'b c'"):
+            serialize(g)
+
+    def test_accepts_every_other_code_point(self):
+        refused = set(self.SPACES) | {"#"}
+        name = "".join(chr(c) for c in range(0x110000) if chr(c) not in refused)
+        g = build_graph([name, 'p"u\\n,c;t=é∀😀'], [])
+        text = serialize(g)
+        assert text.splitlines()[2] == f"vertex {name}"
 
 
 class TestRulesetText:

@@ -17,7 +17,7 @@ from distance_games import (
 )
 from distance_games.gadgets import embed_gadget
 
-from helpers import build_graph
+from helpers import build_graph, reference_forbidden_path
 
 
 def host_of(gadget) -> Graph:
@@ -214,3 +214,53 @@ class TestFreshNaming:
         embed_gadget(g, a)
         embed_gadget(g, b)  # would raise DuplicateVertexError on a clash
         assert not set(a.vertices) & set(b.vertices)
+
+
+def gadget_fields(gadget):
+    return (gadget.vertices, gadget.edges, gadget.precoloured, gadget.ports,
+            gadget.radius, gadget.span, gadget.origin)
+
+
+class TestRenamedCopies:
+    PREFIXES = ("g0", "g17", "x.y", "é")
+
+    @pytest.mark.parametrize("t", range(1, 9))
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_renamed_shape_equals_fresh_copies(self, t, r):
+        shape = forbidden_path(t, r, prefix="")
+        for prefix in self.PREFIXES:
+            origin = f"edge a--{prefix}"
+            expected = gadget_fields(reference_forbidden_path(t, r, prefix, origin))
+            assert gadget_fields(shape.renamed(prefix, origin)) == expected
+            assert gadget_fields(forbidden_path(t, r, prefix, origin)) == expected
+
+    def test_renaming_leaves_the_shape_alone(self):
+        shape = forbidden_path(2, 3, prefix="")
+        before = gadget_fields(shape)
+        shape.renamed("g5", "edge a--b")
+        assert gadget_fields(shape) == before
+        assert all(v.startswith(".f") for v in shape.vertices)
+
+    @pytest.mark.parametrize("t, r", [(1, 1), (2, 3), (3, 4)])
+    def test_spliced_paths_equal_fresh_copies(self, t, r):
+        g = build_graph("abcd", [("a", "b"), ("b", "c"), ("a", "d")])
+        _, paths = replace_all_edges(g, t, r)
+        for gid, ((i, j), fp) in enumerate(paths.items()):
+            origin = f"edge {g.name_of(i)}--{g.name_of(j)}"
+            assert gadget_fields(fp) == gadget_fields(
+                reference_forbidden_path(t, r, f"g{gid}", origin))
+
+    def test_window_anchors_equal_fresh_copies(self):
+        from distance_games import reduce_bgnk_window
+
+        g = build_graph("abc", [("a", "b"), ("c", "b")])
+        ri = reduce_bgnk_window(g, ["a", "c"], ["b"], {1, 2}, 3)
+        spliced = [gadget for gadget in ri.gadgets if gadget.origin.startswith("edge")]
+        anchors = [gadget for gadget in ri.gadgets if "anchor" in gadget.origin]
+        assert len(spliced) == 2 and len(anchors) == 3
+        # g0, g1 are the spliced edges and g4, g6 the two shared stones.
+        expected = [("g2", "left side anchor for a"), ("g3", "left side anchor for c"),
+                    ("g5", "right side anchor for b")]
+        for fp, (prefix, origin) in zip(anchors, expected):
+            assert gadget_fields(fp) == gadget_fields(
+                reference_forbidden_path(2, 3, prefix, origin))
