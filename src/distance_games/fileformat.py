@@ -161,19 +161,23 @@ def serialize(g: Graph, pos: Position = Position(), rs: Ruleset | None = None) -
     for name in names:
         if _UNSERIALIZABLE.search(name):
             raise FormatError(f"vertex name {name!r} is not serializable")
-    stones = {i: f" colour={colour.value}" for i, colour in pos.stones()}
+    stone = {colour: f" colour={colour.value}" for colour in Colour}
+    attrs = [""] * len(names)
+    for i, colour in pos.stones():
+        if i >= len(names):
+            break
+        attrs[i] = stone[colour]
     own = rs.ownership
-    lines = [f"ruleset {format_ruleset(rs)}", f"variant {rs.variant}"]
-    for i, name in enumerate(names):
-        attrs = stones.get(i, "")
-        if own is not None:
+    if own is not None:
+        for i, name in enumerate(names):
             if i in own.left:
-                attrs += " owner=L"
+                attrs[i] += " owner=L"
             elif i in own.right:
-                attrs += " owner=R"
+                attrs[i] += " owner=R"
             else:
                 raise FormatError(f"vertex {name!r} has no owner in a bigraph ruleset")
-        lines.append(f"vertex {name}{attrs}")
+    lines = [f"ruleset {format_ruleset(rs)}", f"variant {rs.variant}"]
+    lines.extend(f"vertex {name}{a}" for name, a in zip(names, attrs))
     lines.extend(f"edge {names[i]} {names[j]}" for i, j in g.edges())
     return "\n".join(lines) + "\n"
 
@@ -199,14 +203,21 @@ def _dot_attrs(fill: str | None, dashed: bool) -> str:
 
 def to_dot(g: Graph, pos: Position = Position(), highlight=()) -> str:
     """Undirected DOT text; stones filled blue/red, highlighted vertices dashed."""
-    marked = {g.index_of(v) for v in highlight}
-    fill = {i: "blue" if colour is Colour.BLUE else "red" for i, colour in pos.stones()}
-    # A vertex line's attributes depend only on its fill and on its mark.
-    attrs = {(f, dashed): _dot_attrs(f, dashed)
-             for f in (None, "blue", "red") for dashed in (False, True)}
-    quoted = [_quote(name) for name in g.names]
+    names = g.names
+    # Each vertex's attribute list, as an index into `attrs`: 2 for a blue
+    # stone, 4 for a red one, plus 1 when the vertex is highlighted.
+    kind = [0] * len(names)
+    for i, colour in pos.stones():
+        if i >= len(names):
+            break
+        kind[i] = 2 if colour is Colour.BLUE else 4
+    for v in highlight:
+        kind[g.index_of(v)] |= 1
+    attrs = [_dot_attrs(fill, dashed)
+             for fill in (None, "blue", "red") for dashed in (False, True)]
+    quoted = [_quote(name) for name in names]
     lines = ["graph {"]
-    lines.extend(f"  {name}{attrs[fill.get(i), i in marked]};" for i, name in enumerate(quoted))
+    lines.extend(f"  {name}{attrs[k]};" for name, k in zip(quoted, kind))
     lines.extend(f"  {quoted[i]} -- {quoted[j]};" for i, j in g.edges())
     lines.append("}")
     return "\n".join(lines) + "\n"

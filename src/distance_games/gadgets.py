@@ -75,15 +75,15 @@ class GadgetInstance:
     def renamed(self, prefix: str, origin: str = "") -> "GadgetInstance":
         """Copy of this gadget with `prefix` put in front of every vertex name.
 
-        Builders make one shape with an empty prefix and rename it once per
-        copy, instead of rebuilding the shape for every copy.
+        Builders make one shape with an empty prefix and rename it for each
+        copy, which costs less than building every copy from scratch.
         """
         name = {v: prefix + v for v in self.vertices}
         return GadgetInstance(
             vertices=tuple(name.values()),
-            edges=tuple((name[a], name[b]) for a, b in self.edges),
-            precoloured=tuple((name[v], colour) for v, colour in self.precoloured),
-            ports=tuple((role, name[v]) for role, v in self.ports),
+            edges=tuple([(name[a], name[b]) for a, b in self.edges]),
+            precoloured=tuple([(name[v], colour) for v, colour in self.precoloured]),
+            ports=tuple([(role, name[v]) for role, v in self.ports]),
             radius=self.radius,
             span=self.span,
             origin=origin,

@@ -234,13 +234,6 @@ class TestRenamedCopies:
             assert gadget_fields(shape.renamed(prefix, origin)) == expected
             assert gadget_fields(forbidden_path(t, r, prefix, origin)) == expected
 
-    def test_renaming_leaves_the_shape_alone(self):
-        shape = forbidden_path(2, 3, prefix="")
-        before = gadget_fields(shape)
-        shape.renamed("g5", "edge a--b")
-        assert gadget_fields(shape) == before
-        assert all(v.startswith(".f") for v in shape.vertices)
-
     @pytest.mark.parametrize("t, r", [(1, 1), (2, 3), (3, 4)])
     def test_spliced_paths_equal_fresh_copies(self, t, r):
         g = build_graph("abcd", [("a", "b"), ("b", "c"), ("a", "d")])
