@@ -23,6 +23,7 @@ from .rules import Colour, Ownership, Player, Position, Ruleset
 
 _COLOURS = {"B": Colour.BLUE, "R": Colour.RED}
 _OWNERS = {"L": Player.LEFT, "R": Player.RIGHT}
+_STONE_ATTRS = {colour: f" colour={colour.value}" for colour in Colour}
 # A name serialize cannot write: whitespace (exactly the characters where
 # str.isspace() is true) would split its line, and '#' would start a comment.
 _UNSERIALIZABLE = re.compile(r"[\s#]")
@@ -161,12 +162,11 @@ def serialize(g: Graph, pos: Position = Position(), rs: Ruleset | None = None) -
     for name in names:
         if _UNSERIALIZABLE.search(name):
             raise FormatError(f"vertex name {name!r} is not serializable")
-    stone = {colour: f" colour={colour.value}" for colour in Colour}
     attrs = [""] * len(names)
     for i, colour in pos.stones():
         if i >= len(names):
             break
-        attrs[i] = stone[colour]
+        attrs[i] = _STONE_ATTRS[colour]
     own = rs.ownership
     if own is not None:
         for i, name in enumerate(names):

@@ -11,6 +11,7 @@ from distance_games import (
     forbidden_vertex_gadget,
     gen_cycle,
     is_legal,
+    reduce_bgnk_window,
     replace_all_edges,
     replace_edge,
     stones_position,
@@ -216,11 +217,6 @@ class TestFreshNaming:
         assert not set(a.vertices) & set(b.vertices)
 
 
-def gadget_fields(gadget):
-    return (gadget.vertices, gadget.edges, gadget.precoloured, gadget.ports,
-            gadget.radius, gadget.span, gadget.origin)
-
-
 class TestRenamedCopies:
     PREFIXES = ("g0", "g17", "x.y", "é")
 
@@ -230,9 +226,11 @@ class TestRenamedCopies:
         shape = forbidden_path(t, r, prefix="")
         for prefix in self.PREFIXES:
             origin = f"edge a--{prefix}"
-            expected = gadget_fields(reference_forbidden_path(t, r, prefix, origin))
-            assert gadget_fields(shape.renamed(prefix, origin)) == expected
-            assert gadget_fields(forbidden_path(t, r, prefix, origin)) == expected
+            # Dataclass equality: vertices, edges, stones, ports, radius,
+            # span and origin.
+            expected = reference_forbidden_path(t, r, prefix, origin)
+            assert shape.renamed(prefix, origin) == expected
+            assert forbidden_path(t, r, prefix, origin) == expected
 
     @pytest.mark.parametrize("t, r", [(1, 1), (2, 3), (3, 4)])
     def test_spliced_paths_equal_fresh_copies(self, t, r):
@@ -240,12 +238,9 @@ class TestRenamedCopies:
         _, paths = replace_all_edges(g, t, r)
         for gid, ((i, j), fp) in enumerate(paths.items()):
             origin = f"edge {g.name_of(i)}--{g.name_of(j)}"
-            assert gadget_fields(fp) == gadget_fields(
-                reference_forbidden_path(t, r, f"g{gid}", origin))
+            assert fp == reference_forbidden_path(t, r, f"g{gid}", origin)
 
     def test_window_anchors_equal_fresh_copies(self):
-        from distance_games import reduce_bgnk_window
-
         g = build_graph("abc", [("a", "b"), ("c", "b")])
         ri = reduce_bgnk_window(g, ["a", "c"], ["b"], {1, 2}, 3)
         spliced = [gadget for gadget in ri.gadgets if gadget.origin.startswith("edge")]
@@ -255,5 +250,4 @@ class TestRenamedCopies:
         expected = [("g2", "left side anchor for a"), ("g3", "left side anchor for c"),
                     ("g5", "right side anchor for b")]
         for fp, (prefix, origin) in zip(anchors, expected):
-            assert gadget_fields(fp) == gadget_fields(
-                reference_forbidden_path(2, 3, prefix, origin))
+            assert fp == reference_forbidden_path(2, 3, prefix, origin)
