@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import DistanceGameError, FormatError
+from .errors import DistanceGameError, FormatError, InvalidParameterError
 from .graph import Graph
 from .rules import Colour, Ownership, Player, Position, Ruleset
 
@@ -148,10 +148,24 @@ def parse_graph(text: str) -> tuple[Graph, Position, Ruleset]:
         d, s = sets if sets is not None else (frozenset({1}), frozenset())
         rs = Ruleset(d, s)
 
-    pos = Position()
+    blue = red = 0
     for idx, colour in colours.items():
-        pos = pos.place(idx, colour)
-    return g.freeze(), pos, rs
+        if colour is Colour.BLUE:
+            blue |= 1 << idx
+        else:
+            red |= 1 << idx
+    return g.freeze(), Position(blue, red), rs
+
+
+def _check_stones(pos: Position, count: int) -> None:
+    """Raise InvalidParameterError naming the first stone of `pos` at an
+    index past the last of `count` vertices."""
+    stray = pos.occupied >> count
+    if stray:
+        i = count + (stray & -stray).bit_length() - 1
+        raise InvalidParameterError(
+            f"stone at vertex index {i} is past the last vertex (the graph has {count})"
+        )
 
 
 def serialize(g: Graph, pos: Position = Position(), rs: Ruleset | None = None) -> str:
@@ -162,10 +176,9 @@ def serialize(g: Graph, pos: Position = Position(), rs: Ruleset | None = None) -
     for name in names:
         if _UNSERIALIZABLE.search(name):
             raise FormatError(f"vertex name {name!r} is not serializable")
+    _check_stones(pos, len(names))
     attrs = [""] * len(names)
     for i, colour in pos.stones():
-        if i >= len(names):
-            break
         attrs[i] = _STONE_ATTRS[colour]
     own = rs.ownership
     if own is not None:
@@ -204,12 +217,11 @@ def _dot_attrs(fill: str | None, dashed: bool) -> str:
 def to_dot(g: Graph, pos: Position = Position(), highlight=()) -> str:
     """Undirected DOT text; stones filled blue/red, highlighted vertices dashed."""
     names = g.names
+    _check_stones(pos, len(names))
     # Each vertex's attribute list, as an index into `attrs`: 2 for a blue
     # stone, 4 for a red one, plus 1 when the vertex is highlighted.
     kind = [0] * len(names)
     for i, colour in pos.stones():
-        if i >= len(names):
-            break
         kind[i] = 2 if colour is Colour.BLUE else 4
     for v in highlight:
         kind[g.index_of(v)] |= 1

@@ -34,6 +34,7 @@ endpoints at distance t+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .errors import InvalidParameterError, UnknownEdgeError
 from .graph import Graph
@@ -82,7 +83,7 @@ class GadgetInstance:
         # Tuples from lists: tuple() of a generator grows and then shrinks
         # its result, and over a batch of small reductions that held about
         # 0.4 MB more until the next full garbage collection.
-        return GadgetInstance(
+        copy = GadgetInstance(
             vertices=tuple(name.values()),
             edges=tuple([(name[a], name[b]) for a, b in self.edges]),
             precoloured=tuple([(name[v], colour) for v, colour in self.precoloured]),
@@ -91,6 +92,15 @@ class GadgetInstance:
             span=self.span,
             origin=origin,
         )
+        # Same vertex and edge order as this gadget, so the same positions.
+        copy.__dict__["local_edges"] = self.local_edges
+        return copy
+
+    @cached_property
+    def local_edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as pairs of positions in `vertices`, for `Graph.add_block`."""
+        position = {v: k for k, v in enumerate(self.vertices)}
+        return tuple([(position[a], position[b]) for a, b in self.edges])
 
     @property
     def uncoloured(self) -> tuple[str, ...]:
@@ -161,12 +171,19 @@ def forbidden_path(t: int, r: int, prefix: str = "g0", origin: str = "") -> Gadg
     )
 
 
+@lru_cache(maxsize=16)
+def path_shape(t: int, r: int) -> GadgetInstance:
+    """`forbidden_path(t, r, prefix="")`, kept for the most recent sizes.
+
+    Gadgets are immutable, so builders that rename one shape per copy can
+    share it between calls instead of building it again each time.
+    """
+    return forbidden_path(t, r, prefix="")
+
+
 def embed_gadget(g: Graph, gadget: GadgetInstance) -> None:
-    """Add a gadget's vertices and edges to a (mutable) host graph."""
-    for name in gadget.vertices:
-        g.add_vertex(name)
-    for a, b in gadget.edges:
-        g.add_edge(a, b)
+    """Add a gadget's vertices and edges to a (mutable) host graph, as one block."""
+    g.add_block(gadget.vertices, gadget.local_edges)
 
 
 def stones_position(g: Graph, gadgets) -> Position:
@@ -195,15 +212,11 @@ def splice_edges(g: Graph, targets, t: int, r: int) -> tuple[Graph, list[GadgetI
     check_gadget_size("gadget size r", r, 1)
     names = g.names
     new = Graph()
-    for name in names:
-        new.add_vertex(name)
     target_set = set(targets)
-    for i, j in g.edges():
-        if (i, j) not in target_set:
-            new.add_edge(i, j)
+    new.add_block(names, [edge for edge in g.edges() if edge not in target_set])
     if not targets:
         return new, []
-    shape = forbidden_path(t, r, prefix="")
+    shape = path_shape(t, r)
     paths = []
     for gid, (i, j) in enumerate(targets):
         fp = shape.renamed(f"g{gid}", origin=f"edge {names[i]}--{names[j]}")

@@ -1,7 +1,12 @@
 """Undirected simple graphs with dense integer indices.
 
 Vertices are named by opaque strings and mapped to indices in insertion
-order; everything on a hot path works with indices. Distance queries run
+order; everything on a hot path works with indices. Each edge is stored
+once, as an entry in the sorted adjacency lists of both its ends; there is
+no separate edge set, so `has_edge` bisects a list and `edges()` walks the
+lists in order. `add_block` appends a batch of named vertices together with
+the edges among them (gadget copies, the vertices of a spliced source) in
+one validated step. Distance queries run
 truncated breadth-first searches whose results (balls) are memoized per
 vertex and radius, so repeated legality checks against the same stones stay
 cheap. A graph can be frozen, after which mutation raises and the memoized
@@ -11,7 +16,7 @@ balls are safe to share between concurrent solver runs.
 from __future__ import annotations
 
 import random
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
 from itertools import combinations
 from typing import Iterator
@@ -32,15 +37,19 @@ Bipartition = tuple[frozenset[int], frozenset[int]]
 
 
 class Graph:
-    """Mutable-until-frozen undirected simple graph over named vertices."""
+    """Mutable-until-frozen undirected simple graph over named vertices.
 
-    __slots__ = ("_names", "_index", "_adj", "_edges", "_frozen", "_ball_cache")
+    The sorted adjacency lists are the only edge store: edge {i, j} is j in
+    the list of i and i in the list of j, and `edge_count` is a counter.
+    """
+
+    __slots__ = ("_names", "_index", "_adj", "_edge_count", "_frozen", "_ball_cache")
 
     def __init__(self):
         self._names: list[str] = []
         self._index: dict[str, int] = {}
         self._adj: list[list[int]] = []
-        self._edges: set[tuple[int, int]] = set()
+        self._edge_count = 0
         self._frozen = False
         self._ball_cache: dict[tuple[int, int], dict[int, int]] = {}
 
@@ -48,7 +57,8 @@ class Graph:
 
     def add_vertex(self, name: str) -> int:
         """Append a vertex and return its dense index."""
-        self._check_mutable()
+        if self._frozen:
+            raise FrozenGraphError("graph is frozen")
         if not isinstance(name, str) or not name:
             raise InvalidParameterError("vertex name must be a non-empty string")
         if name in self._index:
@@ -57,20 +67,70 @@ class Graph:
         self._names.append(name)
         self._index[name] = idx
         self._adj.append([])
+        if self._ball_cache:
+            self._ball_cache.clear()
         return idx
 
     def add_edge(self, u: int | str, v: int | str) -> None:
         """Insert the unordered edge {u, v}; adding it twice is a no-op."""
-        self._check_mutable()
+        if self._frozen:
+            raise FrozenGraphError("graph is frozen")
         i, j = self.index_of(u), self.index_of(v)
         if i == j:
             raise SelfLoopError(f"self-loop at {self._names[i]!r}")
-        key = (i, j) if i < j else (j, i)
-        if key in self._edges:
+        adj = self._adj[i]
+        k = bisect_left(adj, j)
+        if k < len(adj) and adj[k] == j:
             return
-        self._edges.add(key)
-        insort(self._adj[i], j)
+        adj.insert(k, j)
         insort(self._adj[j], i)
+        self._edge_count += 1
+        if self._ball_cache:
+            self._ball_cache.clear()
+
+    def add_block(self, names, pairs=()) -> int:
+        """Append the vertices `names`, in order, and the edges `pairs`
+        between them; return the index of the first new vertex.
+
+        Each pair holds two positions in `names`, so (0, 1) joins the first
+        two new vertices. Everything is checked before anything is added:
+        on an error the graph is unchanged. A repeated pair, in either
+        orientation, adds its edge once, as in `add_edge`.
+        """
+        if self._frozen:
+            raise FrozenGraphError("graph is frozen")
+        names = tuple(names)
+        n = len(names)
+        index = self._index
+        for name in names:
+            if not isinstance(name, str) or not name:
+                raise InvalidParameterError("vertex name must be a non-empty string")
+            if name in index:
+                raise DuplicateVertexError(f"vertex {name!r} already present")
+        if len(set(names)) != n:
+            twice = next(v for k, v in enumerate(names) if v in names[:k])
+            raise DuplicateVertexError(f"vertex {twice!r} given twice in one block")
+        local = sorted({(a, b) if a < b else (b, a) for a, b in pairs})
+        for a, b in local:
+            if a < 0 or b >= n:
+                raise UnknownVertexError(f"block position {a if a < 0 else b} out of range")
+            if a == b:
+                raise SelfLoopError(f"self-loop at {names[a]!r}")
+        first = len(self._names)
+        # Ascending pairs give each vertex its smaller neighbours, then its
+        # larger ones, each run ascending: the lists come out sorted.
+        adj = [[] for _ in names]
+        for a, b in local:
+            adj[a].append(first + b)
+            adj[b].append(first + a)
+        for k, name in enumerate(names, first):
+            index[name] = k
+        self._names.extend(names)
+        self._adj.extend(adj)
+        self._edge_count += len(local)
+        if self._ball_cache:
+            self._ball_cache.clear()
+        return first
 
     def freeze(self) -> "Graph":
         """Mark the graph immutable; idempotent, returns self."""
@@ -83,13 +143,8 @@ class Graph:
         g._names = list(self._names)
         g._index = dict(self._index)
         g._adj = [list(a) for a in self._adj]
-        g._edges = set(self._edges)
+        g._edge_count = self._edge_count
         return g
-
-    def _check_mutable(self):
-        if self._frozen:
-            raise FrozenGraphError("graph is frozen")
-        self._ball_cache.clear()
 
     # -- queries -----------------------------------------------------------
 
@@ -99,7 +154,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return self._edge_count
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -126,14 +181,23 @@ class Graph:
 
     def has_edge(self, u: int | str, v: int | str) -> bool:
         i, j = self.index_of(u), self.index_of(v)
-        return ((i, j) if i < j else (j, i)) in self._edges
+        adj = self._adj[i]
+        k = bisect_left(adj, j)
+        return k < len(adj) and adj[k] == j
 
     def neighbors(self, v: int | str) -> tuple[int, ...]:
         return tuple(self._adj[self.index_of(v)])
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as sorted index pairs, in deterministic order."""
-        return iter(sorted(self._edges))
+        """Edges as index pairs (i, j) with i < j, in ascending order.
+
+        Read from the sorted adjacency lists as the iteration goes, so the
+        graph must not change until it is done.
+        """
+        for i, adj in enumerate(self._adj):
+            for j in adj:
+                if j > i:
+                    yield i, j
 
     def distance(self, u: int | str, v: int | str) -> int | None:
         """Shortest-path length between u and v, or None if unreachable."""

@@ -21,7 +21,7 @@ from .errors import InvalidParameterError, NotBipartiteError, ParameterViolation
 from .gadgets import (
     GadgetInstance,
     embed_gadget,
-    forbidden_path,
+    path_shape,
     splice_edges,
     stones_position,
 )
@@ -103,10 +103,17 @@ def _finish(source_graph: Graph, source_rs: Ruleset, target_graph: Graph,
     )
     # Construction invariants; a failure here is a bug in the builder.
     assert position_is_legal(target_graph, target_rs, pos), "gadget stones clash"
-    gadget_names = {v for gadget in gadgets for v in gadget.vertices}
-    for i, _ in pos.stones():
-        assert target_graph.name_of(i) in gadget_names, "stray stone outside gadgets"
+    assert _stones_inside_gadgets(target_graph, pos, gadgets), "stray stone outside gadgets"
     return instance
+
+
+def _stones_inside_gadgets(g: Graph, pos: Position, gadgets) -> bool:
+    """Whether every stone of `pos` sits on a vertex of one of the gadgets.
+
+    Called only inside an assert, so `python -O` skips the name set.
+    """
+    gadget_names = {v for gadget in gadgets for v in gadget.vertices}
+    return all(g.name_of(i) in gadget_names for i, _ in pos.stones())
 
 
 def _spliced(g: Graph, source_rs: Ruleset, d: Iterable[int], s: Iterable[int],
@@ -251,7 +258,7 @@ def reduce_bgnk_window(g: Graph, left, right, d: Iterable[int], k: int,
     left, right = _check_bipartition(g, left, right)
 
     new, gadgets = splice_edges(g, list(g.edges()), n - 1, k)
-    shape = forbidden_path(k - 1, k, prefix="")
+    shape = path_shape(k - 1, k)
     names = g.names
     gid = len(gadgets)
     for side, colour, label in ((left, Colour.RED, "left"), (right, Colour.BLUE, "right")):

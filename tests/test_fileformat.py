@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from distance_games import (
     Colour,
     FormatError,
+    InvalidParameterError,
     Position,
     bigraph_node_kayles,
     gen_complete_bipartite,
@@ -55,6 +58,28 @@ class TestParse:
             parse_graph("vertex a\nedge a b\n")
         assert err.value.line == 2
 
+    def test_edge_before_its_vertex_fails_on_the_edge_line(self):
+        with pytest.raises(FormatError) as err:
+            parse_graph("vertex a\n# comment\nedge a b\nvertex b\n")
+        assert err.value.line == 3
+        assert "'b'" in str(err.value)
+
+    def test_stones_past_index_64_match_placing_each(self):
+        rng = random.Random(5)
+        colours = {i: rng.choice(list(Colour)) for i in rng.sample(range(200), 70)}
+        colours.update({64: Colour.BLUE, 65: Colour.RED, 199: Colour.BLUE})
+        letter = {Colour.BLUE: "B", Colour.RED: "R"}
+        text = "".join(
+            f"vertex v{i}" + (f" colour={letter[colours[i]]}" if i in colours else "") + "\n"
+            for i in range(200)
+        )
+        expected = Position()
+        for i, colour in colours.items():
+            expected = expected.place(i, colour)
+        _, pos, _ = parse_graph(text)
+        assert pos == expected
+        assert pos.stone_count == len(colours)
+
     def test_invalid_colour_token(self):
         with pytest.raises(FormatError) as err:
             parse_graph("vertex a colour=G\n")
@@ -93,6 +118,24 @@ class TestParse:
             parse_graph("variant bigraph\nvertex a owner=L owner=R\n")
         assert err.value.line == 2
         assert "duplicate owner attribute" in str(err.value)
+
+
+class TestStrayStones:
+    """A stone past the last vertex is refused, not dropped from the output."""
+
+    @pytest.mark.parametrize("write", [serialize, to_dot])
+    def test_stone_past_the_last_vertex_is_named(self, write):
+        with pytest.raises(InvalidParameterError, match="index 1 "):
+            write(gen_path(1), Position(blue=0b110))
+        with pytest.raises(InvalidParameterError, match="index 70 "):
+            write(gen_path(3), Position(blue=0b1, red=1 << 70))
+
+    @pytest.mark.parametrize("write, line", [
+        (serialize, "vertex v1 colour=B\n"),
+        (to_dot, '  "v1" [style="filled", fillcolor=blue, fontcolor=white];\n'),
+    ])
+    def test_stone_on_the_last_vertex_is_written(self, write, line):
+        assert line in write(gen_path(2), Position(blue=0b10))
 
 
 class TestRoundTrip:

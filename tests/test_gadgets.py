@@ -16,7 +16,7 @@ from distance_games import (
     replace_edge,
     stones_position,
 )
-from distance_games.gadgets import embed_gadget
+from distance_games.gadgets import embed_gadget, path_shape
 
 from helpers import build_graph, reference_forbidden_path
 
@@ -231,6 +231,20 @@ class TestRenamedCopies:
             expected = reference_forbidden_path(t, r, prefix, origin)
             assert shape.renamed(prefix, origin) == expected
             assert forbidden_path(t, r, prefix, origin) == expected
+
+    @pytest.mark.parametrize("t", range(1, 9))
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_copies_share_the_local_edges_of_their_shape(self, t, r):
+        copy = path_shape(t, r).renamed("g3")
+        position = {v: k for k, v in enumerate(copy.vertices)}
+        assert copy.local_edges == tuple((position[a], position[b]) for a, b in copy.edges)
+
+    def test_path_shape_is_cached_and_bounded(self):
+        assert path_shape(2, 3) is path_shape(2, 3)
+        assert path_shape(2, 3) == forbidden_path(2, 3, prefix="")
+        assert path_shape.cache_info().maxsize == 16
+        with pytest.raises(InvalidParameterError):
+            path_shape(0, 3)
 
     @pytest.mark.parametrize("t, r", [(1, 1), (2, 3), (3, 4)])
     def test_spliced_paths_equal_fresh_copies(self, t, r):

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from distance_games import (
     CorpusTooLargeError,
@@ -13,6 +13,7 @@ from distance_games import (
     SelfLoopError,
     UnknownVertexError,
     all_labelled_bipartite,
+    forbidden_path,
     all_labelled_graphs,
     gen_complete_bipartite,
     gen_cycle,
@@ -21,6 +22,7 @@ from distance_games import (
     gen_random_bipartite,
     serialize,
 )
+from distance_games.gadgets import embed_gadget, path_shape
 
 from helpers import bfs_distance, build_graph, graph_from_edge_mask
 
@@ -63,6 +65,192 @@ class TestConstruction:
         with pytest.raises(FrozenGraphError):
             g.add_edge("a", "b")
         assert g.copy().add_vertex("c") == 2  # copies thaw
+
+
+class TestAddBlock:
+    def test_returns_first_index_and_offsets_pairs(self):
+        g = build_graph("xy", [("x", "y")])
+        assert g.add_block(["a", "b", "c"], [(0, 1), (2, 1)]) == 2
+        assert g.names == ("x", "y", "a", "b", "c")
+        assert list(g.edges()) == [(0, 1), (2, 3), (3, 4)]
+        assert g.neighbors("b") == (2, 4)
+        assert g.has_edge("c", "b") and not g.has_edge("c", "a")
+
+    def test_edges_added_in_any_order_stay_sorted(self):
+        pairs = list(itertools.combinations(range(4), 2))
+        for order in itertools.permutations(pairs):
+            g = build_graph("abcd", [])
+            for k, (i, j) in enumerate(order):
+                g.add_edge(*((i, j) if k % 2 else (j, i)))
+            assert list(g.edges()) == pairs
+            assert all(g.neighbors(v) == tuple(w for w in range(4) if w != v)
+                       for v in range(4))
+
+    def test_repeated_pair_adds_one_edge(self):
+        g = Graph()
+        g.add_block("ab", [(0, 1), (1, 0), (0, 1)])
+        assert g.edge_count == 1
+        assert g.neighbors("a") == (1,)
+
+    @pytest.mark.parametrize("names, pairs, error", [
+        (["a", "x"], [], DuplicateVertexError),     # already in the graph
+        (["a", "b", "a"], [], DuplicateVertexError),  # twice in the block
+        (["a", ""], [], InvalidParameterError),
+        (["a", "b"], [(0, 2)], UnknownVertexError),
+        (["a", "b"], [(-1, 0)], UnknownVertexError),
+        (["a", "b"], [(0, 1), (1, 1)], SelfLoopError),
+    ])
+    def test_errors_leave_the_graph_unchanged(self, names, pairs, error):
+        g = build_graph("xy", [("x", "y")])
+        with pytest.raises(error):
+            g.add_block(names, pairs)
+        assert (g.names, list(g.edges())) == (("x", "y"), [(0, 1)])
+        assert not g.has_vertex("a")
+
+    def test_frozen_graph_rejects_a_block(self):
+        g = build_graph("x", []).freeze()
+        with pytest.raises(FrozenGraphError):
+            g.add_block(["a"])
+
+    @pytest.mark.parametrize("t", range(1, 9))
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_embed_equals_per_edge_construction(self, t, r):
+        # A renamed copy, as the reductions embed, and a path built afresh.
+        for gadget in (path_shape(t, r).renamed("g7"), forbidden_path(t, r)):
+            self.check_embed(gadget)
+
+    @staticmethod
+    def check_embed(gadget):
+        block = build_graph(["host0", "host1"], [("host0", "host1")])
+        embed_gadget(block, gadget)
+        per_edge = build_graph(["host0", "host1", *gadget.vertices],
+                               [("host0", "host1"), *gadget.edges])
+        assert block.names == per_edge.names
+        assert list(block.edges()) == list(per_edge.edges())
+        assert block.edge_count == per_edge.edge_count
+        for v in range(block.vertex_count):
+            assert block.neighbors(v) == per_edge.neighbors(v)
+
+
+# One step of a random construction: ("vertex", name), ("edge", u, v) with u
+# and v names or indices, or ("block", names, pairs).
+_NAMES = st.sampled_from(["a", "b", "c", "d", "e", ""])
+_VERTEX_REF = st.one_of(_NAMES, st.integers(-1, 5))
+_STEP = st.one_of(
+    st.tuples(st.just("vertex"), _NAMES),
+    st.tuples(st.just("edge"), _VERTEX_REF, _VERTEX_REF),
+    st.tuples(
+        st.just("block"),
+        st.lists(_NAMES, max_size=4),
+        st.lists(st.tuples(st.integers(-1, 3), st.integers(-1, 3)), max_size=6),
+    ),
+)
+
+
+class _EdgeSetModel:
+    """Reference graph: a list of names and a set of (i, j) pairs, i < j.
+    Each mutation returns the error types the graph may raise for it (any
+    one of them when several faults coincide), or an empty set."""
+
+    def __init__(self):
+        self.names: list[str] = []
+        self.edges: set[tuple[int, int]] = set()
+        self.frozen = False
+
+    def resolve(self, v):
+        if isinstance(v, str):
+            return self.names.index(v) if v in self.names else None
+        return v if 0 <= v < len(self.names) else None
+
+    def add_vertex(self, name):
+        if self.frozen:
+            return {FrozenGraphError}
+        if not name:
+            return {InvalidParameterError}
+        if name in self.names:
+            return {DuplicateVertexError}
+        self.names.append(name)
+        return set()
+
+    def add_edge(self, u, v):
+        if self.frozen:
+            return {FrozenGraphError}
+        i, j = self.resolve(u), self.resolve(v)
+        if i is None or j is None:
+            return {UnknownVertexError}
+        if i == j:
+            return {SelfLoopError}
+        self.edges.add((min(i, j), max(i, j)))
+        return set()
+
+    def add_block(self, names, pairs):
+        if self.frozen:
+            return {FrozenGraphError}
+        errors = set()
+        if "" in names:
+            errors.add(InvalidParameterError)
+        if len(set(names)) != len(names) or set(names) & set(self.names):
+            errors.add(DuplicateVertexError)
+        for a, b in pairs:
+            if not (0 <= a < len(names) and 0 <= b < len(names)):
+                errors.add(UnknownVertexError)
+            elif a == b:
+                errors.add(SelfLoopError)
+        if not errors:
+            first = len(self.names)
+            self.names.extend(names)
+            self.edges |= {(first + min(a, b), first + max(a, b)) for a, b in pairs}
+        return errors
+
+    def distances_from(self, u):
+        out, frontier = {u: 0}, [u]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for i, j in self.edges:
+                    for y in ((j,) if i == x else (i,) if j == x else ()):
+                        if y not in out:
+                            out[y] = out[x] + 1
+                            nxt.append(y)
+            frontier = nxt
+        return out
+
+
+class TestAgainstEdgeSetModel:
+    @settings(max_examples=300)
+    @given(st.lists(_STEP, max_size=30), st.integers(0, 40))
+    def test_random_constructions(self, steps, freeze_at):
+        """Steps from `freeze_at` on run against a frozen graph."""
+        g, model = Graph(), _EdgeSetModel()
+        for k, (kind, *args) in enumerate(steps):
+            if k == freeze_at:
+                g.freeze()
+                model.frozen = True
+            errors = getattr(model, f"add_{kind}")(*args)
+            if errors:
+                with pytest.raises(tuple(errors)):
+                    getattr(g, f"add_{kind}")(*args)
+            else:
+                getattr(g, f"add_{kind}")(*args)
+            self.check_same(g, model)
+
+    @staticmethod
+    def check_same(g, model):
+        n = len(model.names)
+        assert g.names == tuple(model.names)
+        assert list(g.edges()) == sorted(model.edges)
+        assert g.edge_count == len(model.edges)
+        for i in range(n):
+            assert g.neighbors(i) == tuple(
+                sorted(j for e in model.edges if i in e for j in e if j != i)
+            )
+            for j in range(n):
+                assert g.has_edge(i, j) == ((min(i, j), max(i, j)) in model.edges)
+            distances = model.distances_from(i)
+            for radius in range(4):
+                assert g.ball(i, radius) == {
+                    v: d for v, d in distances.items() if d <= radius
+                }
 
 
 class TestDistance:
