@@ -92,7 +92,8 @@ class GadgetInstance:
             span=self.span,
             origin=origin,
         )
-        # Same vertex and edge order as this gadget, so the same positions.
+        # The copy lists vertices and edges in this gadget's order, so its
+        # edges sit at the same positions: share them, do not recompute.
         copy.__dict__["local_edges"] = self.local_edges
         return copy
 
