@@ -6,9 +6,10 @@ once, as an entry in the sorted adjacency lists of both its ends; there is
 no separate edge set, so `has_edge` bisects a list and `edges()` walks the
 lists in order. `add_block` appends a batch of named vertices together with
 the edges among them (gadget copies, the vertices of a spliced source) in
-one validated step. Distance queries run
-truncated breadth-first searches whose results (balls) are memoized per
-vertex and radius, so repeated legality checks against the same stones stay
+one validated step. Distance queries run truncated breadth-first searches;
+their results (balls) are tuples of per-distance vertex bitmasks, memoized
+per vertex and radius, so a legality check is one AND of a stone mask with
+each forbidden layer, and repeated checks against the same stones stay
 cheap. A graph can be frozen, after which mutation raises and the memoized
 balls are safe to share between concurrent solver runs.
 """
@@ -51,7 +52,7 @@ class Graph:
         self._adj: list[list[int]] = []
         self._edge_count = 0
         self._frozen = False
-        self._ball_cache: dict[tuple[int, int], dict[int, int]] = {}
+        self._ball_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -217,10 +218,13 @@ class Graph:
                     queue.append(nxt)
         return None
 
-    def ball(self, u: int | str, radius: int) -> dict[int, int]:
-        """All vertices within the given radius of u, mapped to exact distance.
+    def ball(self, u: int | str, radius: int) -> tuple[int, ...]:
+        """The vertices within `radius` of u, as one bitmask per distance.
 
-        Truncated BFS, memoized per (vertex, radius) until the next mutation.
+        `layers[k]` holds the vertices at exact distance k, so `layers[0]`
+        is `1 << u`; trailing empty layers are dropped. A breadth-first
+        search one layer at a time, memoized per (vertex, radius) until the
+        next mutation; the tuple can be shared because it cannot change.
         """
         if radius < 0:
             raise InvalidParameterError("radius must be >= 0")
@@ -229,18 +233,24 @@ class Graph:
         cached = self._ball_cache.get(key)
         if cached is not None:
             return cached
-        out = {src: 0}
-        queue = deque([src])
-        while queue:
-            cur = queue.popleft()
-            d = out[cur] + 1
-            if d > radius:
+        adj = self._adj
+        seen = {src}
+        frontier = [src]
+        layers = [1 << src]
+        for _ in range(radius):
+            nxt = []
+            mask = 0
+            for cur in frontier:
+                for w in adj[cur]:
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+                        mask |= 1 << w
+            if not nxt:
                 break
-            for nxt in self._adj[cur]:
-                if nxt not in out:
-                    out[nxt] = d
-                    queue.append(nxt)
-        self._ball_cache[key] = out
+            layers.append(mask)
+            frontier = nxt
+        out = self._ball_cache[key] = tuple(layers)
         return out
 
     def __repr__(self):

@@ -103,17 +103,22 @@ def _finish(source_graph: Graph, source_rs: Ruleset, target_graph: Graph,
     )
     # Construction invariants; a failure here is a bug in the builder.
     assert position_is_legal(target_graph, target_rs, pos), "gadget stones clash"
-    assert _stones_inside_gadgets(target_graph, pos, gadgets), "stray stone outside gadgets"
+    assert _stones_inside_gadgets(gadgets), "stray stone outside gadgets"
     return instance
 
 
-def _stones_inside_gadgets(g: Graph, pos: Position, gadgets) -> bool:
-    """Whether every stone of `pos` sits on a vertex of one of the gadgets.
+def _stones_inside_gadgets(gadgets) -> bool:
+    """Whether each gadget's fixed stones sit on that gadget's own vertices.
 
-    Called only inside an assert, so `python -O` skips the name set.
+    `stones_position` places exactly these stones, so then no stone lies
+    outside the gadgets. Each gadget's few stone names are struck off
+    against its vertices; no set of every gadget vertex is built. Called
+    only inside an assert, so `python -O` skips it.
     """
-    gadget_names = {v for gadget in gadgets for v in gadget.vertices}
-    return all(g.name_of(i) in gadget_names for i, _ in pos.stones())
+    return not any(
+        {name for name, _ in gadget.precoloured}.difference(gadget.vertices)
+        for gadget in gadgets
+    )
 
 
 def _spliced(g: Graph, source_rs: Ruleset, d: Iterable[int], s: Iterable[int],

@@ -6,10 +6,12 @@ at any distance in `d` from an opposite-colour stone and at any distance in
 ownership map on top of the all-distances-one ruleset, so one legality code
 path serves every game.
 
-`is_legal` is the reference implementation (it walks the ball of radius
-max(d | s) around the candidate vertex). `LegalityIndex` precomputes
-per-vertex forbidden-witness bitmasks for the solver and verifier; it must
-stay observationally equivalent to `is_legal` and is tested against it.
+`is_legal` is the reference implementation: it takes the ball of radius
+max(d | s) around the candidate vertex as one bitmask per distance and
+tests the stone masks against the forbidden layers. `LegalityIndex`
+precomputes per-vertex forbidden-witness bitmasks for the solver and
+verifier; it must stay observationally equivalent to `is_legal` and is
+tested against it.
 """
 
 from __future__ import annotations
@@ -94,9 +96,6 @@ class Ruleset:
     def max_radius(self) -> int:
         """Largest forbidden distance; 0 when both sets are empty."""
         return max(self.d | self.s, default=0)
-
-    def forbidden(self, colour_placed: Colour, colour_seen: Colour) -> frozenset[int]:
-        return self.s if colour_placed is colour_seen else self.d
 
 
 def distance_game(d: Iterable[int], s: Iterable[int]) -> Ruleset:
@@ -196,12 +195,24 @@ def _owned(rs: Ruleset, i: int, player: Player) -> bool:
     raise InvalidParameterError(f"ownership map does not cover vertex index {i}")
 
 
+def _clashes(layers: tuple[int, ...], rs: Ruleset, same: int, other: int) -> bool:
+    # Whether a stone with these ball layers sees a same-colour stone (in
+    # `same`) at a distance in s or an opposite one (in `other`) in d.
+    # Layer 0 never matches: forbidden distances are >= 1.
+    s, d = rs.s, rs.d
+    for dist, layer in enumerate(layers):
+        if dist in s and layer & same or dist in d and layer & other:
+            return True
+    return False
+
+
 def is_legal(g: Graph, rs: Ruleset, pos: Position, v: int | str, player: Player) -> bool:
     """Whether `player` may place a stone on `v` in `pos`.
 
     Reference implementation: only stones inside the ball of radius
-    max(d | s) around v can forbid the move, so the scan stops there.
-    Unreachable vertices never match a forbidden distance.
+    max(d | s) around v can forbid the move, so each of its distance
+    layers is tested against the stones of each colour. Unreachable
+    vertices lie in no layer and never match a forbidden distance.
     """
     i = g.index_of(v)
     if pos.colour_at(i) is not None:
@@ -211,16 +222,11 @@ def is_legal(g: Graph, rs: Ruleset, pos: Position, v: int | str, player: Player)
     radius = rs.max_radius
     if radius == 0:
         return True
-    own = player.colour
-    for w, dist in g.ball(i, radius).items():
-        if dist == 0:
-            continue
-        seen = pos.colour_at(w)
-        if seen is None:
-            continue
-        if dist in rs.forbidden(own, seen):
-            return False
-    return True
+    if player is Player.LEFT:
+        same, other = pos.blue, pos.red
+    else:
+        same, other = pos.red, pos.blue
+    return not _clashes(g.ball(i, radius), rs, same, other)
 
 
 def legal_moves(g: Graph, rs: Ruleset, pos: Position, player: Player) -> list[int]:
@@ -247,13 +253,11 @@ def position_is_legal(g: Graph, rs: Ruleset, pos: Position) -> bool:
     radius = rs.max_radius
     if radius == 0:
         return True
+    blue, red = pos.blue, pos.red
     for i, colour in stones:
-        for w, dist in g.ball(i, radius).items():
-            if dist == 0 or w <= i:
-                continue
-            seen = pos.colour_at(w)
-            if seen is not None and dist in rs.forbidden(colour, seen):
-                return False
+        same, other = (blue, red) if colour is Colour.BLUE else (red, blue)
+        if _clashes(g.ball(i, radius), rs, same, other):
+            return False
     return True
 
 
@@ -261,7 +265,8 @@ class LegalityIndex:
     """Per-vertex forbidden-witness bitmasks for one (graph, ruleset) pair.
 
     For each vertex i, `d_mask[i]` collects the vertices at a distance in
-    `d` from i and `s_mask[i]` those at a distance in `s`. Distance is
+    `d` from i and `s_mask[i]` those at a distance in `s`: each is the OR
+    of the ball layers of i at those distances. Distance is
     symmetric, so these are also the vertices a stone on i forbids: a blue
     stone on i blocks `s_mask[i]` for Left and `d_mask[i]` for Right, a red
     stone the mirror image. `blocked(pos)` ORs those masks over the stones,
@@ -280,17 +285,24 @@ class LegalityIndex:
         self.ruleset = rs
         n = g.vertex_count
         radius = rs.max_radius
-        d, s = rs.d, rs.s  # distances >= 1, so a vertex never witnesses itself
+        # Distances >= 1, so a vertex never witnesses itself (layer 0).
+        d, s = sorted(rs.d), sorted(rs.s)
         d_mask = [0] * n
         s_mask = [0] * n
         if radius:
+            ball = g.ball
             for i in range(n):
+                layers = ball(i, radius)
+                depth = len(layers)
                 dm = sm = 0
-                for w, dist in g.ball(i, radius).items():
-                    if dist in d:
-                        dm |= 1 << w
-                    if dist in s:
-                        sm |= 1 << w
+                for dist in d:
+                    if dist >= depth:
+                        break
+                    dm |= layers[dist]
+                for dist in s:
+                    if dist >= depth:
+                        break
+                    sm |= layers[dist]
                 d_mask[i] = dm
                 s_mask[i] = sm
         self.d_mask = d_mask

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import combinations
 
 from distance_games import (
+    Colour,
     GadgetInstance,
     Graph,
     Player,
@@ -46,6 +48,22 @@ def bfs_distance(g: Graph, u, v):
     return dist.get(dst)
 
 
+def ball_distances(layers) -> dict[int, int]:
+    """A ball's per-distance masks as {vertex: distance}, checking their
+    shape on the way: a tuple of disjoint, non-empty layers."""
+    assert isinstance(layers, tuple)
+    out = {}
+    for dist, layer in enumerate(layers):
+        assert layer, f"empty layer at distance {dist}"
+        while layer:
+            bit = layer & -layer
+            w = bit.bit_length() - 1
+            assert w not in out, f"vertex {w} in two layers"
+            out[w] = dist
+            layer ^= bit
+    return out
+
+
 def naive_is_legal(g: Graph, rs: Ruleset, pos: Position, v, player: Player) -> bool:
     """Legality by recomputing a full BFS distance to every stone."""
     i = g.index_of(v)
@@ -60,6 +78,22 @@ def naive_is_legal(g: Graph, rs: Ruleset, pos: Position, v, player: Player) -> b
             continue
         forbidden = rs.s if colour is own else rs.d
         if dist in forbidden:
+            return False
+    return True
+
+
+def naive_position_is_legal(g: Graph, rs: Ruleset, pos: Position) -> bool:
+    """Standalone-position legality from the full BFS distance of every
+    pair of stones, plus ownership of each stone's vertex."""
+    stones = list(pos.stones())
+    if rs.ownership is not None:
+        for i, colour in stones:
+            owner = Player.LEFT if colour is Colour.BLUE else Player.RIGHT
+            if i not in rs.ownership.side(owner):
+                return False
+    for (i, a), (j, b) in combinations(stones, 2):
+        dist = bfs_distance(g, i, j)
+        if dist is not None and dist in (rs.s if a is b else rs.d):
             return False
     return True
 
@@ -97,8 +131,6 @@ def random_legal_position(g: Graph, rs: Ruleset, rng: random.Random,
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
-    from itertools import combinations
-
     g = Graph()
     for i in range(n):
         g.add_vertex(f"v{i}")

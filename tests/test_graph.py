@@ -10,6 +10,8 @@ from distance_games import (
     FrozenGraphError,
     Graph,
     InvalidParameterError,
+    Player,
+    Position,
     SelfLoopError,
     UnknownVertexError,
     all_labelled_bipartite,
@@ -20,11 +22,13 @@ from distance_games import (
     gen_gnp,
     gen_path,
     gen_random_bipartite,
+    is_legal,
+    node_kayles,
     serialize,
 )
 from distance_games.gadgets import embed_gadget, path_shape
 
-from helpers import bfs_distance, build_graph, graph_from_edge_mask
+from helpers import ball_distances, bfs_distance, build_graph, graph_from_edge_mask
 
 
 class TestConstruction:
@@ -248,7 +252,7 @@ class TestAgainstEdgeSetModel:
                 assert g.has_edge(i, j) == ((min(i, j), max(i, j)) in model.edges)
             distances = model.distances_from(i)
             for radius in range(4):
-                assert g.ball(i, radius) == {
+                assert ball_distances(g.ball(i, radius)) == {
                     v: d for v, d in distances.items() if d <= radius
                 }
 
@@ -289,15 +293,15 @@ class TestDistance:
 class TestBall:
     def test_path_ball(self):
         g = build_graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
-        assert g.ball("a", 2) == {0: 0, 1: 1, 2: 2}
+        assert ball_distances(g.ball("a", 2)) == {0: 0, 1: 1, 2: 2}
 
     def test_radius_zero(self):
         g = build_graph("ab", [("a", "b")])
-        assert g.ball("a", 0) == {0: 0}
+        assert ball_distances(g.ball("a", 0)) == {0: 0}
 
     def test_isolated_vertex_large_radius(self):
         g = build_graph("a", [])
-        assert g.ball("a", 5) == {0: 0}
+        assert ball_distances(g.ball("a", 5)) == {0: 0}
 
     def test_ball_equals_distance_filter_on_random_graphs(self):
         for seed in range(4):
@@ -309,13 +313,37 @@ class TestBall:
                         for w in range(50)
                         if g.distance(u, w) is not None and g.distance(u, w) <= radius
                     }
-                    assert g.ball(u, radius) == expected
+                    assert ball_distances(g.ball(u, radius)) == expected
 
     def test_cache_invalidated_on_mutation(self):
         g = build_graph("abc", [("a", "b")])
-        assert 2 not in g.ball("a", 2)
+        assert 2 not in ball_distances(g.ball("a", 2))
         g.add_edge("b", "c")
-        assert g.ball("a", 2)[2] == 2
+        assert ball_distances(g.ball("a", 2))[2] == 2
+
+    def test_layers_are_exact_distance_masks(self):
+        g = build_graph("abcde", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+        assert g.ball("a", 3) == (0b00001, 0b00110, 0b01000)
+        assert g.ball("e", 2) == (0b10000,)
+
+    def test_returned_ball_cannot_be_modified(self):
+        g = build_graph("abc", [("a", "b"), ("b", "c")])
+        layers = g.ball("a", 1)
+        with pytest.raises(TypeError):
+            layers[1] = 0b100
+        with pytest.raises(AttributeError):
+            layers.append(0b100)
+        assert g.ball("a", 1) == (0b001, 0b010)
+        assert is_legal(g, node_kayles(), Position(blue=0b100), "a", Player.LEFT)
+
+    def test_add_edge_invalidates_cached_ball(self):
+        g = build_graph("abc", [("a", "b")])
+        before = g.ball("a", 2)
+        assert g.ball("a", 2) is before
+        g.add_edge("b", "c")
+        after = g.ball("a", 2)
+        assert after == (0b001, 0b010, 0b100)
+        assert g.ball("a", 2) is after
 
 
 class TestGenerators:

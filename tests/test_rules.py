@@ -8,8 +8,10 @@ from distance_games import (
     IllegalMoveError,
     InvalidParameterError,
     LegalityIndex,
+    Ownership,
     Player,
     Position,
+    Ruleset,
     apply_move,
     bigraph_node_kayles,
     col,
@@ -28,6 +30,7 @@ from helpers import (
     build_graph,
     graph_from_edge_mask,
     naive_is_legal,
+    naive_position_is_legal,
     random_legal_position,
     random_ruleset,
 )
@@ -261,3 +264,25 @@ class TestPositionIsLegal:
         bad = Position().place(0, Colour.BLUE).place(1, Colour.RED)
         assert not position_is_legal(g, snort(), bad)
         assert position_is_legal(g, col(), bad)
+
+
+@given(
+    st.integers(1, 7), st.integers(0, 2**21 - 1), st.integers(0, 2**7 - 1),
+    st.integers(0, 2**7 - 1), small_seed, st.booleans(),
+)
+def test_position_is_legal_matches_pairwise_oracle(n, mask, blue, red, seed, owned):
+    """Arbitrary stone placements, legal and illegal, against pairwise BFS
+    distances; with `owned`, a random ownership map (not always covering)
+    under d = s = {1}."""
+    g = graph_from_edge_mask(n, mask)
+    everything = (1 << n) - 1
+    blue &= everything
+    pos = Position(blue, red & everything & ~blue)
+    rng = random.Random(seed)
+    if owned:
+        left = frozenset(v for v in range(n) if rng.random() < 0.5)
+        right = frozenset(v for v in range(n) if v not in left and rng.random() < 0.9)
+        rs = Ruleset(frozenset({1}), frozenset({1}), Ownership(left, right))
+    else:
+        rs = random_ruleset(rng, max_radius=4)
+    assert position_is_legal(g, rs, pos) == naive_position_is_legal(g, rs, pos)
