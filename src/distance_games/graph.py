@@ -7,11 +7,12 @@ no separate edge set, so `has_edge` bisects a list and `edges()` walks the
 lists in order. `add_block` appends a batch of named vertices together with
 the edges among them (gadget copies, the vertices of a spliced source) in
 one validated step. Distance queries run truncated breadth-first searches;
-their results (balls) are tuples of per-distance vertex bitmasks, memoized
-per vertex and radius, so a legality check is one AND of a stone mask with
-each forbidden layer, and repeated checks against the same stones stay
-cheap. A graph can be frozen, after which mutation raises and the memoized
-balls are safe to share between concurrent solver runs.
+their results (balls) are tuples of vertex bitmasks for the distances 1 to
+the radius (the centre is not stored: no rule forbids distance 0), memoized
+in one row per radius indexed by vertex, so a legality check is one AND of
+a stone mask with each forbidden layer, and repeated checks against the
+same stones stay cheap. A graph can be frozen, after which mutation raises
+and the memoized balls are safe to share between concurrent solver runs.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class Graph:
     the list of i and i in the list of j, and `edge_count` is a counter.
     """
 
-    __slots__ = ("_names", "_index", "_adj", "_edge_count", "_frozen", "_ball_cache")
+    __slots__ = ("_names", "_index", "_adj", "_edge_count", "_frozen", "_balls")
 
     def __init__(self):
         self._names: list[str] = []
@@ -52,7 +53,8 @@ class Graph:
         self._adj: list[list[int]] = []
         self._edge_count = 0
         self._frozen = False
-        self._ball_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+        # radius -> row of balls indexed by vertex (None until computed).
+        self._balls: dict[int, list[tuple[int, ...] | None]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -68,8 +70,8 @@ class Graph:
         self._names.append(name)
         self._index[name] = idx
         self._adj.append([])
-        if self._ball_cache:
-            self._ball_cache.clear()
+        if self._balls:
+            self._balls.clear()
         return idx
 
     def add_edge(self, u: int | str, v: int | str) -> None:
@@ -86,8 +88,8 @@ class Graph:
         adj.insert(k, j)
         insort(self._adj[j], i)
         self._edge_count += 1
-        if self._ball_cache:
-            self._ball_cache.clear()
+        if self._balls:
+            self._balls.clear()
 
     def add_block(self, names, pairs=()) -> int:
         """Append the vertices `names`, in order, and the edges `pairs`
@@ -129,8 +131,8 @@ class Graph:
         self._names.extend(names)
         self._adj.extend(adj)
         self._edge_count += len(local)
-        if self._ball_cache:
-            self._ball_cache.clear()
+        if self._balls:
+            self._balls.clear()
         return first
 
     def freeze(self) -> "Graph":
@@ -219,24 +221,29 @@ class Graph:
         return None
 
     def ball(self, u: int | str, radius: int) -> tuple[int, ...]:
-        """The vertices within `radius` of u, as one bitmask per distance.
+        """The vertices at distance 1 to `radius` from u, as one bitmask
+        per distance.
 
-        `layers[k]` holds the vertices at exact distance k, so `layers[0]`
-        is `1 << u`; trailing empty layers are dropped. A breadth-first
-        search one layer at a time, memoized per (vertex, radius) until the
-        next mutation; the tuple can be shared because it cannot change.
+        `layers[k - 1]` holds the vertices at exact distance k; the centre
+        is not stored, trailing empty layers are dropped, and radius 0
+        gives `()`. A breadth-first search one layer at a time, memoized in
+        one row per radius, indexed by vertex, until the next mutation; the
+        tuple can be shared because it cannot change.
         """
         if radius < 0:
             raise InvalidParameterError("radius must be >= 0")
         src = self.index_of(u)
-        key = (src, radius)
-        cached = self._ball_cache.get(key)
-        if cached is not None:
-            return cached
+        row = self._balls.get(radius)
+        if row is None:
+            row = self._balls[radius] = [None] * len(self._names)
+        else:
+            cached = row[src]
+            if cached is not None:
+                return cached
         adj = self._adj
         seen = {src}
         frontier = [src]
-        layers = [1 << src]
+        layers = []
         for _ in range(radius):
             nxt = []
             mask = 0
@@ -250,7 +257,7 @@ class Graph:
                 break
             layers.append(mask)
             frontier = nxt
-        out = self._ball_cache[key] = tuple(layers)
+        out = row[src] = tuple(layers)
         return out
 
     def __repr__(self):

@@ -6,12 +6,14 @@ at any distance in `d` from an opposite-colour stone and at any distance in
 ownership map on top of the all-distances-one ruleset, so one legality code
 path serves every game.
 
-`is_legal` is the reference implementation: it takes the ball of radius
-max(d | s) around the candidate vertex as one bitmask per distance and
-tests the stone masks against the forbidden layers. `LegalityIndex`
-precomputes per-vertex forbidden-witness bitmasks for the solver and
-verifier; it must stay observationally equivalent to `is_legal` and is
-tested against it.
+Every forbidden distance is at least 1, so a ball's layers start at
+distance 1. `is_legal` is the reference implementation: it takes the ball
+of radius max(d | s) around the candidate vertex as one bitmask per
+distance and tests the stone masks against the forbidden layers.
+`LegalityIndex` precomputes per-vertex forbidden-witness bitmasks for the
+solver and verifier, reusing a ball's own layer where one distance is
+forbidden and one mask list for both colours when d = s; it must stay
+observationally equivalent to `is_legal` and is tested against it.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ class Ruleset:
         object.__setattr__(self, "d", frozenset(self.d))
         object.__setattr__(self, "s", frozenset(self.s))
         for x in self.d | self.s:
-            if not isinstance(x, int) or x < 1:
+            if not isinstance(x, int) or isinstance(x, bool) or x < 1:
                 raise InvalidParameterError("distance sets must hold integers >= 1")
         if self.ownership is not None and (self.d != {1} or self.s != {1}):
             raise InvalidParameterError("ownership requires d = s = {1}")
@@ -147,6 +149,8 @@ class Position:
     red: int = 0
 
     def __post_init__(self):
+        if self.blue < 0 or self.red < 0:
+            raise InvalidParameterError("stone masks must be >= 0")
         if self.blue & self.red:
             raise InvalidParameterError("a vertex cannot hold both colours")
 
@@ -198,9 +202,8 @@ def _owned(rs: Ruleset, i: int, player: Player) -> bool:
 def _clashes(layers: tuple[int, ...], rs: Ruleset, same: int, other: int) -> bool:
     # Whether a stone with these ball layers sees a same-colour stone (in
     # `same`) at a distance in s or an opposite one (in `other`) in d.
-    # Layer 0 never matches: forbidden distances are >= 1.
     s, d = rs.s, rs.d
-    for dist, layer in enumerate(layers):
+    for dist, layer in enumerate(layers, 1):
         if dist in s and layer & same or dist in d and layer & other:
             return True
     return False
@@ -211,8 +214,9 @@ def is_legal(g: Graph, rs: Ruleset, pos: Position, v: int | str, player: Player)
 
     Reference implementation: only stones inside the ball of radius
     max(d | s) around v can forbid the move, so each of its distance
-    layers is tested against the stones of each colour. Unreachable
-    vertices lie in no layer and never match a forbidden distance.
+    layers, from distance 1 up, is tested against the stones of each
+    colour. Unreachable vertices lie in no layer and never match a
+    forbidden distance.
     """
     i = g.index_of(v)
     if pos.colour_at(i) is not None:
@@ -261,20 +265,39 @@ def position_is_legal(g: Graph, rs: Ruleset, pos: Position) -> bool:
     return True
 
 
+def _witness_masks(balls, dists: frozenset[int], n: int) -> list[int]:
+    # Per vertex, the OR of its ball layers at the distances in `dists`.
+    if not dists:
+        return [0] * n
+    if len(dists) == 1:
+        (k,) = dists
+        return [layers[k - 1] if len(layers) >= k else 0 for layers in balls]
+    out = []
+    for layers in balls:
+        mask = 0
+        for k in dists:
+            if k <= len(layers):
+                mask |= layers[k - 1]
+        out.append(mask)
+    return out
+
+
 class LegalityIndex:
     """Per-vertex forbidden-witness bitmasks for one (graph, ruleset) pair.
 
     For each vertex i, `d_mask[i]` collects the vertices at a distance in
     `d` from i and `s_mask[i]` those at a distance in `s`: each is the OR
-    of the ball layers of i at those distances. Distance is
-    symmetric, so these are also the vertices a stone on i forbids: a blue
-    stone on i blocks `s_mask[i]` for Left and `d_mask[i]` for Right, a red
-    stone the mirror image. `blocked(pos)` ORs those masks over the stones,
-    and the legal moves are then one expression,
-    `allowed & ~occupied & ~blocked`. Callers that place stones one at a
-    time (the verifier walk) keep the two blocked masks up to date with the
-    same rule instead of recomputing them. Freezes the graph on
-    construction; safe to share once built.
+    of the ball layers of i at those distances. A set with one distance
+    takes the ball's own layer object, and when d = s both names hold one
+    list, so neither case makes a new mask; callers must not change the
+    lists in place. Distance is symmetric, so these are also the vertices
+    a stone on i forbids: a blue stone on i blocks `s_mask[i]` for Left
+    and `d_mask[i]` for Right, a red stone the mirror image.
+    `blocked(pos)` ORs those masks over the stones, and the legal moves
+    are then one expression, `allowed & ~occupied & ~blocked`. Callers
+    that place stones one at a time (the verifier walk) keep the two
+    blocked masks up to date with the same rule instead of recomputing
+    them. Freezes the graph on construction; safe to share once built.
     """
 
     __slots__ = ("graph", "ruleset", "d_mask", "s_mask", "_left", "_right")
@@ -285,28 +308,9 @@ class LegalityIndex:
         self.ruleset = rs
         n = g.vertex_count
         radius = rs.max_radius
-        # Distances >= 1, so a vertex never witnesses itself (layer 0).
-        d, s = sorted(rs.d), sorted(rs.s)
-        d_mask = [0] * n
-        s_mask = [0] * n
-        if radius:
-            ball = g.ball
-            for i in range(n):
-                layers = ball(i, radius)
-                depth = len(layers)
-                dm = sm = 0
-                for dist in d:
-                    if dist >= depth:
-                        break
-                    dm |= layers[dist]
-                for dist in s:
-                    if dist >= depth:
-                        break
-                    sm |= layers[dist]
-                d_mask[i] = dm
-                s_mask[i] = sm
-        self.d_mask = d_mask
-        self.s_mask = s_mask
+        balls = [g.ball(i, radius) for i in range(n)] if radius else ()
+        self.d_mask = _witness_masks(balls, rs.d, n)
+        self.s_mask = self.d_mask if rs.s == rs.d else _witness_masks(balls, rs.s, n)
         if rs.ownership is None:
             self._left = self._right = (1 << n) - 1
         else:

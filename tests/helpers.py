@@ -50,10 +50,11 @@ def bfs_distance(g: Graph, u, v):
 
 def ball_distances(layers) -> dict[int, int]:
     """A ball's per-distance masks as {vertex: distance}, checking their
-    shape on the way: a tuple of disjoint, non-empty layers."""
+    shape on the way: a tuple of disjoint, non-empty layers, the first one
+    at distance 1 (the centre is not stored)."""
     assert isinstance(layers, tuple)
     out = {}
-    for dist, layer in enumerate(layers):
+    for dist, layer in enumerate(layers, 1):
         assert layer, f"empty layer at distance {dist}"
         while layer:
             bit = layer & -layer

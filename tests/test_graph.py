@@ -253,7 +253,7 @@ class TestAgainstEdgeSetModel:
             distances = model.distances_from(i)
             for radius in range(4):
                 assert ball_distances(g.ball(i, radius)) == {
-                    v: d for v, d in distances.items() if d <= radius
+                    v: d for v, d in distances.items() if 0 < d <= radius
                 }
 
 
@@ -293,15 +293,16 @@ class TestDistance:
 class TestBall:
     def test_path_ball(self):
         g = build_graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
-        assert ball_distances(g.ball("a", 2)) == {0: 0, 1: 1, 2: 2}
+        assert ball_distances(g.ball("a", 2)) == {1: 1, 2: 2}
 
     def test_radius_zero(self):
         g = build_graph("ab", [("a", "b")])
-        assert ball_distances(g.ball("a", 0)) == {0: 0}
+        assert g.ball("a", 0) == ()
+        assert ball_distances(g.ball("a", 0)) == {}
 
     def test_isolated_vertex_large_radius(self):
         g = build_graph("a", [])
-        assert ball_distances(g.ball("a", 5)) == {0: 0}
+        assert g.ball("a", 5) == ()
 
     def test_ball_equals_distance_filter_on_random_graphs(self):
         for seed in range(4):
@@ -311,29 +312,30 @@ class TestBall:
                     expected = {
                         w: g.distance(u, w)
                         for w in range(50)
-                        if g.distance(u, w) is not None and g.distance(u, w) <= radius
+                        if g.distance(u, w) is not None and 0 < g.distance(u, w) <= radius
                     }
                     assert ball_distances(g.ball(u, radius)) == expected
 
     def test_cache_invalidated_on_mutation(self):
         g = build_graph("abc", [("a", "b")])
-        assert 2 not in ball_distances(g.ball("a", 2))
+        assert ball_distances(g.ball("a", 2)) == {1: 1}
         g.add_edge("b", "c")
-        assert ball_distances(g.ball("a", 2))[2] == 2
+        assert ball_distances(g.ball("a", 2)) == {1: 1, 2: 2}
 
     def test_layers_are_exact_distance_masks(self):
         g = build_graph("abcde", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
-        assert g.ball("a", 3) == (0b00001, 0b00110, 0b01000)
-        assert g.ball("e", 2) == (0b10000,)
+        assert g.ball("a", 3) == (0b00110, 0b01000)
+        assert g.ball("d", 1) == (0b00110,)
+        assert g.ball("e", 2) == ()
 
     def test_returned_ball_cannot_be_modified(self):
         g = build_graph("abc", [("a", "b"), ("b", "c")])
         layers = g.ball("a", 1)
         with pytest.raises(TypeError):
-            layers[1] = 0b100
+            layers[0] = 0b100
         with pytest.raises(AttributeError):
             layers.append(0b100)
-        assert g.ball("a", 1) == (0b001, 0b010)
+        assert g.ball("a", 1) == (0b010,)
         assert is_legal(g, node_kayles(), Position(blue=0b100), "a", Player.LEFT)
 
     def test_add_edge_invalidates_cached_ball(self):
@@ -342,8 +344,30 @@ class TestBall:
         assert g.ball("a", 2) is before
         g.add_edge("b", "c")
         after = g.ball("a", 2)
-        assert after == (0b001, 0b010, 0b100)
+        assert after == (0b010, 0b100)
         assert g.ball("a", 2) is after
+
+    def test_add_vertex_invalidates_cached_ball(self):
+        g = build_graph("ab", [("a", "b")])
+        before = g.ball("a", 2)
+        g.add_vertex("c")
+        assert g.ball("c", 2) == ()
+        after = g.ball("a", 2)
+        assert after == before == (0b010,) and after is not before
+        g.add_edge("b", "c")
+        assert g.ball("a", 2) == (0b010, 0b100)
+        assert g.ball("c", 1) == (0b010,)
+
+    def test_add_block_invalidates_cached_ball(self):
+        g = build_graph("ab", [("a", "b")])
+        before = g.ball("a", 1)
+        first = g.add_block(["c", "d", "e"], [(0, 1), (1, 2)])
+        assert first == 2
+        assert g.ball("c", 2) == (0b01000, 0b10000)
+        after = g.ball("a", 1)
+        assert after == before == (0b00010,) and after is not before
+        g.add_edge("b", "c")
+        assert ball_distances(g.ball("a", 4)) == {1: 1, 2: 2, 3: 3, 4: 4}
 
 
 class TestGenerators:

@@ -27,6 +27,7 @@ from distance_games import (
 )
 
 from helpers import (
+    bfs_distance,
     build_graph,
     graph_from_edge_mask,
     naive_is_legal,
@@ -61,6 +62,14 @@ class TestNamedRulesets:
         with pytest.raises(InvalidParameterError):
             distance_game({0}, set())
 
+    def test_bool_distances_rejected(self):
+        # True == 1 would play as distance 1 but serialize as 'D=True'.
+        for d, s in (({True}, ()), ((), {True}), ({2, True}, {1}), ({False}, ())):
+            with pytest.raises(InvalidParameterError, match="integers >= 1"):
+                distance_game(d, s)
+        with pytest.raises(InvalidParameterError):
+            Ruleset(frozenset(), frozenset({True}))
+
     def test_large_distances_allowed(self):
         # Entries beyond any graph diameter are legal rule data; they just
         # never trigger.
@@ -74,6 +83,15 @@ class TestNamedRulesets:
             from distance_games import Ownership, Ruleset
 
             Ruleset(frozenset({1, 2}), frozenset({1}), Ownership(frozenset(), frozenset()))
+
+
+class TestPositionMasks:
+    def test_negative_masks_rejected(self):
+        # A negative mask has infinitely many set bits: stone_count and
+        # colour_at would read garbage and stones() would never end.
+        for blue, red in ((-1, 0), (0, -1), (-2, 1), (1, -2), (-1, -1)):
+            with pytest.raises(InvalidParameterError, match=">= 0"):
+                Position(blue, red)
 
 
 class TestIsLegal:
@@ -286,3 +304,98 @@ def test_position_is_legal_matches_pairwise_oracle(n, mask, blue, red, seed, own
     else:
         rs = random_ruleset(rng, max_radius=4)
     assert position_is_legal(g, rs, pos) == naive_position_is_legal(g, rs, pos)
+
+
+# --- where LegalityIndex shares masks ----------------------------------------
+
+
+def sharing_graph():
+    """A tree with distances up to 10 and one isolated vertex. Vertices past
+    index 8 make masks above 256, which CPython does not intern, so an `is`
+    check tells a ball's own layer object from an equal new int."""
+    names = [f"v{i}" for i in range(14)]
+    edges = [(f"v{i}", f"v{i + 1}") for i in range(10)]
+    edges += [("v4", "v11"), ("v11", "v12")]
+    return build_graph(names, edges)
+
+
+def check_index(rs, walks=6):
+    """One index on `sharing_graph` against the BFS oracle, `legal_moves`
+    and the walk-style update, and its sharing: `d_mask` and `s_mask` are
+    one list exactly when d = s, and a one-distance set's masks are the
+    ball's own layer objects."""
+    g = sharing_graph()
+    n = g.vertex_count
+    index = LegalityIndex(g, rs)
+    for dists, masks in ((rs.d, index.d_mask), (rs.s, index.s_mask)):
+        assert masks == [
+            sum(1 << j for j in range(n) if bfs_distance(g, i, j) in dists) for i in range(n)
+        ]
+        if len(dists) == 1:
+            (k,) = dists
+            for i in range(n):
+                layers = g.ball(i, rs.max_radius)
+                if len(layers) >= k:
+                    assert masks[i] is layers[k - 1]
+    assert (index.s_mask is index.d_mask) == (rs.d == rs.s)
+
+    rng = random.Random(len(rs.d) * 31 + len(rs.s))
+    for _ in range(walks):
+        pos = Position()
+        left = right = 0
+        while True:
+            assert (left, right) == index.blocked(pos)
+            left_moves = index.legal_moves(pos, L)
+            right_moves = index.legal_moves(pos, R)
+            assert left_moves == legal_moves(g, rs, pos, L)
+            assert right_moves == legal_moves(g, rs, pos, R)
+            options = [(L, v) for v in left_moves] + [(R, v) for v in right_moves]
+            if not options:
+                break
+            p, v = rng.choice(options)
+            pos = apply_move(g, rs, pos, v, p)
+            if p is L:
+                left, right = left | index.s_mask[v], right | index.d_mask[v]
+            else:
+                left, right = left | index.d_mask[v], right | index.s_mask[v]
+    return index
+
+
+# Rulesets with d != s and both kinds of set (one distance, several) that
+# every sharing test also checks, so that sharing one list when d != s, or
+# taking a wrong layer, fails each test and not only the one for its case.
+CONTRASTS = (({1}, {2}), ({1, 2}, {1}), ({1}, {1, 2}))
+
+
+def check_with_contrasts(d, s):
+    index = check_index(distance_game(d, s))
+    for cd, cs in CONTRASTS:
+        check_index(distance_game(cd, cs), walks=2)
+    return index
+
+
+class TestIndexSharing:
+    def test_equal_sets_share_one_mask_list(self):
+        for d in ({1}, {2}, {1, 3}, {2, 3, 5}):
+            index = check_with_contrasts(d, d)
+            assert index.s_mask is index.d_mask
+
+    def test_single_distance_mask_is_the_ball_layer(self):
+        for d, s in (({3}, ()), ((), {7}), ({11}, ()), ({4}, {1, 4})):
+            check_with_contrasts(d, s)
+
+    def test_subset_sets(self):
+        for d, s in (({2}, {1, 2, 3}), ({2, 4}, {1, 2, 3, 4}), ({1, 3}, {3})):
+            index = check_with_contrasts(d, s)
+            assert index.s_mask is not index.d_mask
+
+    def test_empty_sets(self):
+        for d, s in (((), {1}), ({2}, ()), ((), {1, 3}), ({1, 2}, ())):
+            index = check_with_contrasts(d, s)
+            assert index.s_mask is not index.d_mask
+            assert (index.s_mask if d else index.d_mask) == [0] * 14
+
+    def test_radius_zero(self):
+        index = check_with_contrasts((), ())
+        assert index.d_mask == [0] * 14 and index.s_mask is index.d_mask
+        assert index.legal_moves(Position(blue=0b11), L) == list(range(2, 14))
