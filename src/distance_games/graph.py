@@ -6,13 +6,16 @@ once, as an entry in the sorted adjacency lists of both its ends; there is
 no separate edge set, so `has_edge` bisects a list and `edges()` walks the
 lists in order. `add_block` appends a batch of named vertices together with
 the edges among them (gadget copies, the vertices of a spliced source) in
-one validated step. Distance queries run truncated breadth-first searches;
-their results (balls) are tuples of vertex bitmasks for the distances 1 to
-the radius (the centre is not stored: no rule forbids distance 0), memoized
-in one row per radius indexed by vertex, so a legality check is one AND of
-a stone mask with each forbidden layer, and repeated checks against the
-same stones stay cheap. A graph can be frozen, after which mutation raises
-and the memoized balls are safe to share between concurrent solver runs.
+one validated step. A ball is a tuple of vertex bitmasks for the distances
+1 to the radius (the centre is not stored: no rule forbids distance 0), so
+a legality check is one AND of a stone mask with each forbidden layer. It
+is built from per-vertex neighbour bitmasks: layer 1 is the centre's mask,
+and each further layer is the OR of the masks of the vertices in the layer
+before, minus every vertex already reached. The neighbour masks are built
+with the first ball and the balls are memoized in one row per radius,
+indexed by vertex; a mutation drops both. A graph can be frozen, after
+which mutation raises and the memoized balls are safe to share between
+concurrent solver runs.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ from .errors import (
 
 # 2^(n(n-1)/2) labelled graphs; above six vertices the corpus is useless.
 MAX_ENUMERATION_VERTICES = 6
+# gen_gnp draws one number per vertex pair and every generator holds its
+# whole edge list; random corpora are built in full before the first
+# instance is verified.
+MAX_GENERATED_VERTICES = 2048
+MAX_RANDOM_CORPUS_GRAPHS = 10_000
 
 Bipartition = tuple[frozenset[int], frozenset[int]]
 
@@ -45,7 +53,7 @@ class Graph:
     the list of i and i in the list of j, and `edge_count` is a counter.
     """
 
-    __slots__ = ("_names", "_index", "_adj", "_edge_count", "_frozen", "_balls")
+    __slots__ = ("_names", "_index", "_adj", "_edge_count", "_frozen", "_balls", "_nbr")
 
     def __init__(self):
         self._names: list[str] = []
@@ -55,6 +63,9 @@ class Graph:
         self._frozen = False
         # radius -> row of balls indexed by vertex (None until computed).
         self._balls: dict[int, list[tuple[int, ...] | None]] = {}
+        # Per-vertex neighbour bitmasks, built with the first ball and
+        # dropped with the balls.
+        self._nbr: list[int] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -72,6 +83,7 @@ class Graph:
         self._adj.append([])
         if self._balls:
             self._balls.clear()
+            self._nbr = None
         return idx
 
     def add_edge(self, u: int | str, v: int | str) -> None:
@@ -90,6 +102,7 @@ class Graph:
         self._edge_count += 1
         if self._balls:
             self._balls.clear()
+            self._nbr = None
 
     def add_block(self, names, pairs=()) -> int:
         """Append the vertices `names`, in order, and the edges `pairs`
@@ -120,19 +133,21 @@ class Graph:
             if a == b:
                 raise SelfLoopError(f"self-loop at {names[a]!r}")
         first = len(self._names)
+        # One int object per new vertex, shared by the index and every list.
+        ids = list(range(first, first + n))
         # Ascending pairs give each vertex its smaller neighbours, then its
         # larger ones, each run ascending: the lists come out sorted.
         adj = [[] for _ in names]
         for a, b in local:
-            adj[a].append(first + b)
-            adj[b].append(first + a)
-        for k, name in enumerate(names, first):
-            index[name] = k
+            adj[a].append(ids[b])
+            adj[b].append(ids[a])
+        index.update(zip(names, ids))
         self._names.extend(names)
         self._adj.extend(adj)
         self._edge_count += len(local)
         if self._balls:
             self._balls.clear()
+            self._nbr = None
         return first
 
     def freeze(self) -> "Graph":
@@ -226,7 +241,10 @@ class Graph:
 
         `layers[k - 1]` holds the vertices at exact distance k; the centre
         is not stored, trailing empty layers are dropped, and radius 0
-        gives `()`. A breadth-first search one layer at a time, memoized in
+        gives `()`. Layer 1 is u's neighbour mask and layer k the OR of the
+        neighbour masks of layer k - 1's vertices, minus every vertex
+        already reached; only a layer that is expanded further is split
+        into vertex indices (layer 1's are u's adjacency list). Memoized in
         one row per radius, indexed by vertex, until the next mutation; the
         tuple can be shared because it cannot change.
         """
@@ -240,23 +258,33 @@ class Graph:
             cached = row[src]
             if cached is not None:
                 return cached
-        adj = self._adj
-        seen = {src}
-        frontier = [src]
+        nbr = self._nbr
+        if nbr is None:
+            nbr = self._nbr = []
+            for adj in self._adj:
+                mask = 0
+                for w in adj:
+                    mask |= 1 << w
+                nbr.append(mask)
         layers = []
-        for _ in range(radius):
-            nxt = []
-            mask = 0
-            for cur in frontier:
-                for w in adj[cur]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-                        mask |= 1 << w
-            if not nxt:
+        layer = nbr[src] if radius else 0
+        reached = layer | 1 << src
+        frontier = self._adj[src]  # the vertices of layer 1
+        while layer:
+            layers.append(layer)
+            if len(layers) == radius:
                 break
-            layers.append(mask)
-            frontier = nxt
+            if len(layers) > 1:
+                frontier = []
+                while layer:
+                    low = layer & -layer
+                    frontier.append(low.bit_length() - 1)
+                    layer ^= low
+            layer = 0
+            for w in frontier:
+                layer |= nbr[w]
+            layer &= ~reached
+            reached |= layer
         out = row[src] = tuple(layers)
         return out
 
@@ -267,20 +295,32 @@ class Graph:
 # -- generators --------------------------------------------------------------
 
 
-def _indexed(n: int, prefix: str = "v") -> Graph:
+def _names(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+def _check_generated(n: int, what: str = "n") -> None:
+    if n > MAX_GENERATED_VERTICES:
+        raise InvalidParameterError(
+            f"{what} = {n} exceeds the bound of {MAX_GENERATED_VERTICES} generated vertices"
+        )
+
+
+def _sided(p: int, q: int, pairs) -> tuple[Graph, Bipartition]:
+    """Left vertices l0.., right vertices r0.. (positions p..), the given
+    pairs between them, and the two sides."""
     g = Graph()
-    for i in range(n):
-        g.add_vertex(f"{prefix}{i}")
-    return g
+    g.add_block(_names("l", p) + _names("r", q), pairs)
+    return g.freeze(), (frozenset(range(p)), frozenset(range(p, p + q)))
 
 
 def gen_path(n: int) -> Graph:
     """Path on n vertices v0 .. v{n-1}."""
     if n < 0:
         raise InvalidParameterError("n must be >= 0")
-    g = _indexed(n)
-    for i in range(n - 1):
-        g.add_edge(i, i + 1)
+    _check_generated(n)
+    g = Graph()
+    g.add_block(_names("v", n), [(i, i + 1) for i in range(n - 1)])
     return g.freeze()
 
 
@@ -288,9 +328,9 @@ def gen_cycle(n: int) -> Graph:
     """Cycle on n vertices; n must be 0 or at least 3 to stay simple."""
     if n < 0 or n in (1, 2):
         raise InvalidParameterError("cycle needs n = 0 or n >= 3")
-    g = _indexed(n)
-    for i in range(n):
-        g.add_edge(i, (i + 1) % n)
+    _check_generated(n)
+    g = Graph()
+    g.add_block(_names("v", n), [(i, (i + 1) % n) for i in range(n)])
     return g.freeze()
 
 
@@ -298,13 +338,8 @@ def gen_complete_bipartite(p: int, q: int) -> tuple[Graph, Bipartition]:
     """K_{p,q} with left vertices l0.. and right vertices r0.., plus the sides."""
     if p < 0 or q < 0:
         raise InvalidParameterError("sizes must be >= 0")
-    g = Graph()
-    left = frozenset(g.add_vertex(f"l{i}") for i in range(p))
-    right = frozenset(g.add_vertex(f"r{i}") for i in range(q))
-    for i in sorted(left):
-        for j in sorted(right):
-            g.add_edge(i, j)
-    return g.freeze(), (left, right)
+    _check_generated(p + q, "p + q")
+    return _sided(p, q, [(i, j) for i in range(p) for j in range(p, p + q)])
 
 
 def gen_gnp(n: int, prob: float, seed: int) -> Graph:
@@ -313,11 +348,11 @@ def gen_gnp(n: int, prob: float, seed: int) -> Graph:
         raise InvalidParameterError("n must be >= 0")
     if not 0.0 <= prob <= 1.0:
         raise InvalidParameterError("prob must be in [0, 1]")
+    _check_generated(n)
     rng = random.Random(seed)
-    g = _indexed(n)
-    for i, j in combinations(range(n), 2):
-        if rng.random() < prob:
-            g.add_edge(i, j)
+    g = Graph()
+    g.add_block(_names("v", n), (pair for pair in combinations(range(n), 2)
+                                 if rng.random() < prob))
     return g.freeze()
 
 
@@ -327,15 +362,10 @@ def gen_random_bipartite(p: int, q: int, prob: float, seed: int) -> tuple[Graph,
         raise InvalidParameterError("sizes must be >= 0")
     if not 0.0 <= prob <= 1.0:
         raise InvalidParameterError("prob must be in [0, 1]")
+    _check_generated(p + q, "p + q")
     rng = random.Random(seed)
-    g = Graph()
-    left = frozenset(g.add_vertex(f"l{i}") for i in range(p))
-    right = frozenset(g.add_vertex(f"r{i}") for i in range(q))
-    for i in sorted(left):
-        for j in sorted(right):
-            if rng.random() < prob:
-                g.add_edge(i, j)
-    return g.freeze(), (left, right)
+    return _sided(p, q, [(i, j) for i in range(p) for j in range(p, p + q)
+                         if rng.random() < prob])
 
 
 # -- exhaustive corpora -------------------------------------------------------
@@ -347,12 +377,11 @@ def all_labelled_graphs(n: int) -> Iterator[Graph]:
         raise InvalidParameterError("n must be >= 0")
     if n > MAX_ENUMERATION_VERTICES:
         raise CorpusTooLargeError(f"n = {n} exceeds bound {MAX_ENUMERATION_VERTICES}")
+    names = _names("v", n)
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
-        g = _indexed(n)
-        for bit, (i, j) in enumerate(pairs):
-            if mask >> bit & 1:
-                g.add_edge(i, j)
+        g = Graph()
+        g.add_block(names, [pair for bit, pair in enumerate(pairs) if mask >> bit & 1])
         yield g.freeze()
 
 
@@ -364,12 +393,6 @@ def all_labelled_bipartite(p: int, q: int) -> Iterator[tuple[Graph, Bipartition]
         raise CorpusTooLargeError(
             f"p + q = {p + q} exceeds bound {MAX_ENUMERATION_VERTICES}"
         )
-    pairs = [(i, p + j) for i in range(p) for j in range(q)]
+    pairs = [(i, j) for i in range(p) for j in range(p, p + q)]
     for mask in range(1 << len(pairs)):
-        g = Graph()
-        left = frozenset(g.add_vertex(f"l{i}") for i in range(p))
-        right = frozenset(g.add_vertex(f"r{j}") for j in range(q))
-        for bit, (i, j) in enumerate(pairs):
-            if mask >> bit & 1:
-                g.add_edge(i, j)
-        yield g.freeze(), (left, right)
+        yield _sided(p, q, [pair for bit, pair in enumerate(pairs) if mask >> bit & 1])

@@ -33,6 +33,7 @@ from itertools import product
 from .errors import HypothesisViolatedError, InvalidParameterError
 from .gadgets import GadgetInstance, check_gadget_size, embed_gadget, stones_position
 from .graph import (
+    MAX_RANDOM_CORPUS_GRAPHS,
     Graph,
     all_labelled_bipartite,
     all_labelled_graphs,
@@ -399,6 +400,11 @@ def _corpus_graphs(spec: CorpusSpec, bipartite: bool):
     if spec.random_count:
         if spec.seed is None:
             raise InvalidParameterError("random corpora require an explicit seed")
+        if spec.random_count > MAX_RANDOM_CORPUS_GRAPHS:
+            raise InvalidParameterError(
+                f"random corpus of {spec.random_count} graphs exceeds the bound of "
+                f"{MAX_RANDOM_CORPUS_GRAPHS}"
+            )
         rng = random.Random(spec.seed)
         for _ in range(spec.random_count):
             child = rng.randrange(2**31)

@@ -15,6 +15,7 @@ from distance_games import (
 )
 from distance_games.cli import main
 from distance_games.gadgets import MAX_GADGET_SIZE
+from distance_games.graph import MAX_GENERATED_VERTICES, MAX_RANDOM_CORPUS_GRAPHS
 from distance_games.rules import distance_game
 
 
@@ -319,6 +320,48 @@ class TestBadVerifyInput:
         self.verify(capsys, "--reduction", "snort-family", "--corpus", "exhaustive:1",
                     "--params", "n=2", f"s={value}",
                     mentions=f"{piece!r}; elements must be at most {MAX_GADGET_SIZE}")
+
+
+class TestGeneratedSizeBounds:
+    """Generated boards and random corpora stay within fixed bounds: a
+    request past them is refused before anything is built."""
+
+    @pytest.mark.parametrize("argv, size", [
+        (["--kind", "path", "--n", "100000000"], "n = 100000000"),
+        (["--kind", "cycle", "--n", str(MAX_GENERATED_VERTICES + 1)],
+         f"n = {MAX_GENERATED_VERTICES + 1}"),
+        (["--kind", "gnp", "--n", "30000", "--prob", "0", "--seed", "1"], "n = 30000"),
+        (["--kind", "kpq", "--p", "2000", "--q", "2000"], "p + q = 4000"),
+        (["--kind", "bipartite", "--p", "1", "--q", str(MAX_GENERATED_VERTICES),
+          "--seed", "1"], f"p + q = {MAX_GENERATED_VERTICES + 1}"),
+    ])
+    def test_gen_above_the_vertex_bound(self, capsys, argv, size):
+        assert_input_error(
+            capsys, "gen", *argv,
+            mentions=f"{size} exceeds the bound of {MAX_GENERATED_VERTICES} generated vertices",
+        )
+
+    def test_gen_at_the_vertex_bound(self, capsys):
+        code, out, _ = run(capsys, "gen", "--kind", "path", "--n", str(MAX_GENERATED_VERTICES))
+        assert code == 0
+        assert parse_graph(out)[0].vertex_count == MAX_GENERATED_VERTICES
+
+    @pytest.mark.parametrize("reduction, params", [
+        ("snort-family", ["n=2"]), ("bgnk-d12", []),
+    ])
+    def test_random_corpus_count_above_bound(self, capsys, reduction, params):
+        assert_input_error(capsys, "verify", "--reduction", reduction,
+                           "--corpus", "random:100000000:5:0.5:1", "--params", *params,
+                           mentions=f"exceeds the bound of {MAX_RANDOM_CORPUS_GRAPHS}")
+
+    @pytest.mark.parametrize("reduction, params", [
+        ("snort-family", ["n=2"]), ("bgnk-d12", []),
+    ])
+    def test_random_corpus_size_above_bound(self, capsys, reduction, params):
+        size = MAX_GENERATED_VERTICES + 1
+        assert_input_error(capsys, "verify", "--reduction", reduction,
+                           "--corpus", f"random:1:{size}:0.5:1", "--params", *params,
+                           mentions=f"= {size} exceeds the bound of {MAX_GENERATED_VERTICES}")
 
 
 class TestDot:

@@ -27,6 +27,7 @@ from distance_games import (
     serialize,
 )
 from distance_games.gadgets import embed_gadget, path_shape
+from distance_games.graph import MAX_GENERATED_VERTICES
 
 from helpers import ball_distances, bfs_distance, build_graph, graph_from_edge_mask
 
@@ -370,6 +371,54 @@ class TestBall:
         assert ball_distances(g.ball("a", 4)) == {1: 1, 2: 2, 3: 3, 4: 4}
 
 
+# One step of a graph growing to at most 12 vertices, interleaved with ball
+# queries: ("vertex",), ("edge", i, j), ("block", size, pairs) or ("ball", u,
+# radius). Vertex numbers are taken modulo the vertices there are, so every
+# step applies; an edge step on one vertex, a self-loop pair or a block past
+# 12 vertices is skipped.
+_BALL_STEP = st.one_of(
+    st.tuples(st.just("vertex")),
+    st.tuples(st.just("edge"), st.integers(0, 11), st.integers(0, 11)),
+    st.tuples(
+        st.just("block"),
+        st.integers(1, 4),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6),
+    ),
+    st.tuples(st.just("ball"), st.integers(0, 11), st.integers(0, 5)),
+)
+
+
+class TestBallBetweenMutations:
+    @staticmethod
+    def bfs_ball(g, u, radius):
+        return {w: d for w in range(g.vertex_count)
+                if (d := bfs_distance(g, u, w)) and d <= radius}
+
+    @settings(max_examples=300)
+    @given(st.lists(_BALL_STEP, max_size=40))
+    def test_balls_match_bfs(self, steps):
+        """Each ball, asked for between mutations of every kind, equals a
+        BFS over the graph as it is then: no neighbour mask or cached layer
+        outlives the mutation that changed it."""
+        g = Graph()
+        for kind, *args in steps:
+            n = g.vertex_count
+            if kind == "vertex" and n < 12:
+                g.add_vertex(f"v{n}")
+            elif kind == "edge" and n > 1 and args[0] % n != args[1] % n:
+                g.add_edge(args[0] % n, args[1] % n)
+            elif kind == "block" and n + args[0] <= 12:
+                size, pairs = args
+                g.add_block([f"v{k}" for k in range(n, n + size)],
+                            [(a % size, b % size) for a, b in pairs if a % size != b % size])
+            elif kind == "ball" and n:
+                u, radius = args[0] % n, args[1]
+                assert ball_distances(g.ball(u, radius)) == self.bfs_ball(g, u, radius)
+        for u in range(g.vertex_count):
+            for radius in range(6):
+                assert ball_distances(g.ball(u, radius)) == self.bfs_ball(g, u, radius)
+
+
 class TestGenerators:
     def test_path_counts(self):
         g = gen_path(3)
@@ -404,6 +453,55 @@ class TestGenerators:
     def test_different_seeds_usually_differ(self):
         assert serialize(gen_gnp(9, 0.5, 1)) != serialize(gen_gnp(9, 0.5, 2))
 
+    @staticmethod
+    def assert_same_graph(g, h):
+        assert g.names == h.names
+        assert list(g.edges()) == list(h.edges())
+        assert g.edge_count == h.edge_count
+        assert all(g.neighbors(v) == h.neighbors(v) for v in range(g.vertex_count))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 9])
+    def test_path_and_cycle_match_per_edge_construction(self, n):
+        names = [f"v{i}" for i in range(n)]
+        self.assert_same_graph(gen_path(n), build_graph(names, zip(names, names[1:])))
+        if n not in (1, 2):
+            self.assert_same_graph(
+                gen_cycle(n), build_graph(names, zip(names, names[1:] + names[:1])))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("prob", [0.0, 0.3, 0.7, 1.0])
+    def test_random_graphs_match_per_edge_construction(self, seed, prob):
+        # The same names, edges and random draws, one per pair in order.
+        rng = random.Random(seed)
+        names = [f"v{i}" for i in range(9)]
+        expected = build_graph(names, [(i, j) for i, j in itertools.combinations(range(9), 2)
+                                       if rng.random() < prob])
+        self.assert_same_graph(gen_gnp(9, prob, seed), expected)
+        rng = random.Random(seed)
+        names = ["l0", "l1", "l2", "r0", "r1", "r2", "r3"]
+        expected = build_graph(names, [(i, j) for i in range(3) for j in range(3, 7)
+                                       if rng.random() < prob])
+        g, sides = gen_random_bipartite(3, 4, prob, seed)
+        self.assert_same_graph(g, expected)
+        assert sides == (frozenset({0, 1, 2}), frozenset({3, 4, 5, 6}))
+
+    def test_complete_bipartite_matches_per_edge_construction(self):
+        g, sides = gen_complete_bipartite(2, 3)
+        expected = build_graph(["l0", "l1", "r0", "r1", "r2"],
+                               [(i, j) for i in range(2) for j in range(2, 5)])
+        self.assert_same_graph(g, expected)
+        assert sides == (frozenset({0, 1}), frozenset({2, 3, 4}))
+
+    def test_vertex_bound(self):
+        too_many = MAX_GENERATED_VERTICES + 1
+        for make in (lambda: gen_path(too_many), lambda: gen_cycle(too_many),
+                     lambda: gen_gnp(too_many, 0.0, 1),
+                     lambda: gen_complete_bipartite(too_many, 0),
+                     lambda: gen_random_bipartite(1, too_many - 1, 0.5, 1)):
+            with pytest.raises(InvalidParameterError, match="generated vertices"):
+                make()
+        assert gen_cycle(MAX_GENERATED_VERTICES).edge_count == MAX_GENERATED_VERTICES
+
 
 class TestEnumeration:
     def test_counts(self):
@@ -417,6 +515,19 @@ class TestEnumeration:
     def test_bipartite_counts(self):
         assert sum(1 for _ in all_labelled_bipartite(1, 1)) == 2
         assert sum(1 for _ in all_labelled_bipartite(2, 2)) == 16
+
+    def test_graphs_match_per_edge_construction(self):
+        for mask, g in enumerate(all_labelled_graphs(4)):
+            TestGenerators.assert_same_graph(g, graph_from_edge_mask(4, mask))
+
+    def test_bipartite_graphs_match_per_edge_construction(self):
+        pairs = [(i, j) for i in range(2) for j in range(2, 5)]
+        names = ["l0", "l1", "r0", "r1", "r2"]
+        for mask, (g, sides) in enumerate(all_labelled_bipartite(2, 3)):
+            expected = build_graph(
+                names, [pair for bit, pair in enumerate(pairs) if mask >> bit & 1])
+            TestGenerators.assert_same_graph(g, expected)
+            assert sides == (frozenset({0, 1}), frozenset({2, 3, 4}))
 
     def test_too_large_rejected(self):
         with pytest.raises(CorpusTooLargeError):
