@@ -10,6 +10,7 @@ reductions move for move on small corpora.
 """
 
 from .errors import (
+    BallBudgetError,
     CorpusTooLargeError,
     DistanceGameError,
     DuplicateVertexError,

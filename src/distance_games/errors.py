@@ -49,6 +49,10 @@ class ParameterViolationError(DistanceGameError):
     """Reduction parameters fall outside the range the construction supports."""
 
 
+class BallBudgetError(DistanceGameError):
+    """A ball would take a graph's ball memo past its memory budget."""
+
+
 class SearchTooDeepError(DistanceGameError):
     """A game tree is too deep for the recursive search or verifier walk."""
 

@@ -45,6 +45,10 @@ from .rules import Colour, Position
 # number could ask for a board of any size; reductions build through these
 # constructors and inherit the cap.
 MAX_GADGET_SIZE = 64
+# Largest reduction target, in vertices. A reduction adds a gadget path per
+# source edge (or side vertex), so a dense source asks for millions of
+# vertices with small sizes; the count is checked before any is added.
+MAX_TARGET_VERTICES = 250_000
 
 
 def check_gadget_size(what: str, value: int, least: int) -> None:
@@ -52,6 +56,15 @@ def check_gadget_size(what: str, value: int, least: int) -> None:
     if not least <= value <= MAX_GADGET_SIZE:
         raise InvalidParameterError(
             f"{what} must be between {least} and {MAX_GADGET_SIZE}, got {value}"
+        )
+
+
+def check_target_size(planned: int) -> None:
+    """Raise InvalidParameterError if a target would pass MAX_TARGET_VERTICES."""
+    if planned > MAX_TARGET_VERTICES:
+        raise InvalidParameterError(
+            f"the target would have {planned} vertices, above the bound of "
+            f"{MAX_TARGET_VERTICES}"
         )
 
 
@@ -204,20 +217,23 @@ def splice_edges(g: Graph, targets, t: int, r: int) -> tuple[Graph, list[GadgetI
     """Replace each (i, j) target edge with a fresh path of t size-r blockers.
 
     Both sizes are checked before any vertex is added, even when there are
-    no targets (t = 0 is allowed only then). Original vertices come first in
-    the new graph, in their old order, so old indices stay valid. Returns
-    the unfrozen graph and the path gadgets in `targets` order; the caller
-    freezes when construction is complete.
+    no targets (t = 0 is allowed only then), and so is the size of the new
+    graph when there are. Original vertices come first in the new graph, in
+    their old order, so old indices stay valid. Returns the unfrozen graph
+    and the path gadgets in `targets` order; the caller freezes when
+    construction is complete.
     """
     check_gadget_size("path length t", t, 0)
     check_gadget_size("gadget size r", r, 1)
+    if targets:
+        shape = path_shape(t, r)
+        check_target_size(g.vertex_count + len(targets) * len(shape.vertices))
     names = g.names
     new = Graph()
     target_set = set(targets)
     new.add_block(names, [edge for edge in g.edges() if edge not in target_set])
     if not targets:
         return new, []
-    shape = path_shape(t, r)
     paths = []
     for gid, (i, j) in enumerate(targets):
         fp = shape.renamed(f"g{gid}", origin=f"edge {names[i]}--{names[j]}")

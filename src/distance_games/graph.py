@@ -8,13 +8,19 @@ lists in order. `add_block` appends a batch of named vertices together with
 the edges among them (gadget copies, the vertices of a spliced source) in
 one validated step. A ball is a tuple of vertex bitmasks for the distances
 1 to the radius (the centre is not stored: no rule forbids distance 0), so
-a legality check is one AND of a stone mask with each forbidden layer. It
-is built from per-vertex neighbour bitmasks: layer 1 is the centre's mask,
-and each further layer is the OR of the masks of the vertices in the layer
-before, minus every vertex already reached. The neighbour masks are built
-with the first ball and the balls are memoized in one row per radius,
-indexed by vertex; a mutation drops both. A graph can be frozen, after
-which mutation raises and the memoized balls are safe to share between
+a legality check is one AND of a stone mask with each forbidden layer.
+
+Balls are built from per-vertex neighbour bitmasks and memoized in one row
+per radius, indexed by vertex. The first ball asked for at a radius fills
+the whole row in one sweep: layer 1 of every vertex is its neighbour mask,
+and layer k of v the OR of its neighbours' layers k - 1, minus every vertex
+v has reached. When the row could hold more than `MAX_BALL_ROW_BYTES`, each
+ball is found on its own instead, by a breadth-first expansion of the
+layers. The neighbour masks and each memoized layer are charged the most
+one can hold, a bit per vertex, against the graph's `MAX_BALL_MEMO_BYTES`;
+a ball that does not fit raises `BallBudgetError`. A mutation drops the
+masks, the rows and the charge. A graph can be frozen, after which
+mutation raises and the memoized balls are safe to share between
 concurrent solver runs.
 """
 
@@ -27,6 +33,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import (
+    BallBudgetError,
     CorpusTooLargeError,
     DuplicateVertexError,
     FrozenGraphError,
@@ -42,6 +49,13 @@ MAX_ENUMERATION_VERTICES = 6
 # instance is verified.
 MAX_GENERATED_VERTICES = 2048
 MAX_RANDOM_CORPUS_GRAPHS = 10_000
+# A layer or neighbour mask of an n-vertex graph holds at most ceil(n / 8)
+# bytes. A ball row is swept whole only when n * min(radius, n - 1) such
+# layers fit the row allowance, and the masks, balls and rows one graph
+# memoizes may hold at most the memo budget; past it `Graph.ball` raises
+# BallBudgetError.
+MAX_BALL_ROW_BYTES = 1 << 24
+MAX_BALL_MEMO_BYTES = 1 << 29
 
 Bipartition = tuple[frozenset[int], frozenset[int]]
 
@@ -53,7 +67,8 @@ class Graph:
     the list of i and i in the list of j, and `edge_count` is a counter.
     """
 
-    __slots__ = ("_names", "_index", "_adj", "_edge_count", "_frozen", "_balls", "_nbr")
+    __slots__ = ("_names", "_index", "_adj", "_edge_count", "_frozen", "_balls", "_nbr",
+                 "_ball_bytes")
 
     def __init__(self):
         self._names: list[str] = []
@@ -63,9 +78,10 @@ class Graph:
         self._frozen = False
         # radius -> row of balls indexed by vertex (None until computed).
         self._balls: dict[int, list[tuple[int, ...] | None]] = {}
-        # Per-vertex neighbour bitmasks, built with the first ball and
-        # dropped with the balls.
+        # Per-vertex neighbour bitmasks, built with the first ball, and the
+        # bytes charged for the memoized balls; both dropped with the balls.
         self._nbr: list[int] | None = None
+        self._ball_bytes = 0
 
     # -- construction ------------------------------------------------------
 
@@ -84,6 +100,7 @@ class Graph:
         if self._balls:
             self._balls.clear()
             self._nbr = None
+            self._ball_bytes = 0
         return idx
 
     def add_edge(self, u: int | str, v: int | str) -> None:
@@ -103,6 +120,7 @@ class Graph:
         if self._balls:
             self._balls.clear()
             self._nbr = None
+            self._ball_bytes = 0
 
     def add_block(self, names, pairs=()) -> int:
         """Append the vertices `names`, in order, and the edges `pairs`
@@ -126,28 +144,43 @@ class Graph:
         if len(set(names)) != n:
             twice = next(v for k, v in enumerate(names) if v in names[:k])
             raise DuplicateVertexError(f"vertex {twice!r} given twice in one block")
-        local = sorted({(a, b) if a < b else (b, a) for a, b in pairs})
-        for a, b in local:
-            if a < 0 or b >= n:
-                raise UnknownVertexError(f"block position {a if a < 0 else b} out of range")
-            if a == b:
-                raise SelfLoopError(f"self-loop at {names[a]!r}")
         first = len(self._names)
         # One int object per new vertex, shared by the index and every list.
         ids = list(range(first, first + n))
-        # Ascending pairs give each vertex its smaller neighbours, then its
-        # larger ones, each run ascending: the lists come out sorted.
+        # Each pair is checked and put in the new lists as it comes; a bad
+        # pair is kept aside, and the least one is reported, as a check in
+        # ascending pair order would. Nothing is added before the checks end.
         adj = [[] for _ in names]
-        for a, b in local:
-            adj[a].append(ids[b])
-            adj[b].append(ids[a])
+        bad = []
+        for a, b in pairs:
+            if a > b:
+                a, b = b, a
+            if 0 <= a < b < n:
+                adj[a].append(ids[b])
+                adj[b].append(ids[a])
+            else:
+                bad.append((a, b))
+        if bad:
+            a, b = min(bad)
+            if a < 0 or b >= n:
+                raise UnknownVertexError(f"block position {a if a < 0 else b} out of range")
+            raise SelfLoopError(f"self-loop at {names[a]!r}")
+        # A pair given twice shows as a repeated entry in a sorted list.
+        edges = 0
+        for neighbours in adj:
+            if len(neighbours) > 1:
+                neighbours.sort()
+                if len(set(neighbours)) < len(neighbours):
+                    neighbours[:] = sorted(set(neighbours))
+            edges += len(neighbours)
         index.update(zip(names, ids))
         self._names.extend(names)
         self._adj.extend(adj)
-        self._edge_count += len(local)
+        self._edge_count += edges >> 1
         if self._balls:
             self._balls.clear()
             self._nbr = None
+            self._ball_bytes = 0
         return first
 
     def freeze(self) -> "Graph":
@@ -241,37 +274,46 @@ class Graph:
 
         `layers[k - 1]` holds the vertices at exact distance k; the centre
         is not stored, trailing empty layers are dropped, and radius 0
-        gives `()`. Layer 1 is u's neighbour mask and layer k the OR of the
-        neighbour masks of layer k - 1's vertices, minus every vertex
-        already reached; only a layer that is expanded further is split
-        into vertex indices (layer 1's are u's adjacency list). Memoized in
-        one row per radius, indexed by vertex, until the next mutation; the
-        tuple can be shared because it cannot change.
+        gives `()`. A memoized ball asked for by index comes straight back;
+        a miss validates u and the radius, then fills the whole row for the
+        radius in one sweep when it fits `MAX_BALL_ROW_BYTES` (see
+        `_new_row`). Otherwise u's ball alone is expanded breadth first:
+        layer 1 is u's neighbour mask and layer k the OR of the neighbour
+        masks of layer k - 1's vertices, minus every vertex already
+        reached; only a layer that is expanded further is split into
+        vertex indices. The neighbour masks and each ball or row are
+        charged against `MAX_BALL_MEMO_BYTES`, and a ball that does not fit
+        raises BallBudgetError with nothing memoized. Balls last until the next
+        mutation; the tuple can be shared because it cannot change.
         """
+        row = self._balls.get(radius)
+        if row is not None and isinstance(u, int) and 0 <= u < len(row):
+            out = row[u]
+            if out is not None:
+                return out
         if radius < 0:
             raise InvalidParameterError("radius must be >= 0")
         src = self.index_of(u)
-        row = self._balls.get(radius)
         if row is None:
-            row = self._balls[radius] = [None] * len(self._names)
-        else:
-            cached = row[src]
-            if cached is not None:
-                return cached
+            row = self._balls[radius] = self._new_row(radius)
+        out = row[src]
+        if out is not None:
+            return out
         nbr = self._nbr
-        if nbr is None:
-            nbr = self._nbr = []
-            for adj in self._adj:
-                mask = 0
-                for w in adj:
-                    mask |= 1 << w
-                nbr.append(mask)
+        width = len(nbr) + 7 >> 3
+        room = (MAX_BALL_MEMO_BYTES - self._ball_bytes) // width
         layers = []
         layer = nbr[src] if radius else 0
         reached = layer | 1 << src
         frontier = self._adj[src]  # the vertices of layer 1
         while layer:
             layers.append(layer)
+            if len(layers) > room:
+                raise BallBudgetError(
+                    f"the radius-{radius} ball of {self._names[src]!r} does not fit the "
+                    f"{MAX_BALL_MEMO_BYTES}-byte ball memo of this "
+                    f"{len(nbr)}-vertex graph ({self._ball_bytes} bytes held)"
+                )
             if len(layers) == radius:
                 break
             if len(layers) > 1:
@@ -285,8 +327,72 @@ class Graph:
                 layer |= nbr[w]
             layer &= ~reached
             reached |= layer
+        self._ball_bytes += len(layers) * width
         out = row[src] = tuple(layers)
         return out
+
+    def _new_row(self, radius: int) -> list[tuple[int, ...] | None]:
+        """A new row for `radius`: every vertex's ball, or all None when the
+        row could take more than the row allowance or the memo budget left.
+        Builds the neighbour masks first if need be, charged like a layer
+        per vertex.
+
+        Layer 1 of v is `nbr[v]`, and layer k the OR of layer k - 1 over v's
+        neighbours, minus what v has reached: a vertex at distance k from v
+        is at distance k - 1 from a neighbour of v, and a vertex at distance
+        k - 1 from a neighbour is k - 2 to k from v, so only v's own layers
+        k - 1 and k - 2 (v itself for k = 2) need subtracting. The sweep
+        keeps one list per level; a vertex leaves it once one of its layers
+        is empty, as then are all the later ones, so a radius past the
+        diameter costs nothing more.
+        """
+        n = len(self._adj)
+        width = n + 7 >> 3
+        nbr = self._nbr
+        if nbr is None:
+            if n * width > MAX_BALL_MEMO_BYTES:
+                raise BallBudgetError(
+                    f"the neighbour masks of this {n}-vertex graph do not fit its "
+                    f"{MAX_BALL_MEMO_BYTES}-byte ball memo"
+                )
+            nbr = []
+            for adj in self._adj:
+                mask = 0
+                for w in adj:
+                    mask |= 1 << w
+                nbr.append(mask)
+            self._nbr = nbr
+            self._ball_bytes = n * width
+        worst = n * min(radius, n - 1) * width
+        if worst > MAX_BALL_ROW_BYTES or worst > MAX_BALL_MEMO_BYTES - self._ball_bytes:
+            return [None] * n
+        if not radius:
+            return [()] * n
+        levels = [nbr]
+        if radius > 1:
+            adj = self._adj
+            active = [v for v in range(n) if nbr[v]]
+            prev = [1 << v for v in range(n)]
+            last = nbr
+            for _ in range(radius - 1):
+                layer_of = [0] * n
+                still = []
+                for v in active:
+                    layer = 0
+                    for w in adj[v]:
+                        layer |= last[w]
+                    layer &= ~(last[v] | prev[v])
+                    if layer:
+                        layer_of[v] = layer
+                        still.append(v)
+                if not still:
+                    break
+                levels.append(layer_of)
+                prev, last, active = last, layer_of, still
+        # Per vertex, its layers up to the first empty one.
+        row = [t[:t.index(0)] if 0 in t else t for t in zip(*levels)]
+        self._ball_bytes += sum(map(len, row)) * width
+        return row
 
     def __repr__(self):
         return f"Graph(|V|={self.vertex_count}, |E|={self.edge_count})"

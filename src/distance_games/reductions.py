@@ -20,6 +20,7 @@ from typing import Callable, Iterable
 from .errors import InvalidParameterError, NotBipartiteError, ParameterViolationError
 from .gadgets import (
     GadgetInstance,
+    check_target_size,
     embed_gadget,
     path_shape,
     splice_edges,
@@ -264,6 +265,8 @@ def reduce_bgnk_window(g: Graph, left, right, d: Iterable[int], k: int,
 
     new, gadgets = splice_edges(g, list(g.edges()), n - 1, k)
     shape = path_shape(k - 1, k)
+    check_target_size(new.vertex_count + (len(left) + len(right)) * len(shape.vertices)
+                      + bool(left) + bool(right))
     names = g.names
     gid = len(gadgets)
     for side, colour, label in ((left, Colour.RED, "left"), (right, Colour.BLUE, "right")):

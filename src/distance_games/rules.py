@@ -12,8 +12,9 @@ of radius max(d | s) around the candidate vertex as one bitmask per
 distance and tests the stone masks against the forbidden layers.
 `LegalityIndex` precomputes per-vertex forbidden-witness bitmasks for the
 solver and verifier, reusing a ball's own layer where one distance is
-forbidden and one mask list for both colours when d = s; it must stay
-observationally equivalent to `is_legal` and is tested against it.
+forbidden, summing the leading layers for an interval {1..k}, and sharing
+one mask list for both colours when d = s; it must stay observationally
+equivalent to `is_legal` and is tested against it.
 """
 
 from __future__ import annotations
@@ -272,6 +273,10 @@ def _witness_masks(balls, dists: frozenset[int], n: int) -> list[int]:
     if len(dists) == 1:
         (k,) = dists
         return [layers[k - 1] if len(layers) >= k else 0 for layers in balls]
+    k = max(dists)
+    if k == len(dists):
+        # The interval {1..k}: the layers are disjoint, so their sum is their OR.
+        return [sum(layers[:k]) for layers in balls]
     out = []
     for layers in balls:
         mask = 0
@@ -288,16 +293,22 @@ class LegalityIndex:
     For each vertex i, `d_mask[i]` collects the vertices at a distance in
     `d` from i and `s_mask[i]` those at a distance in `s`: each is the OR
     of the ball layers of i at those distances. A set with one distance
-    takes the ball's own layer object, and when d = s both names hold one
-    list, so neither case makes a new mask; callers must not change the
-    lists in place. Distance is symmetric, so these are also the vertices
-    a stone on i forbids: a blue stone on i blocks `s_mask[i]` for Left
-    and `d_mask[i]` for Right, a red stone the mirror image.
-    `blocked(pos)` ORs those masks over the stones, and the legal moves
-    are then one expression, `allowed & ~occupied & ~blocked`. Callers
-    that place stones one at a time (the verifier walk) keep the two
-    blocked masks up to date with the same rule instead of recomputing
-    them. Freezes the graph on construction; safe to share once built.
+    takes the ball's own layer object, an interval {1..k} is the sum of
+    the first k layers (disjoint, so the sum is their OR), and when d = s
+    both names hold one list; callers must not change the lists in place.
+    The balls come from one `Graph.ball` call per vertex: the first fills
+    the whole row for the radius when the row fits the graph's row
+    allowance, and then the rest are memo hits. Balls that do not fit the
+    graph's memo budget raise BallBudgetError here.
+
+    Distance is symmetric, so these are also the vertices a stone on i
+    forbids: a blue stone on i blocks `s_mask[i]` for Left and `d_mask[i]`
+    for Right, a red stone the mirror image. `blocked(pos)` ORs those
+    masks over the stones, and the legal moves are then one expression,
+    `allowed & ~occupied & ~blocked`. Callers that place stones one at a
+    time (the verifier walk) keep the two blocked masks up to date with
+    the same rule instead of recomputing them. Freezes the graph on
+    construction; safe to share once built.
     """
 
     __slots__ = ("graph", "ruleset", "d_mask", "s_mask", "_left", "_right")

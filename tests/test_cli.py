@@ -13,8 +13,9 @@ from distance_games import (
     parse_graph,
     serialize,
 )
+from distance_games import gadgets, graph
 from distance_games.cli import main
-from distance_games.gadgets import MAX_GADGET_SIZE
+from distance_games.gadgets import MAX_GADGET_SIZE, MAX_TARGET_VERTICES
 from distance_games.graph import MAX_GENERATED_VERTICES, MAX_RANDOM_CORPUS_GRAPHS
 from distance_games.rules import distance_game
 
@@ -362,6 +363,81 @@ class TestGeneratedSizeBounds:
         assert_input_error(capsys, "verify", "--reduction", reduction,
                            "--corpus", f"random:1:{size}:0.5:1", "--params", *params,
                            mentions=f"= {size} exceeds the bound of {MAX_GENERATED_VERTICES}")
+
+
+def interval(k: int) -> str:
+    return ",".join(map(str, range(1, k + 1)))
+
+
+class TestTargetSizeBound:
+    """A reduction whose target would pass MAX_TARGET_VERTICES is refused
+    from its planned size, before any target vertex is added."""
+
+    def board(self, capsys, tmp_path, *gen_argv):
+        path = tmp_path / "source.graph"
+        code, _, _ = run(capsys, "gen", *gen_argv, "--out", str(path))
+        assert code == 0
+        return str(path)
+
+    def test_spliced_edges_past_the_bound(self, capsys, tmp_path):
+        # 41 edges, each spliced with 63 size-64 blockers of 98 vertices.
+        board = self.board(capsys, tmp_path, "--kind", "path", "--n", "42")
+        planned = 42 + 41 * 63 * 98
+        assert planned > MAX_TARGET_VERTICES
+        assert_input_error(capsys, "reduce", "--in", board, "--to", f"D={interval(64)} S=",
+                           "--out", str(tmp_path / "t.graph"),
+                           mentions=f"{planned} vertices, above the bound of "
+                                    f"{MAX_TARGET_VERTICES}")
+        assert not (tmp_path / "t.graph").exists()
+
+    def test_anchor_paths_past_the_bound(self, capsys, tmp_path):
+        # No edge to splice; 50 side vertices, each anchored through 62
+        # size-63 blockers of 96 vertices, and the two shared stones.
+        board = self.board(capsys, tmp_path, "--kind", "bipartite", "--p", "25", "--q", "25",
+                           "--prob", "0", "--seed", "1", "--bigraph")
+        planned = 50 + 50 * 62 * 96 + 2
+        assert planned > MAX_TARGET_VERTICES
+        assert_input_error(capsys, "reduce", "--in", board, "--to", f"D=32 S={interval(63)}",
+                           "--out", str(tmp_path / "t.graph"),
+                           mentions=f"{planned} vertices, above the bound of "
+                                    f"{MAX_TARGET_VERTICES}")
+
+    @pytest.mark.parametrize("gen_argv, to, size", [
+        # 3 source vertices and 2 edges, each spliced with one 5-vertex blocker.
+        (["--kind", "path", "--n", "3"], "D=1,2 S=", 13),
+        # 2 side vertices, one edge spliced with a 6-vertex blocker, two anchor
+        # paths of two 6-vertex blockers and two shared stones.
+        (["--kind", "kpq", "--p", "1", "--q", "1", "--bigraph"], "D=1,2 S=1,2,3", 34),
+    ], ids=["snort-family", "bgnk-window"])
+    def test_planned_size_is_exact(self, capsys, tmp_path, monkeypatch, gen_argv, to, size):
+        board = self.board(capsys, tmp_path, *gen_argv)
+        out = str(tmp_path / "t.graph")
+        monkeypatch.setattr(gadgets, "MAX_TARGET_VERTICES", size)
+        code, stdout, _ = run(capsys, "reduce", "--in", board, "--to", to, "--out", out)
+        assert code == 0 and f"target-vertices={size} " in stdout
+        monkeypatch.setattr(gadgets, "MAX_TARGET_VERTICES", size - 1)
+        assert_input_error(capsys, "reduce", "--in", board, "--to", to, "--out", out,
+                           mentions=f"the target would have {size} vertices")
+
+
+class TestBallBudget:
+    """A ball that does not fit its graph's ball memo budget is an input
+    error: exit 2 and one `error:` line."""
+
+    def test_solve_past_the_budget(self, capsys, tmp_path, monkeypatch):
+        board = tmp_path / "p.graph"
+        run(capsys, "gen", "--kind", "path", "--n", "40", "--ruleset", "D=1,2,3 S=",
+            "--out", str(board))
+        # The neighbour masks fit (40 vertices at 5 bytes), a whole row does not.
+        monkeypatch.setattr(graph, "MAX_BALL_MEMO_BYTES", 40 * 5 + 100)
+        assert_input_error(capsys, "solve", "--in", str(board),
+                           mentions="ball memo of this 40-vertex graph")
+
+    def test_verify_past_the_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_BALL_MEMO_BYTES", 10)
+        assert_input_error(capsys, "verify", "--reduction", "snort-family",
+                           "--corpus", "exhaustive:2", "--params", "n=3",
+                           mentions="ball memo")
 
 
 class TestDot:

@@ -1,10 +1,14 @@
 import itertools
 import random
+import time
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from distance_games import (
+    BallBudgetError,
     CorpusTooLargeError,
     DuplicateVertexError,
     FrozenGraphError,
@@ -23,9 +27,12 @@ from distance_games import (
     gen_path,
     gen_random_bipartite,
     is_legal,
+    LegalityIndex,
+    n_snort,
     node_kayles,
     serialize,
 )
+from distance_games import graph as graph_module
 from distance_games.gadgets import embed_gadget, path_shape
 from distance_games.graph import MAX_GENERATED_VERTICES
 
@@ -111,6 +118,33 @@ class TestAddBlock:
             g.add_block(names, pairs)
         assert (g.names, list(g.edges())) == (("x", "y"), [(0, 1)])
         assert not g.has_vertex("a")
+
+    @pytest.mark.parametrize("pairs, error, message", [
+        # The least bad pair, in ascending order of its sorted positions, is
+        # the one reported, whatever the order the pairs come in.
+        ([(2, 2), (-1, 0)], UnknownVertexError, "block position -1 out of range"),
+        ([(5, 1), (1, 1)], SelfLoopError, "self-loop at 'b'"),
+        ([(0, 1), (3, 2), (1, 1)], SelfLoopError, "self-loop at 'b'"),
+        ([(0, 1), (3, 0), (2, 0), (1, 1)], UnknownVertexError, "block position 3 out of range"),
+        ([(0, 1), (4, 2), (3, 2)], UnknownVertexError, "block position 3 out of range"),
+    ])
+    def test_least_bad_pair_is_reported(self, pairs, error, message):
+        g = build_graph("xy", [("x", "y")])
+        with pytest.raises(error, match=message):
+            g.add_block(["a", "b", "c"], iter(pairs))
+        assert (g.names, list(g.edges())) == (("x", "y"), [(0, 1)])
+
+    def test_dense_block_holds_no_copy_of_its_pairs(self):
+        """A dense block is built without a second copy of its edges: the
+        traced peak stays within twice what the finished graph holds."""
+        tracemalloc.start()
+        try:
+            g = gen_gnp(800, 1.0, 1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == 800 * 799 // 2
+        assert peak <= 2 * held
 
     def test_frozen_graph_rejects_a_block(self):
         g = build_graph("x", []).freeze()
@@ -417,6 +451,133 @@ class TestBallBetweenMutations:
         for u in range(g.vertex_count):
             for radius in range(6):
                 assert ball_distances(g.ball(u, radius)) == self.bfs_ball(g, u, radius)
+
+
+def memo_charge(g):
+    """The bytes `g` should have charged for its neighbour masks and its
+    memoized balls: ceil(n / 8) per mask and per layer."""
+    if g._nbr is None:
+        return 0
+    n = g.vertex_count
+    layers = sum(len(b) for row in g._balls.values() for b in row if b is not None)
+    return (n + layers) * (n + 7 >> 3)
+
+
+class TestBallRows:
+    """A miss fills the whole row for its radius in one sweep, unless the
+    row could pass the row allowance; then each ball is found on its own.
+    Both ways give the same balls, and both are charged to the memo."""
+
+    @settings(max_examples=150)
+    @given(st.lists(_BALL_STEP, max_size=40), st.booleans())
+    def test_swept_and_single_balls_match_bfs(self, steps, swept):
+        # An allowance of -1 fits no row, not even the empty radius-0 one.
+        allowance = graph_module.MAX_BALL_ROW_BYTES if swept else -1
+        with mock.patch.object(graph_module, "MAX_BALL_ROW_BYTES", allowance):
+            g = Graph()
+            asked = {}  # radius -> vertices asked for since the last mutation
+            for kind, *args in steps:
+                n = g.vertex_count
+                mutated = True
+                if kind == "vertex" and n < 12:
+                    g.add_vertex(f"v{n}")
+                elif kind == "edge" and n > 1 and args[0] % n != args[1] % n:
+                    # Adding an edge that is there already changes nothing.
+                    mutated = not g.has_edge(args[0] % n, args[1] % n)
+                    g.add_edge(args[0] % n, args[1] % n)
+                elif kind == "block" and n + args[0] <= 12:
+                    size, pairs = args
+                    g.add_block([f"v{k}" for k in range(n, n + size)],
+                                [(a % size, b % size) for a, b in pairs if a % size != b % size])
+                else:
+                    mutated = False
+                if mutated:
+                    # A mutation drops every row and its charge.
+                    assert g._balls == {} and g._nbr is None and g._ball_bytes == 0
+                    asked.clear()
+                if kind == "ball" and n:
+                    u, radius = args[0] % n, args[1]
+                    assert ball_distances(g.ball(u, radius)) == TestBallBetweenMutations.bfs_ball(
+                        g, u, radius)
+                    asked.setdefault(radius, set()).add(u)
+                    filled = {v for v, b in enumerate(g._balls[radius]) if b is not None}
+                    assert filled == (set(range(n)) if swept else asked[radius])
+                    assert g._ball_bytes == memo_charge(g)
+            for radius in range(6):
+                for u in range(g.vertex_count):
+                    assert ball_distances(g.ball(u, radius)) == TestBallBetweenMutations.bfs_ball(
+                        g, u, radius)
+                    assert g._ball_bytes == memo_charge(g)
+                if g.vertex_count:
+                    assert all(b is not None for b in g._balls[radius])
+
+    @staticmethod
+    def path_ball(u, radius, n):
+        """Ball of vertex u of `gen_path(n)`, when every layer is non-empty."""
+        return tuple(sum(1 << w for w in (u - k, u + k) if 0 <= w < n)
+                     for k in range(1, radius + 1))
+
+    def test_single_ball_fills_only_its_entry(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "MAX_BALL_ROW_BYTES", -1)
+        g = gen_path(6)
+        assert g.ball(2, 2) == self.path_ball(2, 2, 6)
+        assert [b is not None for b in g._balls[2]] == [False, False, True, False, False, False]
+
+    def test_first_ball_fills_the_row(self):
+        g = gen_path(6)
+        g.ball(2, 2)
+        assert g._balls[2] == [self.path_ball(u, 2, 6) for u in range(6)]
+
+    def test_misses_still_validate_after_the_row_is_filled(self):
+        g = gen_path(6)
+        g.ball(0, 2)
+        for bad in (-1, 6, "missing"):
+            with pytest.raises(UnknownVertexError):
+                g.ball(bad, 2)
+        with pytest.raises(InvalidParameterError):
+            g.ball(0, -1)
+        assert g.ball("v3", 2) is g.ball(3, 2)
+        assert g.ball(3, 2) == self.path_ball(3, 2, 6)
+
+    @pytest.mark.parametrize("radius", [10**6, 10**8])
+    def test_radius_past_the_diameter_stops_the_sweep(self, radius):
+        # The sweep ends when no vertex has a layer left; one that went on
+        # level by level to the radius takes about half a minute at 10**8.
+        g = gen_path(30)
+        start = time.perf_counter()
+        balls = [g.ball(u, radius) for u in range(30)]
+        assert time.perf_counter() - start < 1.0
+        for u, layers in enumerate(balls):
+            assert ball_distances(layers) == {w: abs(u - w) for w in range(30) if w != u}
+
+    @pytest.mark.parametrize("budget", [
+        40 * 5 - 1,  # not even the neighbour masks fit
+        40 * 5 + 100,  # the masks and a few balls fit, but not the row
+    ])
+    def test_index_past_the_budget_raises_and_leaves_the_graph_usable(
+            self, monkeypatch, budget):
+        g = gen_path(40)
+        rs = n_snort(3)
+        monkeypatch.setattr(graph_module, "MAX_BALL_MEMO_BYTES", budget)
+        with pytest.raises(BallBudgetError, match="ball memo"):
+            LegalityIndex(g, rs)
+        assert g._ball_bytes == memo_charge(g) <= budget
+        monkeypatch.undo()
+        expected = LegalityIndex(gen_path(40), rs)
+        index = LegalityIndex(g, rs)
+        assert (index.d_mask, index.s_mask) == (expected.d_mask, expected.s_mask)
+        assert g._ball_bytes == memo_charge(g)
+
+    def test_row_that_overruns_the_budget_falls_back_to_single_balls(self, monkeypatch):
+        # Masks (40 * 5 bytes) and the radius-1 row (40 * 5) fit; the radius-2
+        # row's worst case (400) does not fit what is left, so single balls.
+        monkeypatch.setattr(graph_module, "MAX_BALL_MEMO_BYTES", 40 * 5 * 2 + 399)
+        g = gen_path(40)
+        g.ball(0, 1)
+        assert all(b is not None for b in g._balls[1])
+        assert g.ball(5, 2) == self.path_ball(5, 2, 40)
+        assert sum(b is not None for b in g._balls[2]) == 1
+        assert g._ball_bytes == memo_charge(g)
 
 
 class TestGenerators:

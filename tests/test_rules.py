@@ -25,6 +25,7 @@ from distance_games import (
     position_is_legal,
     snort,
 )
+from distance_games.rules import _witness_masks
 
 from helpers import (
     bfs_distance,
@@ -399,3 +400,31 @@ class TestIndexSharing:
         index = check_with_contrasts((), ())
         assert index.d_mask == [0] * 14 and index.s_mask is index.d_mask
         assert index.legal_moves(Position(blue=0b11), L) == list(range(2, 14))
+
+
+class TestWitnessMasks:
+    """`_witness_masks` sums the layers of an interval {1..k}, which is
+    their OR only because the layers are disjoint; every other set must
+    take the OR."""
+
+    @staticmethod
+    def or_oracle(balls, dists):
+        out = []
+        for layers in balls:
+            mask = 0
+            for k, layer in enumerate(layers, 1):
+                if k in dists:
+                    mask |= layer
+            out.append(mask)
+        return out
+
+    @pytest.mark.parametrize("dists", [
+        {1}, {1, 2}, {1, 2, 3}, {1, 2, 3, 4, 5, 6, 7}, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
+        {2}, {5}, {11}, {1, 3}, {2, 3}, {2, 3, 4}, {1, 2, 4}, set(),
+    ], ids=str)
+    def test_matches_an_or_loop(self, dists):
+        g = sharing_graph()
+        n = g.vertex_count
+        for radius in range(max(dists, default=0), 13):
+            balls = [g.ball(i, radius) for i in range(n)]
+            assert _witness_masks(balls, frozenset(dists), n) == self.or_oracle(balls, dists)
