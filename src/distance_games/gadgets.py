@@ -29,12 +29,19 @@ shortest path is 2q = r+1 for odd r and, through the shortcut,
 Chaining t of these gadgets port-to-port gives an unplayable path whose
 end ports are t-1 apart; splicing it in place of an edge puts the old
 endpoints at distance t+1.
+
+A `GadgetInstance` names its vertices once; its edges, fixed stones and
+ports are positions in that tuple, the form `Graph.add_block` takes. So
+the builders make one shape with an empty prefix, and each copy renames
+only the vertices and shares the shape's other tuples. A stone or port
+that is not a position of the gadget's vertices is refused on
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import InvalidParameterError, UnknownEdgeError
 from .graph import Graph
@@ -70,56 +77,63 @@ def check_target_size(planned: int) -> None:
 
 @dataclass(frozen=True)
 class GadgetInstance:
-    """One embedded gadget: fresh namespaced vertices, edges, stones, ports."""
+    """One embedded gadget: fresh namespaced vertices, and its edges, fixed
+    stones and ports as positions in `vertices`.
+
+    An edge is a pair of positions, as `Graph.add_block` takes it; a stone
+    is `(position, Colour)` and a port `(role, position)`. So a gadget
+    embedded as one block has its position p at the host index of its first
+    vertex plus p. Construction refuses a stone or port that is not a
+    position of `vertices`.
+    """
 
     vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    precoloured: tuple[tuple[str, Colour], ...]
-    ports: tuple[tuple[str, str], ...]
+    edges: tuple[tuple[int, int], ...]
+    precoloured: tuple[tuple[int, Colour], ...]
+    ports: tuple[tuple[str, int], ...]
     radius: int | None = None
     span: int = 1
     origin: str = ""
 
-    def port(self, role: str) -> str:
-        for r, name in self.ports:
+    def __post_init__(self):
+        n = len(self.vertices)
+        places = [("stone", p) for p, _ in self.precoloured]
+        places += [("port", p) for _, p in self.ports]
+        for what, p in places:
+            if type(p) is not int or not 0 <= p < n:
+                raise InvalidParameterError(
+                    f"gadget {what} {p!r} is not a position of its {n} vertices"
+                )
+
+    def port(self, role: str) -> int:
+        for r, p in self.ports:
             if r == role:
-                return name
+                return p
         raise KeyError(f"gadget has no port {role!r}")
 
     def renamed(self, prefix: str, origin: str = "") -> "GadgetInstance":
         """Copy of this gadget with `prefix` put in front of every vertex name.
 
         Builders make one shape with an empty prefix and rename it for each
-        copy, which costs less than building every copy from scratch.
+        copy, which costs less than building every copy from scratch. The
+        copy shares the shape's edge, stone and port tuples: they hold
+        positions, which renaming does not move.
         """
-        name = {v: prefix + v for v in self.vertices}
-        # Tuples from lists: tuple() of a generator grows and then shrinks
-        # its result, and over a batch of small reductions that held about
-        # 0.4 MB more until the next full garbage collection.
-        copy = GadgetInstance(
-            vertices=tuple(name.values()),
-            edges=tuple([(name[a], name[b]) for a, b in self.edges]),
-            precoloured=tuple([(name[v], colour) for v, colour in self.precoloured]),
-            ports=tuple([(role, name[v]) for role, v in self.ports]),
+        return GadgetInstance(
+            vertices=tuple([prefix + v for v in self.vertices]),
+            edges=self.edges,
+            precoloured=self.precoloured,
+            ports=self.ports,
             radius=self.radius,
             span=self.span,
             origin=origin,
         )
-        # The copy lists vertices and edges in this gadget's order, so its
-        # edges sit at the same positions: share them, do not recompute.
-        copy.__dict__["local_edges"] = self.local_edges
-        return copy
-
-    @cached_property
-    def local_edges(self) -> tuple[tuple[int, int], ...]:
-        """The edges as pairs of positions in `vertices`, for `Graph.add_block`."""
-        position = {v: k for k, v in enumerate(self.vertices)}
-        return tuple([(position[a], position[b]) for a, b in self.edges])
 
     @property
-    def uncoloured(self) -> tuple[str, ...]:
-        fixed = {name for name, _ in self.precoloured}
-        return tuple(v for v in self.vertices if v not in fixed)
+    def uncoloured(self) -> tuple[int, ...]:
+        """The positions that hold no fixed stone, in order."""
+        fixed = {p for p, _ in self.precoloured}
+        return tuple(p for p in range(len(self.vertices)) if p not in fixed)
 
 
 def forbidden_vertex_gadget(r: int, prefix: str = "g0", origin: str = "") -> GadgetInstance:
@@ -130,28 +144,25 @@ def forbidden_vertex_gadget(r: int, prefix: str = "g0", origin: str = "") -> Gad
     else:
         q, m = r // 2 + 1, r // 2 - 1
 
-    port = f"{prefix}.v"
-    chain = [port] + [f"{prefix}.c{i}" for i in range(1, m + 1)]
-    split = chain[-1]
-    red_branch = [f"{prefix}.x{i}" for i in range(1, q)] + [f"{prefix}.R"]
-    blue_branch = [f"{prefix}.y{i}" for i in range(1, q)] + [f"{prefix}.B"]
-
-    vertices = tuple(chain + red_branch + blue_branch)
-    edges = []
-    for a, b in zip(chain, chain[1:]):
-        edges.append((a, b))
-    for branch in (red_branch, blue_branch):
-        edges.append((split, branch[0]))
-        for a, b in zip(branch, branch[1:]):
-            edges.append((a, b))
+    # Positions: the chain is 0..m (port 0, split m), the red branch
+    # m+1..m+q ending in the red stone, the blue branch m+q+1..m+2q.
+    red, blue = m + q, m + 2 * q
+    edges = [(k, k + 1) for k in range(m)]
+    for first, stone in ((m + 1, red), (red + 1, blue)):
+        edges.append((m, first))
+        edges.extend((k, k + 1) for k in range(first, stone))
     if r % 2 == 0:
-        edges.append((red_branch[0], blue_branch[0]))
+        edges.append((m + 1, red + 1))
 
     return GadgetInstance(
-        vertices=vertices,
+        vertices=tuple(
+            [f"{prefix}.v"] + [f"{prefix}.c{i}" for i in range(1, m + 1)]
+            + [f"{prefix}.x{i}" for i in range(1, q)] + [f"{prefix}.R"]
+            + [f"{prefix}.y{i}" for i in range(1, q)] + [f"{prefix}.B"]
+        ),
         edges=tuple(edges),
-        precoloured=((f"{prefix}.R", Colour.RED), (f"{prefix}.B", Colour.BLUE)),
-        ports=(("v", port),),
+        precoloured=((red, Colour.RED), (blue, Colour.BLUE)),
+        ports=(("v", 0),),
         radius=r,
         origin=origin,
     )
@@ -160,24 +171,20 @@ def forbidden_vertex_gadget(r: int, prefix: str = "g0", origin: str = "") -> Gad
 def forbidden_path(t: int, r: int, prefix: str = "g0", origin: str = "") -> GadgetInstance:
     """Chain of t size-r blocker gadgets with `left` and `right` end ports.
 
-    With an empty prefix every name starts with '.', ready for `renamed`.
+    Copy i (from 0) of the blocker takes the positions from i times its
+    size on. With an empty prefix every name starts with '.', ready for
+    `renamed`.
     """
     check_gadget_size("path length t", t, 1)
     blocker = forbidden_vertex_gadget(r, prefix="")
-    copies = [blocker.renamed(f"{prefix}.f{i}") for i in range(1, t + 1)]
-    ports = [copy.port("v") for copy in copies]
-    vertices: list[str] = []
-    edges: list[tuple[str, str]] = []
-    stones: list[tuple[str, Colour]] = []
-    for copy in copies:
-        vertices.extend(copy.vertices)
-        edges.extend(copy.edges)
-        stones.extend(copy.precoloured)
-    edges.extend(zip(ports, ports[1:]))
+    size = len(blocker.vertices)
+    offsets = range(0, t * size, size)
+    ports = [k + blocker.port("v") for k in offsets]
     return GadgetInstance(
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        precoloured=tuple(stones),
+        vertices=tuple([f"{prefix}.f{i + 1}{v}" for i in range(t) for v in blocker.vertices]),
+        edges=tuple([(k + a, k + b) for k in offsets for a, b in blocker.edges]
+                    + list(zip(ports, ports[1:]))),
+        precoloured=tuple([(k + p, colour) for k in offsets for p, colour in blocker.precoloured]),
         ports=(("left", ports[0]), ("right", ports[-1])),
         radius=r,
         span=t,
@@ -195,17 +202,18 @@ def path_shape(t: int, r: int) -> GadgetInstance:
     return forbidden_path(t, r, prefix="")
 
 
-def embed_gadget(g: Graph, gadget: GadgetInstance) -> None:
-    """Add a gadget's vertices and edges to a (mutable) host graph, as one block."""
-    g.add_block(gadget.vertices, gadget.local_edges)
+def embed_gadget(g: Graph, gadget: GadgetInstance) -> int:
+    """Add a gadget's vertices and edges to a (mutable) host graph, as one
+    block; return the host index of its position 0."""
+    return g.add_block(gadget.vertices, gadget.edges)
 
 
 def stones_position(g: Graph, gadgets) -> Position:
     """Position holding exactly the fixed stones of the given gadgets."""
     blue = red = 0
     for gadget in gadgets:
-        for name, colour in gadget.precoloured:
-            bit = 1 << g.index_of(name)
+        for p, colour in gadget.precoloured:
+            bit = 1 << g.index_of(gadget.vertices[p])
             if colour is Colour.BLUE:
                 blue |= bit
             else:
@@ -237,9 +245,9 @@ def splice_edges(g: Graph, targets, t: int, r: int) -> tuple[Graph, list[GadgetI
     paths = []
     for gid, (i, j) in enumerate(targets):
         fp = shape.renamed(f"g{gid}", origin=f"edge {names[i]}--{names[j]}")
-        embed_gadget(new, fp)
-        new.add_edge(i, fp.port("left"))
-        new.add_edge(fp.port("right"), j)
+        first = embed_gadget(new, fp)
+        new.add_edge(i, first + fp.port("left"))
+        new.add_edge(first + fp.port("right"), j)
         paths.append(fp)
     return new, paths
 

@@ -46,9 +46,11 @@ from .errors import (
 MAX_ENUMERATION_VERTICES = 6
 # gen_gnp draws one number per vertex pair and every generator holds its
 # whole edge list; random corpora are built in full before the first
-# instance is verified.
+# instance is verified, so the pairs drawn over a whole corpus are bounded
+# too: 4 graphs at the vertex bound, or 10,000 of 41 vertices.
 MAX_GENERATED_VERTICES = 2048
 MAX_RANDOM_CORPUS_GRAPHS = 10_000
+MAX_RANDOM_CORPUS_PAIRS = 1 << 23
 # A layer or neighbour mask of an n-vertex graph holds at most ceil(n / 8)
 # bytes. A ball row is swept whole only when n * min(radius, n - 1) such
 # layers fit the row allowance, and the masks, balls and rows one graph

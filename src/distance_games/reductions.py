@@ -104,22 +104,7 @@ def _finish(source_graph: Graph, source_rs: Ruleset, target_graph: Graph,
     )
     # Construction invariants; a failure here is a bug in the builder.
     assert position_is_legal(target_graph, target_rs, pos), "gadget stones clash"
-    assert _stones_inside_gadgets(gadgets), "stray stone outside gadgets"
     return instance
-
-
-def _stones_inside_gadgets(gadgets) -> bool:
-    """Whether each gadget's fixed stones sit on that gadget's own vertices.
-
-    `stones_position` places exactly these stones, so then no stone lies
-    outside the gadgets. Each gadget's few stone names are struck off
-    against its vertices; no set of every gadget vertex is built. Called
-    only inside an assert, so `python -O` skips it.
-    """
-    return not any(
-        {name for name, _ in gadget.precoloured}.difference(gadget.vertices)
-        for gadget in gadgets
-    )
 
 
 def _spliced(g: Graph, source_rs: Ruleset, d: Iterable[int], s: Iterable[int],
@@ -152,30 +137,26 @@ def reduce_bgnk_to_d12(g: Graph, left, right, s: Iterable[int] = ()) -> ReducedI
         if not side:
             continue
         near = f"g{gid}.{colour.value}"
-        far_colour = colour.opposite
         if s:
-            attach = f"g{gid}.v"
             gadget = GadgetInstance(
-                vertices=(attach, near),
-                edges=((attach, near),),
-                precoloured=((near, colour),),
-                ports=(("attach", attach),),
+                vertices=(f"g{gid}.v", near),
+                edges=((0, 1),),
+                precoloured=((1, colour),),
+                ports=(("attach", 0),),
                 origin=f"{label} side anchor",
             )
         else:
-            attach = f"g{gid}.v2"
-            mid = f"g{gid}.v1"
-            far = f"g{gid}.{far_colour.value}"
+            far_colour = colour.opposite
             gadget = GadgetInstance(
-                vertices=(attach, near, mid, far),
-                edges=((attach, near), (attach, mid), (mid, far)),
-                precoloured=((near, colour), (far, far_colour)),
-                ports=(("attach", attach),),
+                vertices=(f"g{gid}.v2", near, f"g{gid}.v1", f"g{gid}.{far_colour.value}"),
+                edges=((0, 1), (0, 2), (2, 3)),
+                precoloured=((1, colour), (3, far_colour)),
+                ports=(("attach", 0),),
                 origin=f"{label} side anchor",
             )
-        embed_gadget(new, gadget)
+        attach = embed_gadget(new, gadget) + gadget.port("attach")
         for u in sorted(side):
-            new.add_edge(g.name_of(u), attach)
+            new.add_edge(u, attach)
         gadgets.append(gadget)
         gid += 1
 
@@ -273,24 +254,24 @@ def reduce_bgnk_window(g: Graph, left, right, d: Iterable[int], k: int,
         # The shared stone carries the colour the side may NOT take.
         if not side:
             continue
-        anchors = []
+        anchors, ends = [], []
         for u in sorted(side):
             fp = shape.renamed(f"g{gid}", origin=f"{label} side anchor for {names[u]}")
-            embed_gadget(new, fp)
-            new.add_edge(u, fp.port("left"))
+            first = embed_gadget(new, fp)
+            new.add_edge(u, first + fp.port("left"))
             anchors.append(fp)
+            ends.append(first + fp.port("right"))
             gid += 1
-        stone = f"g{gid}.{colour.value}"
         stone_gadget = GadgetInstance(
-            vertices=(stone,),
+            vertices=(f"g{gid}.{colour.value}",),
             edges=(),
-            precoloured=((stone, colour),),
+            precoloured=((0, colour),),
             ports=(),
             origin=f"{label} side shared stone",
         )
-        embed_gadget(new, stone_gadget)
-        for fp in anchors:
-            new.add_edge(fp.port("right"), stone)
+        stone = embed_gadget(new, stone_gadget)
+        for end in ends:
+            new.add_edge(end, stone)
         gadgets.extend(anchors)
         gadgets.append(stone_gadget)
         gid += 1

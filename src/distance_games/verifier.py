@@ -34,6 +34,7 @@ from .errors import HypothesisViolatedError, InvalidParameterError
 from .gadgets import GadgetInstance, check_gadget_size, embed_gadget, stones_position
 from .graph import (
     MAX_RANDOM_CORPUS_GRAPHS,
+    MAX_RANDOM_CORPUS_PAIRS,
     Graph,
     all_labelled_bipartite,
     all_labelled_graphs,
@@ -295,6 +296,7 @@ def check_gadget_lemma(gadget: GadgetInstance, d, s, probes: int) -> Verificatio
             f"need d or s equal to {{1..{gadget.radius}}} and the other a subset"
         )
 
+    # The gadget is the host's first block, so a position is a host index.
     host = Graph()
     embed_gadget(host, gadget)
     probe_names = []
@@ -311,10 +313,10 @@ def check_gadget_lemma(gadget: GadgetInstance, d, s, probes: int) -> Verificatio
     players = (Player.LEFT, Player.RIGHT)
 
     def first_playable(pos: Position) -> str | None:
-        for name in gadget.uncoloured:
+        for v in gadget.uncoloured:
             for player in players:
-                if rules.is_legal(host, rs, pos, name, player):
-                    return f"{name} playable by {player.name}"
+                if rules.is_legal(host, rs, pos, v, player):
+                    return f"{host.name_of(v)} playable by {player.name}"
         return None
 
     def after_probe_moves() -> str | None:
@@ -331,7 +333,7 @@ def check_gadget_lemma(gadget: GadgetInstance, d, s, probes: int) -> Verificatio
             for stone, _ in gadget.precoloured:
                 dist = host.distance(name, stone)
                 if dist is not None and dist <= rs.max_radius:
-                    return f"{name} at distance {dist} from stone {stone}"
+                    return f"{name} at distance {dist} from stone {host.name_of(stone)}"
         return None
 
     found = (
@@ -387,16 +389,10 @@ class CorpusSpec:
 
 
 def _corpus_graphs(spec: CorpusSpec, bipartite: bool):
-    out = []
-    if spec.exhaustive_max is not None:
-        if bipartite:
-            side = spec.exhaustive_max // 2
-            for p in range(side + 1):
-                for q in range(side + 1):
-                    out.extend(all_labelled_bipartite(p, q))
-        else:
-            for n in range(spec.exhaustive_max + 1):
-                out.extend((g, None) for g in all_labelled_graphs(n))
+    """The corpus's graphs (with their sides when bipartite); a random
+    corpus past its bounds is refused before any graph is built."""
+    n = spec.random_size
+    p, q = (n + 1) // 2, n // 2
     if spec.random_count:
         if spec.seed is None:
             raise InvalidParameterError("random corpora require an explicit seed")
@@ -405,15 +401,30 @@ def _corpus_graphs(spec: CorpusSpec, bipartite: bool):
                 f"random corpus of {spec.random_count} graphs exceeds the bound of "
                 f"{MAX_RANDOM_CORPUS_GRAPHS}"
             )
+        pairs = spec.random_count * (p * q if bipartite else n * (n - 1) // 2)
+        if pairs > MAX_RANDOM_CORPUS_PAIRS:
+            raise InvalidParameterError(
+                f"random corpus of {spec.random_count} graphs draws {pairs} vertex pairs, "
+                f"above the bound of {MAX_RANDOM_CORPUS_PAIRS}"
+            )
+    out = []
+    if spec.exhaustive_max is not None:
+        if bipartite:
+            side = spec.exhaustive_max // 2
+            for a in range(side + 1):
+                for b in range(side + 1):
+                    out.extend(all_labelled_bipartite(a, b))
+        else:
+            for size in range(spec.exhaustive_max + 1):
+                out.extend((g, None) for g in all_labelled_graphs(size))
+    if spec.random_count:
         rng = random.Random(spec.seed)
         for _ in range(spec.random_count):
             child = rng.randrange(2**31)
             if bipartite:
-                p = (spec.random_size + 1) // 2
-                q = spec.random_size // 2
                 out.append(gen_random_bipartite(p, q, spec.random_edge_prob, child))
             else:
-                out.append((gen_gnp(spec.random_size, spec.random_edge_prob, child), None))
+                out.append((gen_gnp(n, spec.random_edge_prob, child), None))
     return out
 
 

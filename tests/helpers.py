@@ -143,13 +143,17 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
 
 def reference_forbidden_path(t: int, r: int, prefix: str, origin: str = "") -> GadgetInstance:
     """A path of t blockers with every copy built by its own
-    forbidden_vertex_gadget call, for checking gadgets made by renaming."""
+    forbidden_vertex_gadget call, each copy's positions shifted past the
+    copies before it, for checking gadgets made by renaming."""
     copies = [forbidden_vertex_gadget(r, prefix=f"{prefix}.f{i}") for i in range(1, t + 1)]
-    ports = [copy.port("v") for copy in copies]
+    starts = [sum(len(c.vertices) for c in copies[:k]) for k in range(t)]
+    ports = [k + copy.port("v") for k, copy in zip(starts, copies)]
     return GadgetInstance(
         vertices=tuple(v for copy in copies for v in copy.vertices),
-        edges=tuple(e for copy in copies for e in copy.edges) + tuple(zip(ports, ports[1:])),
-        precoloured=tuple(s for copy in copies for s in copy.precoloured),
+        edges=tuple((k + a, k + b) for k, copy in zip(starts, copies) for a, b in copy.edges)
+        + tuple(zip(ports, ports[1:])),
+        precoloured=tuple((k + p, c) for k, copy in zip(starts, copies)
+                          for p, c in copy.precoloured),
         ports=(("left", ports[0]), ("right", ports[-1])),
         radius=r,
         span=t,

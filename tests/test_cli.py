@@ -16,7 +16,11 @@ from distance_games import (
 from distance_games import gadgets, graph
 from distance_games.cli import main
 from distance_games.gadgets import MAX_GADGET_SIZE, MAX_TARGET_VERTICES
-from distance_games.graph import MAX_GENERATED_VERTICES, MAX_RANDOM_CORPUS_GRAPHS
+from distance_games.graph import (
+    MAX_GENERATED_VERTICES,
+    MAX_RANDOM_CORPUS_GRAPHS,
+    MAX_RANDOM_CORPUS_PAIRS,
+)
 from distance_games.rules import distance_game
 
 
@@ -363,6 +367,19 @@ class TestGeneratedSizeBounds:
         assert_input_error(capsys, "verify", "--reduction", reduction,
                            "--corpus", f"random:1:{size}:0.5:1", "--params", *params,
                            mentions=f"= {size} exceeds the bound of {MAX_GENERATED_VERTICES}")
+
+
+    @pytest.mark.parametrize("reduction, params, pairs_per_graph", [
+        ("snort-family", ["n=2"], MAX_GENERATED_VERTICES * (MAX_GENERATED_VERTICES - 1) // 2),
+        ("bgnk-d12", [], (MAX_GENERATED_VERTICES // 2) ** 2),
+    ])
+    def test_random_corpus_pairs_above_bound(self, capsys, reduction, params,
+                                             pairs_per_graph):
+        # One graph more than the pair bound admits at the vertex bound.
+        count = MAX_RANDOM_CORPUS_PAIRS // pairs_per_graph + 1
+        assert_input_error(capsys, "verify", "--reduction", reduction, "--corpus",
+                           f"random:{count}:{MAX_GENERATED_VERTICES}:1.0:1", "--params", *params,
+                           mentions=f"above the bound of {MAX_RANDOM_CORPUS_PAIRS}")
 
 
 def interval(k: int) -> str:

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import distance_games
 from distance_games import (
+    Colour,
     Graph,
     HypothesisViolatedError,
     InvalidParameterError,
@@ -11,12 +18,14 @@ from distance_games import (
     forbidden_vertex_gadget,
     gen_cycle,
     is_legal,
+    reduce_bgnk_to_d12,
     reduce_bgnk_window,
+    reduce_snort_family,
     replace_all_edges,
     replace_edge,
     stones_position,
 )
-from distance_games.gadgets import embed_gadget, path_shape
+from distance_games.gadgets import GadgetInstance, embed_gadget, path_shape
 
 from helpers import build_graph, reference_forbidden_path
 
@@ -57,7 +66,7 @@ class TestForbiddenVertexGadget:
         f = forbidden_vertex_gadget(3)
         g = host_of(f)
         assert not any(
-            {a, b} == {"g0.x1", "g0.y1"} for a, b in f.edges
+            {f.vertices[a], f.vertices[b]} == {"g0.x1", "g0.y1"} for a, b in f.edges
         )
         assert g.distance("g0.R", "g0.B") == 4
 
@@ -199,12 +208,74 @@ class TestGadgetLemmaCheck:
         broken = type(f)(
             vertices=f.vertices,
             edges=f.edges,
-            precoloured=(("g0.R", dict(f.precoloured)["g0.R"]),),
+            precoloured=tuple((p, c) for p, c in f.precoloured if c is Colour.RED),
             ports=f.ports,
             radius=f.radius,
         )
         report = check_gadget_lemma(broken, {1, 2}, set(), 2)
         assert not report.passed
+
+
+class TestStonesAndPortsArePositions:
+    """A stone or port must be an int position of the gadget's vertices;
+    anything else is refused on construction, also under `python -O`."""
+
+    BAD = [(3, "past-end"), (-1, "negative"), ("g0.v", "name"), (True, "bool")]
+
+    @staticmethod
+    def build(stone=2, port=0):
+        return GadgetInstance(
+            vertices=("g0.v", "g0.c1", "g0.R"),
+            edges=((0, 1), (1, 2)),
+            precoloured=((stone, Colour.RED),),
+            ports=(("v", port),),
+        )
+
+    def test_positions_accepted(self):
+        gadget = self.build()
+        assert (gadget.port("v"), gadget.uncoloured) == (0, (0, 1))
+
+    @pytest.mark.parametrize("where", ["stone", "port"])
+    @pytest.mark.parametrize("bad", [b for b, _ in BAD], ids=[i for _, i in BAD])
+    def test_refused(self, where, bad):
+        with pytest.raises(InvalidParameterError, match=f"gadget {where} .* not a position"):
+            self.build(**{where: bad})
+
+    def test_refused_under_python_O(self):
+        code = (
+            "from distance_games import Colour, GadgetInstance, InvalidParameterError\n"
+            "refused = 0\n"
+            "for where in ('stone', 'port'):\n"
+            f"    for bad in {[b for b, _ in self.BAD]!r}:\n"
+            "        kw = {'stone': 2, 'port': 0, where: bad}\n"
+            "        try:\n"
+            "            GadgetInstance(('a', 'b', 'c'), ((0, 1), (1, 2)),\n"
+            "                           ((kw['stone'], Colour.RED),), (('v', kw['port']),))\n"
+            "        except InvalidParameterError:\n"
+            "            refused += 1\n"
+            "print(refused, __debug__)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(distance_games.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == [str(2 * len(self.BAD)), "False"]
+
+    def test_reduced_stones_sit_on_their_gadgets(self):
+        # Each gadget is one block of the target, so position p is the
+        # target index of its first vertex plus p, and the starting
+        # position holds exactly the gadgets' stones.
+        path = build_graph("abc", [("a", "b"), ("b", "c")])
+        for ri in (reduce_snort_family(gen_cycle(5), 3),
+                   reduce_bgnk_window(path, ["a", "c"], ["b"], {1, 2}, 3),
+                   reduce_bgnk_to_d12(path, ["a", "c"], ["b"]),
+                   reduce_bgnk_to_d12(path, ["a", "c"], ["b"], {1})):
+            g, stones = ri.target_graph, {}
+            for gadget in ri.gadgets:
+                first = g.index_of(gadget.vertices[0])
+                assert [g.index_of(v) - first for v in gadget.vertices] == \
+                    list(range(len(gadget.vertices)))
+                stones.update((first + p, colour) for p, colour in gadget.precoloured)
+            assert dict(ri.initial_position.stones()) == stones
 
 
 class TestFreshNaming:
@@ -235,9 +306,14 @@ class TestRenamedCopies:
     @pytest.mark.parametrize("t", range(1, 9))
     @pytest.mark.parametrize("r", range(1, 9))
     def test_copies_share_the_local_edges_of_their_shape(self, t, r):
-        copy = path_shape(t, r).renamed("g3")
-        position = {v: k for k, v in enumerate(copy.vertices)}
-        assert copy.local_edges == tuple((position[a], position[b]) for a, b in copy.edges)
+        # Edges, stones and ports are positions, so a copy shares the
+        # shape's tuples and only its vertex names are new.
+        shape = path_shape(t, r)
+        copy = shape.renamed("g3", "edge a--b")
+        assert copy.edges is shape.edges
+        assert copy.precoloured is shape.precoloured
+        assert copy.ports is shape.ports
+        assert copy.vertices == tuple("g3" + v for v in shape.vertices)
 
     def test_path_shape_is_cached_and_bounded(self):
         assert path_shape(2, 3) is path_shape(2, 3)

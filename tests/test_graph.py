@@ -162,8 +162,9 @@ class TestAddBlock:
     def check_embed(gadget):
         block = build_graph(["host0", "host1"], [("host0", "host1")])
         embed_gadget(block, gadget)
-        per_edge = build_graph(["host0", "host1", *gadget.vertices],
-                               [("host0", "host1"), *gadget.edges])
+        names = gadget.vertices
+        per_edge = build_graph(["host0", "host1", *names],
+                               [("host0", "host1"), *((names[a], names[b]) for a, b in gadget.edges)])
         assert block.names == per_edge.names
         assert list(block.edges()) == list(per_edge.edges())
         assert block.edge_count == per_edge.edge_count

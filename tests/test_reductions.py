@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from distance_games import (
@@ -26,7 +24,7 @@ from distance_games import (
 )
 
 from distance_games import reductions
-from distance_games.gadgets import MAX_GADGET_SIZE, embed_gadget, forbidden_vertex_gadget
+from distance_games.gadgets import MAX_GADGET_SIZE
 from helpers import build_graph
 
 L, R = Player.LEFT, Player.RIGHT
@@ -253,11 +251,11 @@ class TestInstanceShape:
     def test_gadget_vertices_initially_illegal(self, instances):
         for ri in instances:
             for gadget in ri.gadgets:
-                for name in gadget.uncoloured:
+                for p in gadget.uncoloured:
                     for player in (L, R):
                         assert not is_legal(
                             ri.target_graph, ri.target_ruleset,
-                            ri.initial_position, name, player,
+                            ri.initial_position, gadget.vertices[p], player,
                         )
 
     def test_edge_distance_postconditions(self):
@@ -391,33 +389,3 @@ class TestBoundsCapped:
         ri = reduce_snort_family(g, MAX_GADGET_SIZE)
         assert ri.target_ruleset == distance_game(range(1, MAX_GADGET_SIZE + 1), ())
         assert ri.target_graph.vertex_count == 2 and not ri.gadgets
-
-
-class TestStrayStoneCheck:
-    """`_finish`'s assert-only check that every fixed stone sits on a vertex
-    of the gadget that places it."""
-
-    def stray_gadget(self):
-        # One blocker whose red stone names a vertex of the host instead.
-        b = forbidden_vertex_gadget(1, prefix="g0")
-        stones = tuple(("a", c) if c is Colour.RED else (v, c) for v, c in b.precoloured)
-        return dataclasses.replace(b, precoloured=stones)
-
-    def test_built_instances_pass(self):
-        g = gen_cycle(5)
-        for ri in (reduce_snort_family(g, 2), reduce_col_family(g, 3),
-                   reduce_node_kayles_equalmax(g, {1, 2}, {2})):
-            assert ri.gadgets and reductions._stones_inside_gadgets(ri.gadgets)
-
-    def test_stone_outside_its_gadget_fails(self):
-        good = forbidden_vertex_gadget(2, prefix="g1")
-        assert reductions._stones_inside_gadgets([good])
-        assert not reductions._stones_inside_gadgets([good, self.stray_gadget()])
-
-    def test_finish_asserts_on_a_stray_stone(self):
-        source = build_graph("ab", [])
-        target = source.copy()
-        gadget = self.stray_gadget()
-        embed_gadget(target, gadget)
-        with pytest.raises(AssertionError, match="stray stone outside gadgets"):
-            reductions._finish(source, snort(), target, snort(), [gadget])

@@ -30,10 +30,12 @@ from distance_games.verifier import (
     PLAY_FOR_PLAY,
     VERTEX_CONDITION,
     WINNABILITY,
+    _corpus_graphs,
     resolve_depth_cap,
     worker_count,
 )
 
+from distance_games.graph import MAX_GENERATED_VERTICES, MAX_RANDOM_CORPUS_PAIRS
 from helpers import build_graph
 
 L, R = Player.LEFT, Player.RIGHT
@@ -236,6 +238,19 @@ class TestCorpus:
         for jobs in (0, -3):
             with pytest.raises(InvalidParameterError):
                 worker_count(jobs, 2)
+
+    @pytest.mark.parametrize("bipartite, count", [(True, 8), (False, 4)])
+    def test_random_corpus_at_the_pair_bound(self, bipartite, count):
+        # 8 bipartite graphs of 1024 x 1024 cross pairs draw exactly the
+        # bound; 4 graphs at the vertex bound draw the most pairs it admits.
+        size = MAX_GENERATED_VERTICES
+        per_graph = (size // 2) ** 2 if bipartite else size * (size - 1) // 2
+        assert count * per_graph <= MAX_RANDOM_CORPUS_PAIRS < (count + 1) * per_graph
+        spec = CorpusSpec(random_count=count, random_size=size,
+                          random_edge_prob=0.001, seed=3)
+        assert len(_corpus_graphs(spec, bipartite)) == count
+        with pytest.raises(InvalidParameterError, match="vertex pairs"):
+            _corpus_graphs(dataclasses.replace(spec, random_count=count + 1), bipartite)
 
     def test_corpus_spec_parse(self):
         assert CorpusSpec.parse("exhaustive:4") == CorpusSpec(exhaustive_max=4)
