@@ -30,12 +30,8 @@ Chaining t of these gadgets port-to-port gives an unplayable path whose
 end ports are t-1 apart; splicing it in place of an edge puts the old
 endpoints at distance t+1.
 
-A `GadgetInstance` names its vertices once; its edges, fixed stones and
-ports are positions in that tuple, the form `Graph.add_block` takes. So
-the builders make one shape with an empty prefix, and each copy renames
-only the vertices and shares the shape's other tuples. A stone or port
-that is not a position of the gadget's vertices is refused on
-construction.
+A `GadgetInstance` holds its edges, fixed stones and ports as positions
+in its vertex tuple, so a renamed copy shares all three with its shape.
 """
 
 from __future__ import annotations
@@ -77,15 +73,10 @@ def check_target_size(planned: int) -> None:
 
 @dataclass(frozen=True)
 class GadgetInstance:
-    """One embedded gadget: fresh namespaced vertices, and its edges, fixed
-    stones and ports as positions in `vertices`.
-
-    An edge is a pair of positions, as `Graph.add_block` takes it; a stone
-    is `(position, Colour)` and a port `(role, position)`. So a gadget
-    embedded as one block has its position p at the host index of its first
-    vertex plus p. Construction refuses a stone or port that is not a
-    position of `vertices`.
-    """
+    """One embedded gadget: fresh namespaced vertices; edges as position
+    pairs, as `Graph.add_block` takes them; stones as `(position, Colour)`
+    and ports as `(role, position)`. A stone or port that is not an int
+    position of `vertices` is refused."""
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
@@ -171,9 +162,7 @@ def forbidden_vertex_gadget(r: int, prefix: str = "g0", origin: str = "") -> Gad
 def forbidden_path(t: int, r: int, prefix: str = "g0", origin: str = "") -> GadgetInstance:
     """Chain of t size-r blocker gadgets with `left` and `right` end ports.
 
-    Copy i (from 0) of the blocker takes the positions from i times its
-    size on. With an empty prefix every name starts with '.', ready for
-    `renamed`.
+    With an empty prefix every name starts with '.', ready for `renamed`.
     """
     check_gadget_size("path length t", t, 1)
     blocker = forbidden_vertex_gadget(r, prefix="")

@@ -389,10 +389,16 @@ class CorpusSpec:
 
 
 def _corpus_graphs(spec: CorpusSpec, bipartite: bool):
-    """The corpus's graphs (with their sides when bipartite); a random
-    corpus past its bounds is refused before any graph is built."""
-    n = spec.random_size
-    p, q = (n + 1) // 2, n // 2
+    out = []
+    if spec.exhaustive_max is not None:
+        if bipartite:
+            side = spec.exhaustive_max // 2
+            for p in range(side + 1):
+                for q in range(side + 1):
+                    out.extend(all_labelled_bipartite(p, q))
+        else:
+            for n in range(spec.exhaustive_max + 1):
+                out.extend((g, None) for g in all_labelled_graphs(n))
     if spec.random_count:
         if spec.seed is None:
             raise InvalidParameterError("random corpora require an explicit seed")
@@ -401,23 +407,14 @@ def _corpus_graphs(spec: CorpusSpec, bipartite: bool):
                 f"random corpus of {spec.random_count} graphs exceeds the bound of "
                 f"{MAX_RANDOM_CORPUS_GRAPHS}"
             )
+        n = spec.random_size
+        p, q = (n + 1) // 2, n // 2
         pairs = spec.random_count * (p * q if bipartite else n * (n - 1) // 2)
         if pairs > MAX_RANDOM_CORPUS_PAIRS:
             raise InvalidParameterError(
                 f"random corpus of {spec.random_count} graphs draws {pairs} vertex pairs, "
                 f"above the bound of {MAX_RANDOM_CORPUS_PAIRS}"
             )
-    out = []
-    if spec.exhaustive_max is not None:
-        if bipartite:
-            side = spec.exhaustive_max // 2
-            for a in range(side + 1):
-                for b in range(side + 1):
-                    out.extend(all_labelled_bipartite(a, b))
-        else:
-            for size in range(spec.exhaustive_max + 1):
-                out.extend((g, None) for g in all_labelled_graphs(size))
-    if spec.random_count:
         rng = random.Random(spec.seed)
         for _ in range(spec.random_count):
             child = rng.randrange(2**31)
