@@ -368,7 +368,6 @@ class TestGeneratedSizeBounds:
                            "--corpus", f"random:1:{size}:0.5:1", "--params", *params,
                            mentions=f"= {size} exceeds the bound of {MAX_GENERATED_VERTICES}")
 
-
     @pytest.mark.parametrize("reduction, params, pairs_per_graph", [
         ("snort-family", ["n=2"], MAX_GENERATED_VERTICES * (MAX_GENERATED_VERTICES - 1) // 2),
         ("bgnk-d12", [], (MAX_GENERATED_VERTICES // 2) ** 2),

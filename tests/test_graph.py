@@ -163,8 +163,8 @@ class TestAddBlock:
         block = build_graph(["host0", "host1"], [("host0", "host1")])
         embed_gadget(block, gadget)
         names = gadget.vertices
-        per_edge = build_graph(["host0", "host1", *names],
-                               [("host0", "host1"), *((names[a], names[b]) for a, b in gadget.edges)])
+        pairs = [(names[a], names[b]) for a, b in gadget.edges]
+        per_edge = build_graph(["host0", "host1", *names], [("host0", "host1"), *pairs])
         assert block.names == per_edge.names
         assert list(block.edges()) == list(per_edge.edges())
         assert block.edge_count == per_edge.edge_count

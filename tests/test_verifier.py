@@ -34,8 +34,8 @@ from distance_games.verifier import (
     resolve_depth_cap,
     worker_count,
 )
-
 from distance_games.graph import MAX_GENERATED_VERTICES, MAX_RANDOM_CORPUS_PAIRS
+
 from helpers import build_graph
 
 L, R = Player.LEFT, Player.RIGHT
