@@ -18,9 +18,9 @@ v has reached. When the row could hold more than `MAX_BALL_ROW_BYTES`, each
 ball is found on its own instead, by a breadth-first expansion of the
 layers. The neighbour masks and each memoized layer are charged the most
 one can hold, a bit per vertex, against the graph's `MAX_BALL_MEMO_BYTES`;
-a ball that does not fit raises `BallBudgetError`. A mutation drops the
-masks, the rows and the charge. A graph can be frozen, after which
-mutation raises and the memoized balls are safe to share between
+a ball that does not fit raises `BallBudgetError`. A frozen graph refuses
+every mutation, and the first ball asked for freezes it, so the masks,
+rows and charge only grow and the memoized balls are safe to share between
 concurrent solver runs.
 """
 
@@ -81,7 +81,7 @@ class Graph:
         # radius -> row of balls indexed by vertex (None until computed).
         self._balls: dict[int, list[tuple[int, ...] | None]] = {}
         # Per-vertex neighbour bitmasks, built with the first ball, and the
-        # bytes charged for the memoized balls; both dropped with the balls.
+        # bytes charged for them and the memoized balls.
         self._nbr: list[int] | None = None
         self._ball_bytes = 0
 
@@ -99,10 +99,6 @@ class Graph:
         self._names.append(name)
         self._index[name] = idx
         self._adj.append([])
-        if self._balls:
-            self._balls.clear()
-            self._nbr = None
-            self._ball_bytes = 0
         return idx
 
     def add_edge(self, u: int | str, v: int | str) -> None:
@@ -119,10 +115,6 @@ class Graph:
         adj.insert(k, j)
         insort(self._adj[j], i)
         self._edge_count += 1
-        if self._balls:
-            self._balls.clear()
-            self._nbr = None
-            self._ball_bytes = 0
 
     def add_block(self, names, pairs=()) -> int:
         """Append the vertices `names`, in order, and the edges `pairs`
@@ -179,10 +171,6 @@ class Graph:
         self._names.extend(names)
         self._adj.extend(adj)
         self._edge_count += edges >> 1
-        if self._balls:
-            self._balls.clear()
-            self._nbr = None
-            self._ball_bytes = 0
         return first
 
     def freeze(self) -> "Graph":
@@ -277,16 +265,16 @@ class Graph:
         `layers[k - 1]` holds the vertices at exact distance k; the centre
         is not stored, trailing empty layers are dropped, and radius 0
         gives `()`. A memoized ball asked for by index comes straight back;
-        a miss validates u and the radius, then fills the whole row for the
-        radius in one sweep when it fits `MAX_BALL_ROW_BYTES` (see
-        `_new_row`). Otherwise u's ball alone is expanded breadth first:
-        layer 1 is u's neighbour mask and layer k the OR of the neighbour
-        masks of layer k - 1's vertices, minus every vertex already
-        reached; only a layer that is expanded further is split into
-        vertex indices. The neighbour masks and each ball or row are
-        charged against `MAX_BALL_MEMO_BYTES`, and a ball that does not fit
-        raises BallBudgetError with nothing memoized. Balls last until the next
-        mutation; the tuple can be shared because it cannot change.
+        a miss validates u and the radius and freezes the graph, then fills
+        the whole row for the radius in one sweep when it fits
+        `MAX_BALL_ROW_BYTES` (see `_new_row`). Otherwise u's ball alone is
+        expanded breadth first: layer 1 is u's neighbour mask and layer k
+        the OR of the neighbour masks of layer k - 1's vertices, minus every
+        vertex already reached; only a layer that is expanded further is
+        split into vertex indices. The neighbour masks and each ball or row
+        are charged against `MAX_BALL_MEMO_BYTES`, and a ball that does not
+        fit raises BallBudgetError with nothing memoized. The graph cannot
+        change once it holds a ball, so the tuple can be shared.
         """
         row = self._balls.get(radius)
         if row is not None and isinstance(u, int) and 0 <= u < len(row):
@@ -296,6 +284,7 @@ class Graph:
         if radius < 0:
             raise InvalidParameterError("radius must be >= 0")
         src = self.index_of(u)
+        self._frozen = True
         if row is None:
             row = self._balls[radius] = self._new_row(radius)
         out = row[src]

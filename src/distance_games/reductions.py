@@ -63,11 +63,6 @@ class ReducedInstance:
                 "the target's first vertices must be the source's vertices, in order"
             )
 
-    def embed_position(self, pos: Position) -> Position:
-        """Target position holding the gadget stones plus the source stones."""
-        start = self.initial_position
-        return Position(start.blue | pos.blue, start.red | pos.red)
-
 
 def _as_index_set(g: Graph, side: Iterable[int | str]) -> frozenset[int]:
     return frozenset(g.index_of(v) for v in side)
@@ -102,8 +97,10 @@ def _finish(source_graph: Graph, source_rs: Ruleset, target_graph: Graph,
         initial_position=pos,
         gadgets=gadgets,
     )
-    # Construction invariants; a failure here is a bug in the builder.
-    assert position_is_legal(target_graph, target_rs, pos), "gadget stones clash"
+    # A construction invariant, checked under `python -O` too; a failure
+    # here is a bug in the builder.
+    if not position_is_legal(target_graph, target_rs, pos):
+        raise AssertionError("gadget stones clash")
     return instance
 
 

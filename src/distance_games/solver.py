@@ -115,10 +115,9 @@ def wins_moving_first(g: Graph, rs: Ruleset, pos: Position = Position(),
 
 
 def outcome(g: Graph, rs: Ruleset, pos: Position = Position(), *,
-            index: LegalityIndex | None = None,
             stats: SearchStats | None = None) -> Outcome:
     """Outcome class of `pos`: who wins under optimal alternating play."""
-    idx = index if index is not None else LegalityIndex(g, rs)
+    idx = LegalityIndex(g, rs)
     left = wins_moving_first(g, rs, pos, Player.LEFT, index=idx, stats=stats)
     right = wins_moving_first(g, rs, pos, Player.RIGHT, index=idx, stats=stats)
     return Outcome.from_first_move_wins(left, right)
@@ -126,14 +125,13 @@ def outcome(g: Graph, rs: Ruleset, pos: Position = Position(), *,
 
 def best_move(g: Graph, rs: Ruleset, pos: Position = Position(),
               player: Player = Player.LEFT, *,
-              index: LegalityIndex | None = None,
               stats: SearchStats | None = None) -> int | MoveStatus:
     """Lowest-index winning placement for `player`, if any.
 
     Returns MoveStatus.NO_MOVE when no placement is legal at all and
     MoveStatus.NO_WINNING_MOVE when every legal placement loses.
     """
-    idx = index if index is not None else LegalityIndex(g, rs)
+    idx = LegalityIndex(g, rs)
     _check_playable(idx, pos)
     stats = stats if stats is not None else SearchStats()
     table: dict = {}

@@ -1,6 +1,7 @@
 """Machine checks that a reduction really preserves the game.
 
-Three checks per reduced instance, each returning a `CheckResult`:
+Three checks per reduced instance, in this order, each returning a
+`CheckResult` and run only if the one before passed:
 
 * vertex condition: in the starting position, nothing outside the original
   vertices is playable by either player;
@@ -230,15 +231,19 @@ def resolve_depth_cap(ri: ReducedInstance, depth_cap) -> int | None:
 
 
 def verify_instance(ri: ReducedInstance, depth_cap="auto", descriptor: str = "") -> VerificationReport:
-    """Run all three checks, plus the tree-shape-implies-outcome cross-check."""
+    """Run the vertex condition, play-for-play and winnability checks in
+    order, each only if the one before passed, so a report holds checks up
+    to its first failure. When winnability fails after a full walk, the
+    tree-shape-implies-outcome cross-check is added: identical full trees
+    cannot have different outcomes."""
     cap = resolve_depth_cap(ri, depth_cap)
-    checks = [
-        check_vertex_condition(ri),
-        check_play_for_play(ri, cap),
-        check_winnability(ri),
-    ]
+    checks = [check_vertex_condition(ri)]
+    if checks[-1].passed:
+        checks.append(check_play_for_play(ri, cap))
+    if checks[-1].passed:
+        checks.append(check_winnability(ri))
     full = cap is None or cap >= ri.source_graph.vertex_count
-    if full and checks[1].passed and not checks[2].passed:
+    if full and len(checks) == 3 and not checks[2].passed:
         checks.append(CheckResult(
             TREE_IMPLIES_OUTCOME, False,
             detail="identical full trees but different outcomes: solver bug",
@@ -484,20 +489,6 @@ class CorpusReport:
     @property
     def failures(self) -> tuple[InstanceRecord, ...]:
         return tuple(r for r in self.records if not r.passed)
-
-    def first_failures(self) -> tuple[InstanceRecord, ...]:
-        """Earliest failing record for each (check, params) combination."""
-        seen = set()
-        out = []
-        for record in self.records:
-            if record.passed:
-                continue
-            params = record.descriptor.rsplit("params=", 1)[-1]
-            key = (record.report.failed_checks()[0].name, params)
-            if key not in seen:
-                seen.add(key)
-                out.append(record)
-        return tuple(out)
 
     def lines(self) -> list[str]:
         out = [r.line() for r in self.records]

@@ -260,7 +260,8 @@ class TestAgainstEdgeSetModel:
     @settings(max_examples=300)
     @given(st.lists(_STEP, max_size=30), st.integers(0, 40))
     def test_random_constructions(self, steps, freeze_at):
-        """Steps from `freeze_at` on run against a frozen graph."""
+        """Steps from `freeze_at` on run against a frozen graph, and the
+        finished graph is frozen too."""
         g, model = Graph(), _EdgeSetModel()
         for k, (kind, *args) in enumerate(steps):
             if k == freeze_at:
@@ -273,9 +274,14 @@ class TestAgainstEdgeSetModel:
             else:
                 getattr(g, f"add_{kind}")(*args)
             self.check_same(g, model)
+        g.freeze()
+        model.frozen = True
+        self.check_same(g, model)
 
     @staticmethod
     def check_same(g, model):
+        """The same vertices and edges, and, once frozen (a ball freezes
+        the graph), the same balls."""
         n = len(model.names)
         assert g.names == tuple(model.names)
         assert list(g.edges()) == sorted(model.edges)
@@ -286,6 +292,8 @@ class TestAgainstEdgeSetModel:
             )
             for j in range(n):
                 assert g.has_edge(i, j) == ((min(i, j), max(i, j)) in model.edges)
+            if not model.frozen:
+                continue
             distances = model.distances_from(i)
             for radius in range(4):
                 assert ball_distances(g.ball(i, radius)) == {
@@ -352,12 +360,6 @@ class TestBall:
                     }
                     assert ball_distances(g.ball(u, radius)) == expected
 
-    def test_cache_invalidated_on_mutation(self):
-        g = build_graph("abc", [("a", "b")])
-        assert ball_distances(g.ball("a", 2)) == {1: 1}
-        g.add_edge("b", "c")
-        assert ball_distances(g.ball("a", 2)) == {1: 1, 2: 2}
-
     def test_layers_are_exact_distance_masks(self):
         g = build_graph("abcde", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
         assert g.ball("a", 3) == (0b00110, 0b01000)
@@ -374,43 +376,47 @@ class TestBall:
         assert g.ball("a", 1) == (0b010,)
         assert is_legal(g, node_kayles(), Position(blue=0b100), "a", Player.LEFT)
 
-    def test_add_edge_invalidates_cached_ball(self):
-        g = build_graph("abc", [("a", "b")])
-        before = g.ball("a", 2)
-        assert g.ball("a", 2) is before
-        g.add_edge("b", "c")
-        after = g.ball("a", 2)
-        assert after == (0b010, 0b100)
-        assert g.ball("a", 2) is after
+    @pytest.mark.parametrize("swept", [True, False], ids=["swept", "single"])
+    @pytest.mark.parametrize("mutator, args", [
+        ("add_vertex", ("d",)),
+        ("add_edge", ("a", "c")),
+        ("add_block", (["d", "e"], [(0, 1)])),
+    ], ids=["add_vertex", "add_edge", "add_block"])
+    def test_a_ball_freezes_the_graph(self, monkeypatch, swept, mutator, args):
+        """After a ball, found in a swept row or on its own, every mutator
+        raises and leaves the graph and its memo as they were."""
+        if not swept:
+            # An allowance of -1 fits no row, so the ball is found on its own.
+            monkeypatch.setattr(graph_module, "MAX_BALL_ROW_BYTES", -1)
+        g = build_graph("abc", [("a", "b"), ("b", "c")])
+        ball = g.ball("a", 2)
+        assert ball == (0b010, 0b100)
+        nbr, charge = g._nbr, g._ball_bytes
+        rows = {radius: list(row) for radius, row in g._balls.items()}
+        assert sum(b is not None for b in rows[2]) == (3 if swept else 1)
+        with pytest.raises(FrozenGraphError):
+            getattr(g, mutator)(*args)
+        assert (g.names, list(g.edges())) == (("a", "b", "c"), [(0, 1), (1, 2)])
+        assert g._nbr is nbr and nbr == [0b010, 0b101, 0b010]
+        assert g._balls == rows and g._ball_bytes == charge
+        assert g.ball(0, 2) is ball
 
-    def test_add_vertex_invalidates_cached_ball(self):
-        g = build_graph("ab", [("a", "b")])
-        before = g.ball("a", 2)
-        g.add_vertex("c")
-        assert g.ball("c", 2) == ()
-        after = g.ball("a", 2)
-        assert after == before == (0b010,) and after is not before
-        g.add_edge("b", "c")
-        assert g.ball("a", 2) == (0b010, 0b100)
-        assert g.ball("c", 1) == (0b010,)
-
-    def test_add_block_invalidates_cached_ball(self):
-        g = build_graph("ab", [("a", "b")])
-        before = g.ball("a", 1)
-        first = g.add_block(["c", "d", "e"], [(0, 1), (1, 2)])
-        assert first == 2
-        assert g.ball("c", 2) == (0b01000, 0b10000)
-        after = g.ball("a", 1)
-        assert after == before == (0b00010,) and after is not before
-        g.add_edge("b", "c")
-        assert ball_distances(g.ball("a", 4)) == {1: 1, 2: 2, 3: 3, 4: 4}
+    def test_an_invalid_query_does_not_freeze(self):
+        g = build_graph("ab", [])
+        for bad in ("missing", 2):
+            with pytest.raises(UnknownVertexError):
+                g.ball(bad, 1)
+        with pytest.raises(InvalidParameterError):
+            g.ball("a", -1)
+        g.add_edge("a", "b")
+        assert g.ball("a", 1) == (0b10,)
 
 
-# One step of a graph growing to at most 12 vertices, interleaved with ball
-# queries: ("vertex",), ("edge", i, j), ("block", size, pairs) or ("ball", u,
-# radius). Vertex numbers are taken modulo the vertices there are, so every
-# step applies; an edge step on one vertex, a self-loop pair or a block past
-# 12 vertices is skipped.
+# One step of a graph growing to at most 12 vertices, or a ball query made
+# once it is built: ("vertex",), ("edge", i, j), ("block", size, pairs) or
+# ("ball", u, radius). Vertex numbers are taken modulo the vertices there
+# are, so every step applies; an edge step on one vertex, a self-loop pair or
+# a block past 12 vertices is skipped.
 _BALL_STEP = st.one_of(
     st.tuples(st.just("vertex")),
     st.tuples(st.just("edge"), st.integers(0, 11), st.integers(0, 11)),
@@ -423,35 +429,9 @@ _BALL_STEP = st.one_of(
 )
 
 
-class TestBallBetweenMutations:
-    @staticmethod
-    def bfs_ball(g, u, radius):
-        return {w: d for w in range(g.vertex_count)
-                if (d := bfs_distance(g, u, w)) and d <= radius}
-
-    @settings(max_examples=300)
-    @given(st.lists(_BALL_STEP, max_size=40))
-    def test_balls_match_bfs(self, steps):
-        """Each ball, asked for between mutations of every kind, equals a
-        BFS over the graph as it is then: no neighbour mask or cached layer
-        outlives the mutation that changed it."""
-        g = Graph()
-        for kind, *args in steps:
-            n = g.vertex_count
-            if kind == "vertex" and n < 12:
-                g.add_vertex(f"v{n}")
-            elif kind == "edge" and n > 1 and args[0] % n != args[1] % n:
-                g.add_edge(args[0] % n, args[1] % n)
-            elif kind == "block" and n + args[0] <= 12:
-                size, pairs = args
-                g.add_block([f"v{k}" for k in range(n, n + size)],
-                            [(a % size, b % size) for a, b in pairs if a % size != b % size])
-            elif kind == "ball" and n:
-                u, radius = args[0] % n, args[1]
-                assert ball_distances(g.ball(u, radius)) == self.bfs_ball(g, u, radius)
-        for u in range(g.vertex_count):
-            for radius in range(6):
-                assert ball_distances(g.ball(u, radius)) == self.bfs_ball(g, u, radius)
+def bfs_ball(g, u, radius):
+    return {w: d for w in range(g.vertex_count)
+            if (d := bfs_distance(g, u, w)) and d <= radius}
 
 
 def memo_charge(g):
@@ -472,44 +452,37 @@ class TestBallRows:
     @settings(max_examples=150)
     @given(st.lists(_BALL_STEP, max_size=40), st.booleans())
     def test_swept_and_single_balls_match_bfs(self, steps, swept):
+        """The graph is built from the steps' mutations, then asked for the
+        steps' balls in order, then for every ball up to radius 5."""
         # An allowance of -1 fits no row, not even the empty radius-0 one.
         allowance = graph_module.MAX_BALL_ROW_BYTES if swept else -1
         with mock.patch.object(graph_module, "MAX_BALL_ROW_BYTES", allowance):
             g = Graph()
-            asked = {}  # radius -> vertices asked for since the last mutation
             for kind, *args in steps:
                 n = g.vertex_count
-                mutated = True
                 if kind == "vertex" and n < 12:
                     g.add_vertex(f"v{n}")
                 elif kind == "edge" and n > 1 and args[0] % n != args[1] % n:
-                    # Adding an edge that is there already changes nothing.
-                    mutated = not g.has_edge(args[0] % n, args[1] % n)
                     g.add_edge(args[0] % n, args[1] % n)
                 elif kind == "block" and n + args[0] <= 12:
                     size, pairs = args
                     g.add_block([f"v{k}" for k in range(n, n + size)],
                                 [(a % size, b % size) for a, b in pairs if a % size != b % size])
-                else:
-                    mutated = False
-                if mutated:
-                    # A mutation drops every row and its charge.
-                    assert g._balls == {} and g._nbr is None and g._ball_bytes == 0
-                    asked.clear()
+            n = g.vertex_count
+            asked = {}  # radius -> vertices asked for
+            for kind, *args in steps:
                 if kind == "ball" and n:
                     u, radius = args[0] % n, args[1]
-                    assert ball_distances(g.ball(u, radius)) == TestBallBetweenMutations.bfs_ball(
-                        g, u, radius)
+                    assert ball_distances(g.ball(u, radius)) == bfs_ball(g, u, radius)
                     asked.setdefault(radius, set()).add(u)
                     filled = {v for v, b in enumerate(g._balls[radius]) if b is not None}
                     assert filled == (set(range(n)) if swept else asked[radius])
                     assert g._ball_bytes == memo_charge(g)
             for radius in range(6):
-                for u in range(g.vertex_count):
-                    assert ball_distances(g.ball(u, radius)) == TestBallBetweenMutations.bfs_ball(
-                        g, u, radius)
+                for u in range(n):
+                    assert ball_distances(g.ball(u, radius)) == bfs_ball(g, u, radius)
                     assert g._ball_bytes == memo_charge(g)
-                if g.vertex_count:
+                if n:
                     assert all(b is not None for b in g._balls[radius])
 
     @staticmethod

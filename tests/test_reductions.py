@@ -322,14 +322,6 @@ class TestInstanceShape:
         expected = 2 + 1 * 2 * f_size(4) + 2 * 3 * f_size(4) + 2
         assert ri.target_graph.vertex_count == expected
 
-    def test_embed_position_overlays_source_stones(self):
-        g, left, right = single_edge_bipartite()
-        ri = reduce_bgnk_to_d12(g, left, right, s=frozenset())
-        src = Position().place(0, Colour.BLUE)
-        tgt = ri.embed_position(src)
-        assert tgt.colour_at(ri.target_graph.index_of("a")) is Colour.BLUE
-        assert tgt.stone_count == ri.initial_position.stone_count + 1
-
 
 class TestRegistryBuild:
     # The module-level function each spec builds through; perfbench's tracer

@@ -34,6 +34,7 @@ from distance_games.verifier import (
     resolve_depth_cap,
     worker_count,
 )
+from distance_games import solver, verifier
 from distance_games.graph import MAX_GENERATED_VERTICES, MAX_RANDOM_CORPUS_PAIRS
 
 from helpers import build_graph
@@ -164,6 +165,24 @@ class TestVerifyInstance:
         ]
         assert report.passed
 
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check after a failed one ran")
+
+    def test_failed_vertex_condition_is_the_only_check(self, monkeypatch):
+        monkeypatch.setattr(verifier, "check_play_for_play", self.refuse)
+        monkeypatch.setattr(solver, "outcome", self.refuse)
+        report = verify_instance(bgnk_edge_instance_without("g0.R"), descriptor="broken")
+        assert [(c.name, c.passed) for c in report.checks] == [(VERTEX_CONDITION, False)]
+        assert report.lines() == [
+            "FAIL vertex-condition broken added vertex 'g0.v2' playable by LEFT"]
+
+    def test_failed_walk_skips_winnability(self, monkeypatch):
+        monkeypatch.setattr(solver, "outcome", self.refuse)
+        report = verify_instance(example_one_instance())
+        assert [(c.name, c.passed) for c in report.checks] == [
+            (VERTEX_CONDITION, True), (PLAY_FOR_PLAY, False)]
+
     def test_depth_cap_auto(self):
         ri = bgnk_edge_instance()
         assert resolve_depth_cap(ri, "auto") is None
@@ -222,7 +241,6 @@ class TestCorpus:
             assert (PLAY_FOR_PLAY in failed_names) == shares, record.descriptor
             assert VERTEX_CONDITION not in failed_names
         assert not report.passed
-        assert report.first_failures()
 
     def test_jobs_give_identical_reports(self):
         spec = CorpusSpec(exhaustive_max=2, random_count=3, random_size=4,
