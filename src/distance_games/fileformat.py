@@ -11,12 +11,20 @@ variant is bigraph, and are rejected otherwise. A missing ruleset
 line defaults to D={1} S={} for the distance variant and D=S={1} for
 bigraph. `parse_graph` and `serialize` round-trip exactly on the canonical
 form serialize emits.
+
+`parse_graph` checks each line as it comes, against the vertex lines
+before it, and builds the graph in one `Graph.add_block` at the end. A
+board holds at most `gadgets.MAX_TARGET_VERTICES` vertices and
+`graph.MAX_RANDOM_CORPUS_PAIRS` edge lines; the first line past either
+bound is refused with its line number. `serialize` checks every name
+with one search over their concatenation.
 """
 
 from __future__ import annotations
 
 import re
 
+from . import gadgets, graph
 from .errors import DistanceGameError, FormatError, InvalidParameterError
 from .graph import Graph
 from .rules import Colour, Ownership, Player, Position, Ruleset
@@ -65,8 +73,16 @@ def format_ruleset(rs: Ruleset) -> str:
 
 
 def parse_graph(text: str) -> tuple[Graph, Position, Ruleset]:
-    """Parse a board file into its graph, stone position, and ruleset."""
-    g = Graph()
+    """Parse a board file into its graph, stone position, and ruleset.
+
+    The vertex and edge-line bounds are read when it is called.
+    """
+    max_vertices = gadgets.MAX_TARGET_VERTICES
+    max_edges = graph.MAX_RANDOM_CORPUS_PAIRS
+    names: list[str] = []
+    index: dict[str, int] = {}
+    # The two ends of each edge line in turn, as indices into `names`.
+    ends: list[int] = []
     colours: dict[int, Colour] = {}
     owners: dict[int, Player] = {}
     first_owner_line: int | None = None
@@ -74,28 +90,41 @@ def parse_graph(text: str) -> tuple[Graph, Position, Ruleset]:
     variant: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         keyword = parts[0]
-        if keyword == "ruleset":
-            if sets is not None:
-                raise FormatError("duplicate ruleset line", lineno)
-            sets = _parse_ruleset_tokens(parts[1:], lineno)
-        elif keyword == "variant":
-            if variant is not None:
-                raise FormatError("duplicate variant line", lineno)
-            if len(parts) != 2 or parts[1] not in ("distance", "bigraph"):
-                raise FormatError("variant must be 'distance' or 'bigraph'", lineno)
-            variant = parts[1]
+        if keyword == "edge":
+            if len(parts) != 3:
+                raise FormatError("edge line needs exactly two names", lineno)
+            _, a, b = parts
+            i = index.get(a)
+            if i is None:
+                raise FormatError(f"unknown vertex {a!r}", lineno)
+            j = index.get(b)
+            if j is None:
+                raise FormatError(f"unknown vertex {b!r}", lineno)
+            if i == j:
+                raise FormatError(f"self-loop at {a!r}", lineno)
+            if len(ends) == 2 * max_edges:
+                raise FormatError(f"more than {max_edges} edge lines, the bound on a board",
+                                  lineno)
+            ends.append(i)
+            ends.append(j)
         elif keyword == "vertex":
             if len(parts) < 2:
                 raise FormatError("vertex line needs a name", lineno)
-            try:
-                idx = g.add_vertex(parts[1])
-            except DistanceGameError as exc:
-                raise FormatError(str(exc), lineno) from None
+            name = parts[1]
+            if name in index:
+                raise FormatError(f"vertex {name!r} already present", lineno)
+            idx = len(names)
+            if idx == max_vertices:
+                raise FormatError(f"more than {max_vertices} vertices, the bound on a board",
+                                  lineno)
+            index[name] = idx
+            names.append(name)
             for attr in parts[2:]:
                 key, eq, value = attr.partition("=")
                 if not eq:
@@ -116,19 +145,22 @@ def parse_graph(text: str) -> tuple[Graph, Position, Ruleset]:
                         first_owner_line = lineno
                 else:
                     raise FormatError(f"unknown attribute {key!r}", lineno)
-        elif keyword == "edge":
-            if len(parts) != 3:
-                raise FormatError("edge line needs exactly two names", lineno)
-            try:
-                g.add_edge(parts[1], parts[2])
-            except DistanceGameError as exc:
-                raise FormatError(str(exc), lineno) from None
+        elif keyword == "ruleset":
+            if sets is not None:
+                raise FormatError("duplicate ruleset line", lineno)
+            sets = _parse_ruleset_tokens(parts[1:], lineno)
+        elif keyword == "variant":
+            if variant is not None:
+                raise FormatError("duplicate variant line", lineno)
+            if len(parts) != 2 or parts[1] not in ("distance", "bigraph"):
+                raise FormatError("variant must be 'distance' or 'bigraph'", lineno)
+            variant = parts[1]
         else:
             raise FormatError(f"unknown directive {keyword!r}", lineno)
 
     variant = variant or "distance"
     if variant == "bigraph":
-        missing = [g.name_of(i) for i in range(g.vertex_count) if i not in owners]
+        missing = [name for i, name in enumerate(names) if i not in owners]
         if missing:
             raise FormatError(f"bigraph variant: vertices without owner: {missing}")
         d, s = sets if sets is not None else (frozenset({1}), frozenset({1}))
@@ -154,6 +186,9 @@ def parse_graph(text: str) -> tuple[Graph, Position, Ruleset]:
             blue |= 1 << idx
         else:
             red |= 1 << idx
+    g = Graph()
+    pairs = iter(ends)
+    g.add_block(names, zip(pairs, pairs))
     return g.freeze(), Position(blue, red), rs
 
 
@@ -168,18 +203,29 @@ def _check_stones(pos: Position, count: int) -> None:
         )
 
 
+def _mark(out: list, mask: int, value) -> None:
+    """Set `out[i] = value` for every index i whose bit is set in `mask`."""
+    while mask:
+        bit = mask & -mask
+        out[bit.bit_length() - 1] = value
+        mask ^= bit
+
+
 def serialize(g: Graph, pos: Position = Position(), rs: Ruleset | None = None) -> str:
     """Canonical text form: ruleset, variant, vertices in index order, sorted edges."""
     if rs is None:
         rs = Ruleset(frozenset({1}), frozenset())
     names = g.names
-    for name in names:
-        if _UNSERIALIZABLE.search(name):
-            raise FormatError(f"vertex name {name!r} is not serializable")
+    # One search over all the names; the scan name by name only finds the
+    # first bad one to report.
+    if _UNSERIALIZABLE.search("".join(names)):
+        for name in names:
+            if _UNSERIALIZABLE.search(name):
+                raise FormatError(f"vertex name {name!r} is not serializable")
     _check_stones(pos, len(names))
     attrs = [""] * len(names)
-    for i, colour in pos.stones():
-        attrs[i] = _STONE_ATTRS[colour]
+    _mark(attrs, pos.blue, _STONE_ATTRS[Colour.BLUE])
+    _mark(attrs, pos.red, _STONE_ATTRS[Colour.RED])
     own = rs.ownership
     if own is not None:
         for i, name in enumerate(names):
@@ -221,8 +267,8 @@ def to_dot(g: Graph, pos: Position = Position(), highlight=()) -> str:
     # Each vertex's attribute list, as an index into `attrs`: 2 for a blue
     # stone, 4 for a red one, plus 1 when the vertex is highlighted.
     kind = [0] * len(names)
-    for i, colour in pos.stones():
-        kind[i] = 2 if colour is Colour.BLUE else 4
+    _mark(kind, pos.blue, 2)
+    _mark(kind, pos.red, 4)
     for v in highlight:
         kind[g.index_of(v)] |= 1
     attrs = [_dot_attrs(fill, dashed)

@@ -108,17 +108,15 @@ class GadgetInstance:
         Builders make one shape with an empty prefix and rename it for each
         copy, which costs less than building every copy from scratch. The
         copy shares the shape's edge, stone and port tuples: they hold
-        positions, which renaming does not move.
+        positions, which renaming does not move, and it has as many vertices,
+        so those tuples are not checked again (`__post_init__` does not run).
         """
-        return GadgetInstance(
-            vertices=tuple([prefix + v for v in self.vertices]),
-            edges=self.edges,
-            precoloured=self.precoloured,
-            ports=self.ports,
-            radius=self.radius,
-            span=self.span,
-            origin=origin,
-        )
+        copy = object.__new__(GadgetInstance)
+        fields = copy.__dict__
+        fields.update(self.__dict__)
+        fields["vertices"] = tuple([prefix + v for v in self.vertices])
+        fields["origin"] = origin
+        return copy
 
     @property
     def uncoloured(self) -> tuple[int, ...]:
@@ -231,12 +229,13 @@ def splice_edges(g: Graph, targets, t: int, r: int) -> tuple[Graph, list[GadgetI
     new.add_block(names, [edge for edge in g.edges() if edge not in target_set])
     if not targets:
         return new, []
+    left, right = shape.port("left"), shape.port("right")
     paths = []
     for gid, (i, j) in enumerate(targets):
         fp = shape.renamed(f"g{gid}", origin=f"edge {names[i]}--{names[j]}")
         first = embed_gadget(new, fp)
-        new.add_edge(i, first + fp.port("left"))
-        new.add_edge(first + fp.port("right"), j)
+        new.add_edge(i, first + left)
+        new.add_edge(first + right, j)
         paths.append(fp)
     return new, paths
 

@@ -248,21 +248,40 @@ def apply_move(g: Graph, rs: Ruleset, pos: Position, v: int | str, player: Playe
 
 
 def position_is_legal(g: Graph, rs: Ruleset, pos: Position) -> bool:
-    """Whether a standalone position violates no distance or ownership rule."""
-    stones = list(pos.stones())
-    for i, colour in stones:
-        if rs.ownership is not None:
-            player = Player.LEFT if colour is Colour.BLUE else Player.RIGHT
-            if i not in rs.ownership.side(player):
-                return False
+    """Whether a standalone position violates no distance or ownership rule.
+
+    Ownership is checked first. Then each colour gets one forbidden mask per
+    distance from 1 up: its own stones where the distance is in `s`, the
+    other colour's where it is in `d`. Each stone's ball layers are ANDed
+    against its colour's masks, stones in ascending index order. No
+    distance past n - 1 can hold a vertex, so no mask is built for one.
+    `is_legal` and `_clashes` are the reference.
+    """
+    blue, red = pos.blue, pos.red
+    own = rs.ownership
+    if own is not None:
+        for stones, side in ((blue, own.left), (red, own.right)):
+            while stones:
+                bit = stones & -stones
+                if bit.bit_length() - 1 not in side:
+                    return False
+                stones ^= bit
     radius = rs.max_radius
     if radius == 0:
         return True
-    blue, red = pos.blue, pos.red
-    for i, colour in stones:
-        same, other = (blue, red) if colour is Colour.BLUE else (red, blue)
-        if _clashes(g.ball(i, radius), rs, same, other):
-            return False
+    d, s = rs.d, rs.s
+    dists = range(1, min(radius, g.vertex_count - 1) + 1)
+    blue_forbidden = [(blue if k in s else 0) | (red if k in d else 0) for k in dists]
+    red_forbidden = [(red if k in s else 0) | (blue if k in d else 0) for k in dists]
+    ball = g.ball
+    stones = blue | red
+    while stones:
+        bit = stones & -stones
+        forbidden = blue_forbidden if blue & bit else red_forbidden
+        for layer, mask in zip(ball(bit.bit_length() - 1, radius), forbidden):
+            if layer & mask:
+                return False
+        stones ^= bit
     return True
 
 

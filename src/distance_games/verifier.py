@@ -163,12 +163,11 @@ def check_play_for_play(ri: ReducedInstance, depth_cap: int | None = None) -> Ch
 
     # Positions are plain ints: the source's blue and red stones (the target
     # adds the gadget stones), plus each game's vertices blocked for Left
-    # and for Right, updated per placed stone.
+    # and for Right, updated per placed stone. A node is keyed by its source
+    # stones, and a child already visited is skipped before the call.
     def walk(sb, sr, s_bl, s_br, t_bl, t_br, depth) -> CheckResult | None:
         nonlocal nodes
         key = sb | sr << n_src
-        if key in visited:
-            return None
         visited.add(key)
         nodes += 1
         s_free = ~(sb | sr)
@@ -186,6 +185,9 @@ def check_play_for_play(ri: ReducedInstance, depth_cap: int | None = None) -> Ch
         depth += 1
         while left:
             bit = left & -left
+            left ^= bit
+            if (key | bit) in visited:
+                continue
             i = bit.bit_length() - 1
             path.append((LEFT, i))
             bad = walk(sb | bit, sr, s_bl | ss[i], s_br | sd[i],
@@ -193,9 +195,11 @@ def check_play_for_play(ri: ReducedInstance, depth_cap: int | None = None) -> Ch
             if bad is not None:
                 return bad
             path.pop()
-            left ^= bit
         while right:
             bit = right & -right
+            right ^= bit
+            if (key | bit << n_src) in visited:
+                continue
             i = bit.bit_length() - 1
             path.append((RIGHT, i))
             bad = walk(sb, sr | bit, s_bl | sd[i], s_br | ss[i],
@@ -203,7 +207,6 @@ def check_play_for_play(ri: ReducedInstance, depth_cap: int | None = None) -> Ch
             if bad is not None:
                 return bad
             path.pop()
-            right ^= bit
         return None
 
     bad = walk(0, 0, 0, 0, *tgt_index.blocked(start), 0)

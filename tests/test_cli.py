@@ -1,7 +1,10 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from distance_games import (
     REDUCTIONS,
@@ -502,3 +505,131 @@ class TestUsageErrors:
     def test_missing_input_file(self, capsys):
         code, _, err = run(capsys, "solve", "--in", "/nonexistent/file.graph")
         assert code == 2
+
+
+class TestBoardBounds:
+    """A board past the vertex or edge-line bound is refused while it is
+    read: exit 2 and one `error:` line naming the first line past it."""
+
+    @pytest.mark.parametrize("command", ["solve", "reduce", "dot"])
+    def test_at_and_past_the_vertex_bound(self, capsys, tmp_path, monkeypatch, command):
+        board = tmp_path / "p.graph"
+        run(capsys, "gen", "--kind", "path", "--n", "4", "--out", str(board))
+        # D=1 from Snort is the identity reduction: the target is the board.
+        extra = ("--to", "D=1 S=", "--out", str(tmp_path / "t.graph")) \
+            if command == "reduce" else ()
+        monkeypatch.setattr(gadgets, "MAX_TARGET_VERTICES", 4)
+        assert run(capsys, command, "--in", str(board), *extra)[0] == 0
+        monkeypatch.setattr(gadgets, "MAX_TARGET_VERTICES", 3)
+        # Lines 1 and 2 are the ruleset and variant; the fourth vertex is line 6.
+        assert_input_error(capsys, command, "--in", str(board), *extra,
+                           mentions="line 6: more than 3 vertices")
+
+    def test_past_the_edge_line_bound(self, capsys, tmp_path, monkeypatch):
+        board = tmp_path / "p.graph"
+        run(capsys, "gen", "--kind", "path", "--n", "4", "--out", str(board))
+        monkeypatch.setattr(graph, "MAX_RANDOM_CORPUS_PAIRS", 3)
+        assert run(capsys, "solve", "--in", str(board))[0] == 0
+        monkeypatch.setattr(graph, "MAX_RANDOM_CORPUS_PAIRS", 2)
+        assert_input_error(capsys, "solve", "--in", str(board),
+                           mentions="line 9: more than 2 edge lines")
+
+
+_HUGE = 10**12
+# The source kinds `reduce` accepts, as (D, S), and a ruleset that is none.
+_BOARD_RULESETS = [("1", ""), ("", "1"), ("1", "1"), ("1,2", "3")]
+
+
+@st.composite
+def board_bytes(draw):
+    """A board file of at most 8 vertices, valid or mutated: truncated
+    lines, repeated vertices, self-loops, unknown attributes, a huge
+    distance, invalid UTF-8 bytes."""
+    n = draw(st.integers(0, 8))
+    bigraph = draw(st.booleans())
+    d, s = ("1", "1") if bigraph else draw(st.sampled_from(_BOARD_RULESETS))
+    lines = [f"ruleset D={d} S={s}"]
+    if bigraph:
+        lines.append("variant bigraph")
+    one_in_four = st.sampled_from([False, False, False, True])
+    stones = draw(one_in_four)
+    for i in range(n):
+        colour = draw(st.sampled_from(["", " colour=B", " colour=R"])) if stones else ""
+        owner = draw(st.sampled_from([" owner=L", " owner=R"])) if bigraph else ""
+        lines.append(f"vertex v{i}{colour}{owner}")
+    if n > 1:
+        ends = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(ends, ends), max_size=12))
+        pairs = [(a, b if a != b else (a + 1) % n) for a, b in pairs]
+        lines += [f"edge v{a} v{b}" for a, b in pairs]
+    mutations = st.lists(st.sampled_from(
+        ["truncate", "repeat", "self-loop", "attribute", "huge"]), min_size=1, max_size=3)
+    for mutation in draw(mutations) if draw(one_in_four) else ():
+        k = draw(st.integers(0, len(lines) - 1))
+        if mutation == "truncate":
+            lines[k] = lines[k][:draw(st.integers(0, len(lines[k])))]
+        elif mutation == "repeat":
+            lines.insert(k, lines[k])
+        elif mutation == "self-loop":
+            lines.append(f"edge v{k} v{k}")
+        elif mutation == "attribute":
+            lines[k] += draw(st.sampled_from([" colour=G", " shape=box", " owner", " ="]))
+        else:
+            lines[0] = lines[0].replace("D=", f"D={_HUGE},", 1)
+    data = ("\n".join(lines) + "\n").encode()
+    if draw(one_in_four):
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[k:]
+    return data
+
+
+@st.composite
+def ruleset_texts(draw):
+    """A `--to` ruleset, valid or mutated, with distances of at most 4."""
+    dists = st.lists(st.integers(1, 4), max_size=3).map(lambda xs: ",".join(map(str, xs)))
+    # Half the time a target one of the five reductions reaches.
+    text = draw(st.one_of(
+        st.sampled_from(["D=1,2 S=", "D=1,2,3 S=1", "D=1 S=1,2", "D=1,2 S=1,2",
+                         "D=1,2 S=1,2,3", "D=1,2 S=1"]),
+        st.builds("D={} S={}".format, dists, dists)))
+    mutation = draw(st.sampled_from(["", "", "", "", "", "drop", "junk", "zero", "word",
+                                     "extra"]))
+    if mutation == "drop":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif mutation == "junk":
+        text = text.replace("D=", "D=,", 1)
+    elif mutation == "zero":
+        text = text.replace("S=", "S=0,", 1)
+    elif mutation == "word":
+        text = text.replace("S=", "S=x", 1)
+    elif mutation == "extra":
+        text += " T=1"
+    return text
+
+
+class TestExitCodeContract:
+    """Every run of `solve`, `reduce` or `dot` exits 0, 1 or 2; an exit 2
+    writes exactly one `error:` line and no traceback."""
+
+    @given(data=board_bytes(), to=ruleset_texts(), highlight=st.booleans())
+    @settings(max_examples=60)
+    def test_mutated_boards_and_rulesets(self, tmp_path_factory, data, to, highlight):
+        work = tmp_path_factory.mktemp("exit")
+        board = work / "board.graph"
+        board.write_bytes(data)
+        out = work / "target.graph"
+        commands = [
+            ["solve", "--in", str(board)],
+            ["reduce", "--in", str(board), f"--to={to}", "--out", str(out)],
+            ["dot", "--in", str(board)] + (["--highlight", "gadgets"] if highlight else []),
+        ]
+        for argv in commands:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main(argv)
+            err = stderr.getvalue()
+            event(f"{argv[0]} exit {code}")
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err
+            if code == 2:
+                assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)

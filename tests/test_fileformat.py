@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from distance_games import gadgets, graph
 from distance_games import (
     Colour,
     FormatError,
@@ -118,6 +119,66 @@ class TestParse:
             parse_graph("variant bigraph\nvertex a owner=L owner=R\n")
         assert err.value.line == 2
         assert "duplicate owner attribute" in str(err.value)
+
+
+class TestParseErrorPrecedence:
+    """Each bad line is reported with its own message and line number."""
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("vertex a\nedge a a\n", 2, "self-loop at 'a'"),
+        ("vertex a\n\nvertex a\n", 3, "vertex 'a' already present"),
+        ("vertex a\nedge x a\n", 2, "unknown vertex 'x'"),
+        ("vertex a\nedge a x\n", 2, "unknown vertex 'x'"),
+        # Both names unknown: the first one is named.
+        ("vertex a\nedge x y\n", 2, "unknown vertex 'x'"),
+        # An unknown name given twice is unknown before it is a self-loop.
+        ("vertex a\nedge x x\n", 2, "unknown vertex 'x'"),
+        # The first bad line wins over a later one.
+        ("vertex a\nedge a a\nvertex a\n", 2, "self-loop at 'a'"),
+        ("vertex a\nvertex a\nedge a a\n", 2, "vertex 'a' already present"),
+    ])
+    def test_message_and_line(self, text, line, message):
+        with pytest.raises(FormatError) as err:
+            parse_graph(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
+    def test_edge_in_both_orientations_is_kept_once(self):
+        g, _, _ = parse_graph("vertex a\nvertex b\nedge a b\nedge b a\nedge a b\n")
+        assert g.edge_count == 1
+        assert list(g.edges()) == [(0, 1)]
+
+
+class TestParseBounds:
+    """A board holds at most MAX_TARGET_VERTICES vertices and
+    MAX_RANDOM_CORPUS_PAIRS edge lines, read when parse_graph is called."""
+
+    @staticmethod
+    def board(vertices, edge_lines):
+        names = [f"v{i}" for i in range(vertices)]
+        lines = [f"vertex {name}" for name in names]
+        lines += [f"edge v0 v{1 + k % (vertices - 1)}" for k in range(edge_lines)]
+        return "ruleset D=1 S=\n" + "\n".join(lines) + "\n"
+
+    def test_vertices_at_and_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(gadgets, "MAX_TARGET_VERTICES", 5)
+        g, _, _ = parse_graph(self.board(5, 3))
+        assert g.vertex_count == 5
+        with pytest.raises(FormatError) as err:
+            parse_graph(self.board(6, 3))
+        # The sixth vertex line is the seventh line of the board.
+        assert err.value.line == 7
+        assert str(err.value) == "line 7: more than 5 vertices, the bound on a board"
+
+    def test_edge_lines_at_and_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_RANDOM_CORPUS_PAIRS", 6)
+        # Repeated edges count as lines: 6 lines, 3 distinct edges.
+        g, _, _ = parse_graph(self.board(4, 6))
+        assert g.edge_count == 3
+        with pytest.raises(FormatError) as err:
+            parse_graph(self.board(4, 7))
+        assert err.value.line == 12
+        assert str(err.value) == "line 12: more than 6 edge lines, the bound on a board"
 
 
 class TestStrayStones:

@@ -13,10 +13,14 @@ from distance_games import (
     check_play_for_play,
     check_vertex_condition,
     check_winnability,
+    gen_gnp,
+    gen_path,
+    gen_random_bipartite,
     node_kayles,
     outcome,
     reduce_bgnk_to_d12,
     reduce_bgnk_window,
+    reduce_col_family,
     reduce_snort_family,
     replays_violation,
     run_corpus,
@@ -54,6 +58,11 @@ def bgnk_edge_instance_without(stone):
     start = ri.initial_position
     return dataclasses.replace(
         ri, initial_position=Position(start.blue & ~bit, start.red & ~bit))
+
+
+def bipartite_source(p, q, prob, seed):
+    g, (left, right) = gen_random_bipartite(p, q, prob, seed)
+    return g, left, right
 
 
 def example_one_instance():
@@ -130,6 +139,17 @@ class TestPlayForPlay:
         forged = CheckResult(PLAY_FOR_PLAY, False, vertex="g0.v2", player=L,
                              kind=KIND_TARGET_ONLY)
         assert not replays_violation(ri, forged)
+
+    @pytest.mark.parametrize("build, detail", [
+        (lambda: reduce_snort_family(gen_gnp(6, 0.5, 2), 3), "nodes=219 depth=full"),
+        (lambda: reduce_col_family(gen_path(6), 2), "nodes=239 depth=full"),
+        (lambda: reduce_bgnk_window(*bipartite_source(3, 3, 0.6, 4), {1, 2}, 3),
+         "nodes=22 depth=full"),
+    ], ids=["snort-family", "col-family", "bgnk-window"])
+    def test_full_walk_node_counts(self, build, detail):
+        # Each distinct source position is one node, however many move
+        # orders reach it, so a walk that revisits or skips one moves the count.
+        assert check_play_for_play(build()).detail == detail
 
     def test_snort_family_full_depth_small_corpus(self):
         from distance_games import all_labelled_graphs
