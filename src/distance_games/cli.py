@@ -172,6 +172,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    # An empty path would send the board to stdout and the map to ".map".
+    if not args.out:
+        raise InvalidParameterError("reduce needs a non-empty --out path")
     g, pos, src_rs = _read_board(args.infile)
     if pos.stone_count:
         raise InvalidParameterError("reduce expects an empty starting position")
@@ -235,9 +238,9 @@ def _cmd_gadget(args) -> int:
 
     host_rs = Ruleset(d, s)
     host = Graph()
-    gadgets.embed_gadget(host, gadget)
+    placement = (gadgets.embed_gadget(host, gadget), gadget)
     host.freeze()
-    _write(serialize(host, gadgets.stones_position(host, [gadget]), host_rs), args.out)
+    _write(serialize(host, gadgets.stones_position([placement]), host_rs), args.out)
 
     if report is None:
         return 0

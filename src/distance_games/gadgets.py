@@ -11,7 +11,7 @@ untouched, because both stones are at distance r+1 or more from it.
 The construction here is derived from those distance requirements and
 deliberately treated as untrusted: `verifier.check_gadget_lemma` re-derives every
 guarantee through the legality rules, and the test suite requires it to
-pass for r up to 8.
+pass for every r up to MAX_GADGET_SIZE.
 
 Geometry, with q and m chosen per parity:
 
@@ -31,7 +31,10 @@ end ports are t-1 apart; splicing it in place of an edge puts the old
 endpoints at distance t+1.
 
 A `GadgetInstance` holds its edges, fixed stones and ports as positions
-in its vertex tuple, so a renamed copy shares all three with its shape.
+in its vertex tuple. A copy in a host graph is a placement `(first, shape)`:
+the host index `embed_gadget` returned for the shape's position 0, and the
+shape itself, shared by every copy. Position p of the copy is host index
+first + p, and the copy's names live only in the graph.
 """
 
 from __future__ import annotations
@@ -73,10 +76,10 @@ def check_target_size(planned: int) -> None:
 
 @dataclass(frozen=True)
 class GadgetInstance:
-    """One embedded gadget: fresh namespaced vertices; edges as position
-    pairs, as `Graph.add_block` takes them; stones as `(position, Colour)`
-    and ports as `(role, position)`. A stone or port that is not an int
-    position of `vertices` is refused."""
+    """A gadget shape: vertex names; edges as position pairs, as
+    `Graph.add_block` takes them; stones as `(position, Colour)` and ports
+    as `(role, position)`. A stone or port that is not an int position of
+    `vertices` is refused."""
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
@@ -84,7 +87,6 @@ class GadgetInstance:
     ports: tuple[tuple[str, int], ...]
     radius: int | None = None
     span: int = 1
-    origin: str = ""
 
     def __post_init__(self):
         n = len(self.vertices)
@@ -102,22 +104,6 @@ class GadgetInstance:
                 return p
         raise KeyError(f"gadget has no port {role!r}")
 
-    def renamed(self, prefix: str, origin: str = "") -> "GadgetInstance":
-        """Copy of this gadget with `prefix` put in front of every vertex name.
-
-        Builders make one shape with an empty prefix and rename it for each
-        copy, which costs less than building every copy from scratch. The
-        copy shares the shape's edge, stone and port tuples: they hold
-        positions, which renaming does not move, and it has as many vertices,
-        so those tuples are not checked again (`__post_init__` does not run).
-        """
-        copy = object.__new__(GadgetInstance)
-        fields = copy.__dict__
-        fields.update(self.__dict__)
-        fields["vertices"] = tuple([prefix + v for v in self.vertices])
-        fields["origin"] = origin
-        return copy
-
     @property
     def uncoloured(self) -> tuple[int, ...]:
         """The positions that hold no fixed stone, in order."""
@@ -125,7 +111,12 @@ class GadgetInstance:
         return tuple(p for p in range(len(self.vertices)) if p not in fixed)
 
 
-def forbidden_vertex_gadget(r: int, prefix: str = "g0", origin: str = "") -> GadgetInstance:
+# A copy of a gadget in a host graph: the host index of its position 0, and
+# the gadget.
+Placement = tuple[int, GadgetInstance]
+
+
+def forbidden_vertex_gadget(r: int, prefix: str = "g0") -> GadgetInstance:
     """Size-r blocker gadget; the single port is the vertex named `.v`."""
     check_gadget_size("gadget size r", r, 1)
     if r % 2:
@@ -153,14 +144,14 @@ def forbidden_vertex_gadget(r: int, prefix: str = "g0", origin: str = "") -> Gad
         precoloured=((red, Colour.RED), (blue, Colour.BLUE)),
         ports=(("v", 0),),
         radius=r,
-        origin=origin,
     )
 
 
-def forbidden_path(t: int, r: int, prefix: str = "g0", origin: str = "") -> GadgetInstance:
+def forbidden_path(t: int, r: int, prefix: str = "g0") -> GadgetInstance:
     """Chain of t size-r blocker gadgets with `left` and `right` end ports.
 
-    With an empty prefix every name starts with '.', ready for `renamed`.
+    With an empty prefix every name starts with '.', ready for
+    `embed_gadget` to prefix per copy.
     """
     check_gadget_size("path length t", t, 1)
     blocker = forbidden_vertex_gadget(r, prefix="")
@@ -175,7 +166,6 @@ def forbidden_path(t: int, r: int, prefix: str = "g0", origin: str = "") -> Gadg
         ports=(("left", ports[0]), ("right", ports[-1])),
         radius=r,
         span=t,
-        origin=origin,
     )
 
 
@@ -183,24 +173,27 @@ def forbidden_path(t: int, r: int, prefix: str = "g0", origin: str = "") -> Gadg
 def path_shape(t: int, r: int) -> GadgetInstance:
     """`forbidden_path(t, r, prefix="")`, kept for the most recent sizes.
 
-    Gadgets are immutable, so builders that rename one shape per copy can
-    share it between calls instead of building it again each time.
+    Gadgets are immutable, so every copy a builder embeds, in one call or
+    many, places this one shape instead of building it again.
     """
     return forbidden_path(t, r, prefix="")
 
 
-def embed_gadget(g: Graph, gadget: GadgetInstance) -> int:
-    """Add a gadget's vertices and edges to a (mutable) host graph, as one
-    block; return the host index of its position 0."""
-    return g.add_block(gadget.vertices, gadget.edges)
+def embed_gadget(g: Graph, gadget: GadgetInstance, prefix: str = "") -> int:
+    """Add a copy of a gadget to a (mutable) host graph, as one block, each
+    vertex named `prefix` + its name in the gadget; return the host index
+    of its position 0, the `first` of the copy's placement."""
+    return g.add_block([prefix + v for v in gadget.vertices], gadget.edges)
 
 
-def stones_position(g: Graph, gadgets) -> Position:
-    """Position holding exactly the fixed stones of the given gadgets."""
+def stones_position(placements) -> Position:
+    """Position holding exactly the fixed stones of the placed copies: for
+    each `(first, gadget)`, a stone at host index first + p for each stone
+    position p of the gadget."""
     blue = red = 0
-    for gadget in gadgets:
+    for first, gadget in placements:
         for p, colour in gadget.precoloured:
-            bit = 1 << g.index_of(gadget.vertices[p])
+            bit = 1 << (first + p)
             if colour is Colour.BLUE:
                 blue |= bit
             else:
@@ -208,35 +201,34 @@ def stones_position(g: Graph, gadgets) -> Position:
     return Position(blue, red)
 
 
-def splice_edges(g: Graph, targets, t: int, r: int) -> tuple[Graph, list[GadgetInstance]]:
+def splice_edges(g: Graph, targets, t: int, r: int) -> tuple[Graph, list[Placement]]:
     """Replace each (i, j) target edge with a fresh path of t size-r blockers.
 
     Both sizes are checked before any vertex is added, even when there are
     no targets (t = 0 is allowed only then), and so is the size of the new
     graph when there are. Original vertices come first in the new graph, in
     their old order, so old indices stay valid. Returns the unfrozen graph
-    and the path gadgets in `targets` order; the caller freezes when
-    construction is complete.
+    and the paths' placements `(first, shape)` in `targets` order, copy k
+    named with the prefix `g{k}`; the caller freezes when construction is
+    complete.
     """
     check_gadget_size("path length t", t, 0)
     check_gadget_size("gadget size r", r, 1)
     if targets:
         shape = path_shape(t, r)
         check_target_size(g.vertex_count + len(targets) * len(shape.vertices))
-    names = g.names
     new = Graph()
     target_set = set(targets)
-    new.add_block(names, [edge for edge in g.edges() if edge not in target_set])
+    new.add_block(g.names, [edge for edge in g.edges() if edge not in target_set])
     if not targets:
         return new, []
     left, right = shape.port("left"), shape.port("right")
     paths = []
     for gid, (i, j) in enumerate(targets):
-        fp = shape.renamed(f"g{gid}", origin=f"edge {names[i]}--{names[j]}")
-        first = embed_gadget(new, fp)
+        first = embed_gadget(new, shape, f"g{gid}")
         new.add_edge(i, first + left)
         new.add_edge(first + right, j)
-        paths.append(fp)
+        paths.append((first, shape))
     return new, paths
 
 
@@ -251,8 +243,9 @@ def replace_edge(g: Graph, u: int | str, v: int | str, t: int, r: int) -> Graph:
     return new.freeze()
 
 
-def replace_all_edges(g: Graph, t: int, r: int) -> tuple[Graph, dict[tuple[int, int], GadgetInstance]]:
-    """Splice every edge, each with its own disjoint gadget copy."""
+def replace_all_edges(g: Graph, t: int, r: int) -> tuple[Graph, dict[tuple[int, int], Placement]]:
+    """Splice every edge, each with its own disjoint gadget copy; map each
+    old edge to its copy's placement `(first, shape)` in the new graph."""
     edges = list(g.edges())
     new, paths = splice_edges(g, edges, t, r)
     return new.freeze(), dict(zip(edges, paths))

@@ -178,15 +178,6 @@ class Graph:
         self._frozen = True
         return self
 
-    def copy(self) -> "Graph":
-        """Unfrozen structural copy."""
-        g = Graph()
-        g._names = list(self._names)
-        g._index = dict(self._index)
-        g._adj = [list(a) for a in self._adj]
-        g._edge_count = self._edge_count
-        return g
-
     # -- queries -----------------------------------------------------------
 
     @property

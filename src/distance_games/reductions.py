@@ -10,6 +10,10 @@ move-for-move the same game as the source.
 Degenerate parameters that make the target coincide with the source (for
 example a distance bound of 1) return a copy of the source graph with no
 gadgets instead of erroring.
+
+Every builder starts its target with one `add_block` of the source and
+then embeds each gadget copy under its own prefix `g{k}`, recording the
+copy as a placement `(first, shape)`; names live only in the target graph.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Callable, Iterable
 from .errors import InvalidParameterError, NotBipartiteError, ParameterViolationError
 from .gadgets import (
     GadgetInstance,
+    Placement,
     check_target_size,
     embed_gadget,
     path_shape,
@@ -45,8 +50,11 @@ class ReducedInstance:
     """Output of one reduction, ready for solving and verification.
 
     The source's vertices are the target's first vertices, with the same
-    names in the same order; the gadget vertices follow them. So a source
-    index is also the target index of the same vertex.
+    names in the same order, so a source index is also the target index of
+    the same vertex. `gadgets` holds the gadget copies as placements
+    `(first, shape)` in embedding order; they tile the rest of the target,
+    each starting where the one before ends, the first right after the
+    source's vertices and the last ending at the target's last vertex.
     """
 
     source_graph: Graph
@@ -54,13 +62,25 @@ class ReducedInstance:
     target_graph: Graph
     target_ruleset: Ruleset
     initial_position: Position
-    gadgets: tuple[GadgetInstance, ...]
+    gadgets: tuple[Placement, ...]
 
     def __post_init__(self):
         names = self.source_graph.names
         if self.target_graph.names[:len(names)] != names:
             raise InvalidParameterError(
                 "the target's first vertices must be the source's vertices, in order"
+            )
+        end = len(names)
+        for first, shape in self.gadgets:
+            if first != end:
+                raise InvalidParameterError(
+                    f"a gadget copy starts at target index {first}, not at {end}"
+                )
+            end += len(shape.vertices)
+        if end != self.target_graph.vertex_count:
+            raise InvalidParameterError(
+                f"the gadget copies end at target index {end}, not at the "
+                f"target's {self.target_graph.vertex_count} vertices"
             )
 
 
@@ -84,11 +104,11 @@ def _check_bipartition(g: Graph, left, right) -> Bipartition:
 
 
 def _finish(source_graph: Graph, source_rs: Ruleset, target_graph: Graph,
-            target_rs: Ruleset, gadgets: Iterable[GadgetInstance]) -> ReducedInstance:
+            target_rs: Ruleset, gadgets: Iterable[Placement]) -> ReducedInstance:
     gadgets = tuple(gadgets)
     target_graph.freeze()
     source_graph.freeze()
-    pos = stones_position(target_graph, gadgets)
+    pos = stones_position(gadgets)
     instance = ReducedInstance(
         source_graph=source_graph,
         source_ruleset=source_rs,
@@ -127,35 +147,32 @@ def reduce_bgnk_to_d12(g: Graph, left, right, s: Iterable[int] = ()) -> ReducedI
         raise ParameterViolationError("same-colour set must be {} or {1}")
     left, right = _check_bipartition(g, left, right)
 
-    new = g.copy()
-    gadgets: list[GadgetInstance] = []
-    gid = 0
-    for side, colour, label in ((left, Colour.BLUE, "left"), (right, Colour.RED, "right")):
+    new = Graph()
+    new.add_block(g.names, g.edges())
+    gadgets: list[Placement] = []
+    for side, colour in ((left, Colour.BLUE), (right, Colour.RED)):
         if not side:
             continue
-        near = f"g{gid}.{colour.value}"
+        near = f".{colour.value}"
         if s:
             gadget = GadgetInstance(
-                vertices=(f"g{gid}.v", near),
+                vertices=(".v", near),
                 edges=((0, 1),),
                 precoloured=((1, colour),),
                 ports=(("attach", 0),),
-                origin=f"{label} side anchor",
             )
         else:
             far_colour = colour.opposite
             gadget = GadgetInstance(
-                vertices=(f"g{gid}.v2", near, f"g{gid}.v1", f"g{gid}.{far_colour.value}"),
+                vertices=(".v2", near, ".v1", f".{far_colour.value}"),
                 edges=((0, 1), (0, 2), (2, 3)),
                 precoloured=((1, colour), (3, far_colour)),
                 ports=(("attach", 0),),
-                origin=f"{label} side anchor",
             )
-        attach = embed_gadget(new, gadget) + gadget.port("attach")
+        first = embed_gadget(new, gadget, f"g{len(gadgets)}")
         for u in sorted(side):
-            new.add_edge(u, attach)
-        gadgets.append(gadget)
-        gid += 1
+            new.add_edge(u, first + gadget.port("attach"))
+        gadgets.append((first, gadget))
 
     return _finish(
         g, bigraph_node_kayles(left, right), new, distance_game({1, 2}, s), gadgets
@@ -245,33 +262,24 @@ def reduce_bgnk_window(g: Graph, left, right, d: Iterable[int], k: int,
     shape = path_shape(k - 1, k)
     check_target_size(new.vertex_count + (len(left) + len(right)) * len(shape.vertices)
                       + bool(left) + bool(right))
-    names = g.names
-    gid = len(gadgets)
-    for side, colour, label in ((left, Colour.RED, "left"), (right, Colour.BLUE, "right")):
+    left_port, right_port = shape.port("left"), shape.port("right")
+    for side, colour in ((left, Colour.RED), (right, Colour.BLUE)):
         # The shared stone carries the colour the side may NOT take.
         if not side:
             continue
-        anchors, ends = [], []
+        ends = []
         for u in sorted(side):
-            fp = shape.renamed(f"g{gid}", origin=f"{label} side anchor for {names[u]}")
-            first = embed_gadget(new, fp)
-            new.add_edge(u, first + fp.port("left"))
-            anchors.append(fp)
-            ends.append(first + fp.port("right"))
-            gid += 1
+            first = embed_gadget(new, shape, f"g{len(gadgets)}")
+            new.add_edge(u, first + left_port)
+            ends.append(first + right_port)
+            gadgets.append((first, shape))
         stone_gadget = GadgetInstance(
-            vertices=(f"g{gid}.{colour.value}",),
-            edges=(),
-            precoloured=((0, colour),),
-            ports=(),
-            origin=f"{label} side shared stone",
+            vertices=(f".{colour.value}",), edges=(), precoloured=((0, colour),), ports=(),
         )
-        stone = embed_gadget(new, stone_gadget)
+        stone = embed_gadget(new, stone_gadget, f"g{len(gadgets)}")
         for end in ends:
             new.add_edge(end, stone)
-        gadgets.extend(anchors)
-        gadgets.append(stone_gadget)
-        gid += 1
+        gadgets.append((stone, stone_gadget))
 
     return _finish(
         g,

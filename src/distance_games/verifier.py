@@ -317,7 +317,7 @@ def check_gadget_lemma(gadget: GadgetInstance, d, s, probes: int) -> Verificatio
     host.freeze()
 
     rs = rules.distance_game(d, s)
-    start = stones_position(host, [gadget])
+    start = stones_position([(0, gadget)])
     players = (Player.LEFT, Player.RIGHT)
 
     def first_playable(pos: Position) -> str | None:

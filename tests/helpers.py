@@ -141,10 +141,10 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
     return g
 
 
-def reference_forbidden_path(t: int, r: int, prefix: str, origin: str = "") -> GadgetInstance:
+def reference_forbidden_path(t: int, r: int, prefix: str) -> GadgetInstance:
     """A path of t blockers with every copy built by its own
     forbidden_vertex_gadget call, each copy's positions shifted past the
-    copies before it, for checking gadgets made by renaming."""
+    copies before it, for checking the copies the library embeds."""
     copies = [forbidden_vertex_gadget(r, prefix=f"{prefix}.f{i}") for i in range(1, t + 1)]
     starts = [sum(len(c.vertices) for c in copies[:k]) for k in range(t)]
     ports = [k + copy.port("v") for k, copy in zip(starts, copies)]
@@ -157,5 +157,20 @@ def reference_forbidden_path(t: int, r: int, prefix: str, origin: str = "") -> G
         ports=(("left", ports[0]), ("right", ports[-1])),
         radius=r,
         span=t,
-        origin=origin,
     )
+
+
+def block_at(g: Graph, pos: Position, first: int, n: int):
+    """What g and pos hold in the n vertices from index `first`: their names,
+    and the edges among them and the stones on them as positions in the
+    block. Read from the graph alone, to compare with `gadget_view`."""
+    stop = first + n
+    edges = {(i - first, j - first) for i, j in g.edges() if first <= i and j < stop}
+    stones = {(i - first, colour) for i, colour in pos.stones() if first <= i < stop}
+    return g.names[first:stop], edges, stones
+
+
+def gadget_view(gadget: GadgetInstance):
+    """A gadget's names, edges and stones in the form `block_at` returns."""
+    edges = {(min(a, b), max(a, b)) for a, b in gadget.edges}
+    return gadget.vertices, edges, set(gadget.precoloured)

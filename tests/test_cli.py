@@ -214,6 +214,15 @@ class TestReduce:
                            "--to", "D=2 S=", "--out", str(tmp_path / "x.graph"))
         assert code == 2 and "interval" in err
 
+    def test_empty_out_path_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        # Not the board on stdout and the map in ".map", as "" as a path would give.
+        board = tmp_path / "k2.graph"
+        run(capsys, "gen", "--kind", "path", "--n", "2", "--out", str(board))
+        monkeypatch.chdir(tmp_path)
+        assert_input_error(capsys, "reduce", "--in", str(board), "--to", "D=1,2 S=",
+                           "--out", "", mentions="--out")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k2.graph"]
+
 
 class TestVerify:
     def test_passing_corpus_exits_zero(self, capsys):

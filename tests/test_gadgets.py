@@ -25,9 +25,9 @@ from distance_games import (
     replace_edge,
     stones_position,
 )
-from distance_games.gadgets import GadgetInstance, embed_gadget, path_shape
+from distance_games.gadgets import MAX_GADGET_SIZE, GadgetInstance, embed_gadget, path_shape
 
-from helpers import build_graph, reference_forbidden_path
+from helpers import block_at, build_graph, gadget_view, reference_forbidden_path
 
 
 def host_of(gadget) -> Graph:
@@ -152,10 +152,13 @@ class TestEdgeReplacement:
         for u in range(3):
             for v in range(u + 1, 3):
                 assert new.distance(u, v) == 3
-        names = [set(inst.vertices) for inst in gadget_map.values()]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert not names[i] & names[j]  # disjoint copies
+        # Disjoint copies, one after another, each under its own prefix.
+        end = 3
+        for gid, (first, shape) in enumerate(gadget_map.values()):
+            assert first == end
+            end += len(shape.vertices)
+            assert new.names[first:end] == reference_forbidden_path(2, 3, f"g{gid}").vertices
+        assert end == new.vertex_count
 
     def test_original_indices_preserved(self):
         g = build_graph("abc", [("a", "b"), ("b", "c")])
@@ -188,6 +191,18 @@ class TestGadgetLemmaCheck:
         with pytest.raises(HypothesisViolatedError):
             check_gadget_lemma(forbidden_vertex_gadget(2), {1, 2}, {1, 2, 3}, 2)
 
+    @pytest.mark.parametrize("r", range(1, MAX_GADGET_SIZE + 1))
+    def test_lemma_holds_at_every_size(self, r):
+        # The reductions build blockers up to the cap, so the lemma is
+        # checked at every size they can ask for, with one probe per port.
+        full, one = frozenset(range(1, r + 1)), frozenset({1})
+        forms = [(full, frozenset()), (frozenset(), full), (full, full), (full, one), (one, full)]
+        for gadget, checked in ((forbidden_vertex_gadget(r), forms),
+                                (forbidden_path(2, r), forms[:2])):
+            for d, s in checked:
+                report = check_gadget_lemma(gadget, d, s, 1)
+                assert report.passed, (r, sorted(d), sorted(s), report.lines())
+
     def test_forbidden_path_checks_too(self):
         report = check_gadget_lemma(forbidden_path(2, 3), {1, 2, 3}, {1}, 2)
         assert report.passed
@@ -198,7 +213,7 @@ class TestGadgetLemmaCheck:
         from distance_games import distance_game
 
         rs = distance_game({1, 2}, set())
-        pos = stones_position(g, [f])
+        pos = stones_position([(0, f)])
         for player in (Player.LEFT, Player.RIGHT):
             assert not is_legal(g, rs, pos, "g0.v", player)
 
@@ -261,21 +276,21 @@ class TestStonesAndPortsArePositions:
         assert out.split() == [str(2 * len(self.BAD)), "False"]
 
     def test_reduced_stones_sit_on_their_gadgets(self):
-        # Each gadget is one block of the target, so position p is the
-        # target index of its first vertex plus p, and the starting
-        # position holds exactly the gadgets' stones.
+        # Position p of a copy is target index first + p, so each copy's
+        # block of the target holds exactly its shape's stones, and every
+        # stone sits on a vertex whose name ends in its colour: ".R" or ".B".
         path = build_graph("abc", [("a", "b"), ("b", "c")])
         for ri in (reduce_snort_family(gen_cycle(5), 3),
                    reduce_bgnk_window(path, ["a", "c"], ["b"], {1, 2}, 3),
                    reduce_bgnk_to_d12(path, ["a", "c"], ["b"]),
                    reduce_bgnk_to_d12(path, ["a", "c"], ["b"], {1})):
-            g, stones = ri.target_graph, {}
-            for gadget in ri.gadgets:
-                first = g.index_of(gadget.vertices[0])
-                assert [g.index_of(v) - first for v in gadget.vertices] == \
-                    list(range(len(gadget.vertices)))
-                stones.update((first + p, colour) for p, colour in gadget.precoloured)
-            assert dict(ri.initial_position.stones()) == stones
+            g, pos = ri.target_graph, ri.initial_position
+            for first, shape in ri.gadgets:
+                _, _, stones = block_at(g, pos, first, len(shape.vertices))
+                assert stones == set(shape.precoloured)
+            named = {i: Colour(name[-1]) for i, name in enumerate(g.names)
+                     if name.endswith((".R", ".B"))}
+            assert dict(pos.stones()) == named
 
 
 class TestFreshNaming:
@@ -289,6 +304,9 @@ class TestFreshNaming:
 
 
 class TestRenamedCopies:
+    """A copy in a host graph is its shape's names under the copy's prefix,
+    at its placement; everything else it shares with the shape."""
+
     PREFIXES = ("g0", "g17", "x.y", "é")
 
     @pytest.mark.parametrize("t", range(1, 9))
@@ -296,24 +314,28 @@ class TestRenamedCopies:
     def test_renamed_shape_equals_fresh_copies(self, t, r):
         shape = forbidden_path(t, r, prefix="")
         for prefix in self.PREFIXES:
-            origin = f"edge a--{prefix}"
-            # Dataclass equality: vertices, edges, stones, ports, radius,
-            # span and origin.
-            expected = reference_forbidden_path(t, r, prefix, origin)
-            assert shape.renamed(prefix, origin) == expected
-            assert forbidden_path(t, r, prefix, origin) == expected
+            # Dataclass equality: vertices, edges, stones, ports, radius
+            # and span.
+            expected = reference_forbidden_path(t, r, prefix)
+            assert forbidden_path(t, r, prefix) == expected
+            host = build_graph(["host0"], [])
+            first = embed_gadget(host, shape, prefix)
+            assert first == 1
+            pos = stones_position([(first, shape)])
+            assert block_at(host, pos, first, len(shape.vertices)) == gadget_view(expected)
 
     @pytest.mark.parametrize("t", range(1, 9))
     @pytest.mark.parametrize("r", range(1, 9))
     def test_copies_share_the_local_edges_of_their_shape(self, t, r):
-        # Edges, stones and ports are positions, so a copy shares the
-        # shape's tuples and only its vertex names are new.
+        # Every copy a splice places is the one cached shape; its copies
+        # follow one another, each as long as the shape.
+        g = build_graph("abc", [("a", "b"), ("b", "c")])
+        new, paths = replace_all_edges(g, t, r)
         shape = path_shape(t, r)
-        copy = shape.renamed("g3", "edge a--b")
-        assert copy.edges is shape.edges
-        assert copy.precoloured is shape.precoloured
-        assert copy.ports is shape.ports
-        assert copy.vertices == tuple("g3" + v for v in shape.vertices)
+        assert all(placed is shape for _, placed in paths.values())
+        size = len(shape.vertices)
+        assert [first for first, _ in paths.values()] == [3, 3 + size]
+        assert new.vertex_count == 3 + 2 * size
 
     def test_path_shape_is_cached_and_bounded(self):
         assert path_shape(2, 3) is path_shape(2, 3)
@@ -325,19 +347,31 @@ class TestRenamedCopies:
     @pytest.mark.parametrize("t, r", [(1, 1), (2, 3), (3, 4)])
     def test_spliced_paths_equal_fresh_copies(self, t, r):
         g = build_graph("abcd", [("a", "b"), ("b", "c"), ("a", "d")])
-        _, paths = replace_all_edges(g, t, r)
-        for gid, ((i, j), fp) in enumerate(paths.items()):
-            origin = f"edge {g.name_of(i)}--{g.name_of(j)}"
-            assert fp == reference_forbidden_path(t, r, f"g{gid}", origin)
+        new, paths = replace_all_edges(g, t, r)
+        pos = stones_position(paths.values())
+        for gid, ((i, j), (first, shape)) in enumerate(paths.items()):
+            expected = reference_forbidden_path(t, r, f"g{gid}")
+            assert block_at(new, pos, first, len(shape.vertices)) == gadget_view(expected)
+            # Copy g{gid} stands in for edge (i, j).
+            assert new.has_edge(i, first + expected.port("left"))
+            assert new.has_edge(first + expected.port("right"), j)
 
     def test_window_anchors_equal_fresh_copies(self):
         g = build_graph("abc", [("a", "b"), ("c", "b")])
         ri = reduce_bgnk_window(g, ["a", "c"], ["b"], {1, 2}, 3)
-        spliced = [gadget for gadget in ri.gadgets if gadget.origin.startswith("edge")]
-        anchors = [gadget for gadget in ri.gadgets if "anchor" in gadget.origin]
-        assert len(spliced) == 2 and len(anchors) == 3
-        # g0, g1 are the spliced edges and g4, g6 the two shared stones.
-        expected = [("g2", "left side anchor for a"), ("g3", "left side anchor for c"),
-                    ("g5", "right side anchor for b")]
-        for fp, (prefix, origin) in zip(anchors, expected):
-            assert fp == reference_forbidden_path(2, 3, prefix, origin)
+        new, pos = ri.target_graph, ri.initial_position
+        # g0, g1 are the spliced edges, g2, g3 and g5 the anchors of a, c
+        # and b, and g4, g6 the two shared stones.
+        expected = {0: (1, None), 1: (1, None), 2: (2, "a"), 3: (2, "c"), 5: (2, "b")}
+        stones = {4: Colour.RED, 6: Colour.BLUE}
+        assert len(ri.gadgets) == len(expected) + len(stones)
+        for gid, (first, shape) in enumerate(ri.gadgets):
+            view = block_at(new, pos, first, len(shape.vertices))
+            if gid in stones:
+                assert view == ((f"g{gid}.{stones[gid].value}",), set(), {(0, stones[gid])})
+                continue
+            t, anchored = expected[gid]
+            fresh = reference_forbidden_path(t, 3, f"g{gid}")
+            assert view == gadget_view(fresh)
+            if anchored is not None:
+                assert new.has_edge(anchored, first + fresh.port("left"))

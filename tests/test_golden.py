@@ -54,5 +54,6 @@ def test_reduced_board_bytes(name, params, vertices, board_sha, dot_sha):
     assert ri.target_graph.vertex_count == vertices
     board = serialize(ri.target_graph, ri.initial_position, ri.target_ruleset)
     assert sha256(board) == board_sha
-    highlight = [v for gadget in ri.gadgets for v in gadget.vertices]
+    names = ri.target_graph.names
+    highlight = [v for first, shape in ri.gadgets for v in names[first:first + len(shape.vertices)]]
     assert sha256(to_dot(ri.target_graph, ri.initial_position, highlight)) == dot_sha

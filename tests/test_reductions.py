@@ -3,6 +3,7 @@ import pytest
 from distance_games import (
     REDUCTIONS,
     Colour,
+    GadgetInstance,
     InvalidParameterError,
     NotBipartiteError,
     ParameterViolationError,
@@ -35,6 +36,13 @@ def single_edge_bipartite():
     return g, [0], [1]
 
 
+def shared_stone(ri, colour):
+    """Target index of the bgnk-window stone of one colour: the one-vertex
+    copy that holds it."""
+    return next(first for first, shape in ri.gadgets
+                if len(shape.vertices) == 1 and shape.precoloured == ((0, colour),))
+
+
 class TestBgnkToD12:
     def test_empty_s_variant_shape(self):
         g, left, right = single_edge_bipartite()
@@ -60,7 +68,12 @@ class TestBgnkToD12:
         g = build_graph("b", [])
         ri = reduce_bgnk_to_d12(g, [], [0], s=frozenset())
         assert len(ri.gadgets) == 1
-        assert ri.gadgets[0].origin.startswith("right")
+        # The right side's anchor: a red stone next to its attachment, named
+        # under the first prefix.
+        first, shape = ri.gadgets[0]
+        assert shape.precoloured == ((1, Colour.RED), (3, Colour.BLUE))
+        assert ri.target_graph.names[first:] == ("g0.v2", "g0.R", "g0.v1", "g0.B")
+        assert ri.target_graph.has_edge("b", first + shape.port("attach"))
 
     def test_other_s_rejected(self):
         g, left, right = single_edge_bipartite()
@@ -155,11 +168,7 @@ class TestBgnkWindow:
         g, left, right = single_edge_bipartite()
         ri = reduce_bgnk_window(g, left, right, d={1, 2, 3}, k=4)
         assert ri.target_graph.distance("a", "b") == 3
-        shared_red = next(
-            gadget.vertices[0]
-            for gadget in ri.gadgets
-            if gadget.origin == "left side shared stone"
-        )
+        shared_red = shared_stone(ri, Colour.RED)
         assert ri.target_graph.distance("a", shared_red) == 4
         pos = ri.initial_position
         assert is_legal(ri.target_graph, ri.target_ruleset, pos, "a", L)
@@ -170,11 +179,7 @@ class TestBgnkWindow:
         g.add_edge("x", "y")
         g.add_edge("z", "y")
         ri = reduce_bgnk_window(g, ["x", "z"], ["y"], d={1, 2, 3}, k=5)
-        shared_red = next(
-            gadget.vertices[0]
-            for gadget in ri.gadgets
-            if gadget.origin == "left side shared stone"
-        )
+        shared_red = shared_stone(ri, Colour.RED)
         # Through the shared stone the two left vertices are 2k apart,
         # and through the spliced edges 2n; both exceed k here.
         assert ri.target_graph.distance("x", shared_red) == 5
@@ -215,14 +220,40 @@ class TestInstanceShape:
     def test_target_must_start_with_the_source_names_in_order(self):
         src = build_graph("ab", [("a", "b")])
 
-        def instance(target_names):
+        def instance(target_names, gadgets=()):
             return ReducedInstance(src, snort(), build_graph(target_names, []), snort(),
-                                   Position(), ())
+                                   Position(), gadgets)
 
-        assert instance("abx").target_graph.names == ("a", "b", "x")
+        one = GadgetInstance(("x",), (), (), ())
+        assert instance("abx", [(2, one)]).target_graph.names == ("a", "b", "x")
         for names in ("ba", "xab", "a", ""):
             with pytest.raises(InvalidParameterError):
                 instance(names)
+
+    def test_gadgets_must_tile_the_rest_of_the_target(self):
+        src = build_graph("ab", [("a", "b")])
+        one, two = GadgetInstance(("x",), (), (), ()), GadgetInstance(("x", "y"), (), (), ())
+
+        def instance(target_names, gadgets):
+            return ReducedInstance(src, snort(), build_graph(target_names, []), snort(),
+                                   Position(), gadgets)
+
+        assert instance("ab", ()).gadgets == ()
+        assert len(instance("abxyz", [(2, two), (4, one)]).gadgets) == 2
+        for names, gadgets, why in [
+            # No copy, one vertex past the source.
+            ("abx", (), "end at target index 2, not at the target's 3"),
+            # A copy that skips a vertex, overlaps the one before, or
+            # starts inside the source.
+            ("abxy", [(3, one)], "starts at target index 3, not at 2"),
+            ("abxyz", [(2, two), (3, two)], "starts at target index 3, not at 4"),
+            ("abxy", [(1, one), (2, two)], "starts at target index 1, not at 2"),
+            # Copies that stop short of the last vertex, or run past it.
+            ("abxyz", [(2, two)], "end at target index 4, not at the target's 5"),
+            ("abx", [(2, two)], "end at target index 4, not at the target's 3"),
+        ]:
+            with pytest.raises(InvalidParameterError, match=why):
+                instance(names, gadgets)
 
     def test_initial_position_is_legal(self, instances):
         for ri in instances:
@@ -230,9 +261,10 @@ class TestInstanceShape:
 
     def test_every_stone_inside_a_gadget(self, instances):
         for ri in instances:
-            gadget_names = {v for gadget in ri.gadgets for v in gadget.vertices}
+            inside = {first + p for first, shape in ri.gadgets
+                      for p in range(len(shape.vertices))}
             for i, _ in ri.initial_position.stones():
-                assert ri.target_graph.name_of(i) in gadget_names
+                assert i in inside
 
     def test_originals_initially_legal_for_permitted_players(self, instances):
         for ri in instances:
@@ -250,12 +282,12 @@ class TestInstanceShape:
 
     def test_gadget_vertices_initially_illegal(self, instances):
         for ri in instances:
-            for gadget in ri.gadgets:
-                for p in gadget.uncoloured:
+            for first, shape in ri.gadgets:
+                for p in shape.uncoloured:
                     for player in (L, R):
                         assert not is_legal(
                             ri.target_graph, ri.target_ruleset,
-                            ri.initial_position, gadget.vertices[p], player,
+                            ri.initial_position, first + p, player,
                         )
 
     def test_edge_distance_postconditions(self):
@@ -281,18 +313,15 @@ class TestInstanceShape:
     def test_window_anchor_stone_distances(self):
         g = build_graph("ab", [("a", "b")])
         ri = reduce_bgnk_window(g, [0], [1], d={1, 2}, k=3)
-        red = next(gd.vertices[0] for gd in ri.gadgets
-                   if gd.origin == "left side shared stone")
-        blue = next(gd.vertices[0] for gd in ri.gadgets
-                    if gd.origin == "right side shared stone")
+        red, blue = shared_stone(ri, Colour.RED), shared_stone(ri, Colour.BLUE)
         assert ri.target_graph.distance("a", red) == 3
         assert ri.target_graph.distance("b", blue) == 3
 
     def test_stone_colours_balanced_in_blockers(self, instances):
         for ri in instances:
-            for gadget in ri.gadgets:
-                if gadget.radius is not None:
-                    colours = [c for _, c in gadget.precoloured]
+            for _, shape in ri.gadgets:
+                if shape.radius is not None:
+                    colours = [c for _, c in shape.precoloured]
                     assert colours.count(Colour.RED) == colours.count(Colour.BLUE)
 
     def test_deterministic_serialization(self):
