@@ -9,6 +9,7 @@ flags and seeds; there are no config files or environment knobs.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -175,6 +176,11 @@ def _cmd_reduce(args) -> int:
     # An empty path would send the board to stdout and the map to ".map".
     if not args.out:
         raise InvalidParameterError("reduce needs a non-empty --out path")
+    # A map written over the board or the input would leave only the map.
+    map_path = args.map or (args.out + ".map")
+    for flag, path in (("--out", args.out), ("--in", args.infile)):
+        if os.path.realpath(map_path) == os.path.realpath(path):
+            raise InvalidParameterError(f"the map path {map_path} is also the {flag} path")
     g, pos, src_rs = _read_board(args.infile)
     if pos.stone_count:
         raise InvalidParameterError("reduce expects an empty starting position")
@@ -211,7 +217,6 @@ def _cmd_reduce(args) -> int:
     params["allow_out_of_range"] = args.allow_out_of_range
     ri = spec.build(g, bipartition, params)
     _write(serialize(ri.target_graph, ri.initial_position, ri.target_ruleset), args.out)
-    map_path = args.map or (args.out + ".map")
     Path(map_path).write_text(
         "".join(f"{name} -> {name}\n" for name in ri.source_graph.names)
     )
@@ -338,10 +343,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except DistanceGameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DistanceGameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,10 +31,13 @@ end ports are t-1 apart; splicing it in place of an edge puts the old
 endpoints at distance t+1.
 
 A `GadgetInstance` holds its edges, fixed stones and ports as positions
-in its vertex tuple. A copy in a host graph is a placement `(first, shape)`:
-the host index `embed_gadget` returned for the shape's position 0, and the
-shape itself, shared by every copy. Position p of the copy is host index
-first + p, and the copy's names live only in the graph.
+in its vertex tuple. Its names carry no prefix, so each starts with '.'
+(`.v`, `.R`, `.f2.x1`). A copy in a host graph is a placement
+`(first, shape)`: the host index `embed_gadget` returned for the shape's
+position 0, and the shape itself, shared by every copy. `embed_gadget`
+names the copy, putting its prefix (`g0` by default) before every name.
+Position p of the copy is host index first + p, and the copy's names live
+only in the graph.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ class GadgetInstance:
 Placement = tuple[int, GadgetInstance]
 
 
-def forbidden_vertex_gadget(r: int, prefix: str = "g0") -> GadgetInstance:
+def forbidden_vertex_gadget(r: int) -> GadgetInstance:
     """Size-r blocker gadget; the single port is the vertex named `.v`."""
     check_gadget_size("gadget size r", r, 1)
     if r % 2:
@@ -136,9 +139,9 @@ def forbidden_vertex_gadget(r: int, prefix: str = "g0") -> GadgetInstance:
 
     return GadgetInstance(
         vertices=tuple(
-            [f"{prefix}.v"] + [f"{prefix}.c{i}" for i in range(1, m + 1)]
-            + [f"{prefix}.x{i}" for i in range(1, q)] + [f"{prefix}.R"]
-            + [f"{prefix}.y{i}" for i in range(1, q)] + [f"{prefix}.B"]
+            [".v"] + [f".c{i}" for i in range(1, m + 1)]
+            + [f".x{i}" for i in range(1, q)] + [".R"]
+            + [f".y{i}" for i in range(1, q)] + [".B"]
         ),
         edges=tuple(edges),
         precoloured=((red, Colour.RED), (blue, Colour.BLUE)),
@@ -147,19 +150,21 @@ def forbidden_vertex_gadget(r: int, prefix: str = "g0") -> GadgetInstance:
     )
 
 
-def forbidden_path(t: int, r: int, prefix: str = "g0") -> GadgetInstance:
-    """Chain of t size-r blocker gadgets with `left` and `right` end ports.
+@lru_cache(maxsize=16)
+def forbidden_path(t: int, r: int) -> GadgetInstance:
+    """Chain of t size-r blocker gadgets with `left` and `right` end ports;
+    blocker i's names are put under `.f{i}`.
 
-    With an empty prefix every name starts with '.', ready for
-    `embed_gadget` to prefix per copy.
+    Gadgets are immutable, so the most recent sizes are kept: every copy a
+    builder embeds, in one call or many, places the same shape.
     """
     check_gadget_size("path length t", t, 1)
-    blocker = forbidden_vertex_gadget(r, prefix="")
+    blocker = forbidden_vertex_gadget(r)
     size = len(blocker.vertices)
     offsets = range(0, t * size, size)
     ports = [k + blocker.port("v") for k in offsets]
     return GadgetInstance(
-        vertices=tuple([f"{prefix}.f{i + 1}{v}" for i in range(t) for v in blocker.vertices]),
+        vertices=tuple([f".f{i + 1}{v}" for i in range(t) for v in blocker.vertices]),
         edges=tuple([(k + a, k + b) for k in offsets for a, b in blocker.edges]
                     + list(zip(ports, ports[1:]))),
         precoloured=tuple([(k + p, colour) for k in offsets for p, colour in blocker.precoloured]),
@@ -169,20 +174,12 @@ def forbidden_path(t: int, r: int, prefix: str = "g0") -> GadgetInstance:
     )
 
 
-@lru_cache(maxsize=16)
-def path_shape(t: int, r: int) -> GadgetInstance:
-    """`forbidden_path(t, r, prefix="")`, kept for the most recent sizes.
-
-    Gadgets are immutable, so every copy a builder embeds, in one call or
-    many, places this one shape instead of building it again.
-    """
-    return forbidden_path(t, r, prefix="")
-
-
-def embed_gadget(g: Graph, gadget: GadgetInstance, prefix: str = "") -> int:
+def embed_gadget(g: Graph, gadget: GadgetInstance, prefix: str = "g0") -> int:
     """Add a copy of a gadget to a (mutable) host graph, as one block, each
-    vertex named `prefix` + its name in the gadget; return the host index
-    of its position 0, the `first` of the copy's placement."""
+    vertex named `prefix` + its name in the gadget (so `g0.v` for the
+    port of a lone blocker); return the host index of its position 0, the
+    `first` of the copy's placement. This is the only place a copy's names
+    get their prefix."""
     return g.add_block([prefix + v for v in gadget.vertices], gadget.edges)
 
 
@@ -204,18 +201,19 @@ def stones_position(placements) -> Position:
 def splice_edges(g: Graph, targets, t: int, r: int) -> tuple[Graph, list[Placement]]:
     """Replace each (i, j) target edge with a fresh path of t size-r blockers.
 
-    Both sizes are checked before any vertex is added, even when there are
-    no targets (t = 0 is allowed only then), and so is the size of the new
-    graph when there are. Original vertices come first in the new graph, in
-    their old order, so old indices stay valid. Returns the unfrozen graph
-    and the paths' placements `(first, shape)` in `targets` order, copy k
-    named with the prefix `g{k}`; the caller freezes when construction is
-    complete.
+    Both sizes are checked before any vertex is added, r first, even when
+    there are no targets (t = 0 is allowed only then), and so is the size
+    of the new graph when there are. Original vertices come first in the
+    new graph, in their old order, so old indices stay valid. Every path
+    places the one shape `forbidden_path(t, r)`, and `embed_gadget` names
+    copy k under the prefix `g{k}`. Returns the unfrozen graph and the
+    paths' placements `(first, shape)` in `targets` order; the caller
+    freezes when construction is complete.
     """
-    check_gadget_size("path length t", t, 0)
     check_gadget_size("gadget size r", r, 1)
+    check_gadget_size("path length t", t, 0)
     if targets:
-        shape = path_shape(t, r)
+        shape = forbidden_path(t, r)
         check_target_size(g.vertex_count + len(targets) * len(shape.vertices))
     new = Graph()
     target_set = set(targets)

@@ -27,7 +27,7 @@ from .gadgets import (
     Placement,
     check_target_size,
     embed_gadget,
-    path_shape,
+    forbidden_path,
     splice_edges,
     stones_position,
 )
@@ -259,7 +259,7 @@ def reduce_bgnk_window(g: Graph, left, right, d: Iterable[int], k: int,
     left, right = _check_bipartition(g, left, right)
 
     new, gadgets = splice_edges(g, list(g.edges()), n - 1, k)
-    shape = path_shape(k - 1, k)
+    shape = forbidden_path(k - 1, k)
     check_target_size(new.vertex_count + (len(left) + len(right)) * len(shape.vertices)
                       + bool(left) + bool(right))
     left_port, right_port = shape.port("left"), shape.port("right")

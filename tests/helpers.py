@@ -141,15 +141,17 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
     return g
 
 
-def reference_forbidden_path(t: int, r: int, prefix: str) -> GadgetInstance:
+def reference_forbidden_path(t: int, r: int, prefix: str = "") -> GadgetInstance:
     """A path of t blockers with every copy built by its own
-    forbidden_vertex_gadget call, each copy's positions shifted past the
-    copies before it, for checking the copies the library embeds."""
-    copies = [forbidden_vertex_gadget(r, prefix=f"{prefix}.f{i}") for i in range(1, t + 1)]
+    forbidden_vertex_gadget call, copy i's names put under `prefix.f{i}`
+    and its positions shifted past the copies before it, for checking the
+    shape and the copies the library embeds."""
+    copies = [forbidden_vertex_gadget(r) for _ in range(t)]
     starts = [sum(len(c.vertices) for c in copies[:k]) for k in range(t)]
     ports = [k + copy.port("v") for k, copy in zip(starts, copies)]
     return GadgetInstance(
-        vertices=tuple(v for copy in copies for v in copy.vertices),
+        vertices=tuple(f"{prefix}.f{i}{v}" for i, copy in enumerate(copies, 1)
+                       for v in copy.vertices),
         edges=tuple((k + a, k + b) for k, copy in zip(starts, copies) for a, b in copy.edges)
         + tuple(zip(ports, ports[1:])),
         precoloured=tuple((k + p, c) for k, copy in zip(starts, copies)

@@ -223,6 +223,24 @@ class TestReduce:
                            "--out", "", mentions="--out")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["k2.graph"]
 
+    @pytest.mark.parametrize("board, map_argv, flag", [
+        ("p.graph", ["--map", "t.graph"], "--out"),
+        ("p.graph", ["--map", "p.graph"], "--in"),
+        ("p.graph", ["--map", "./t.graph"], "--out"),
+        ("p.graph", ["--map", "./p.graph"], "--in"),
+        ("t.graph.map", [], "--in"),  # the default map path, OUT.map
+    ])
+    def test_map_over_out_or_in_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                               board, map_argv, flag):
+        # Not the board or the input left holding only `v -> v` lines.
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "gen", "--kind", "path", "--n", "2", "--out", board)
+        before = (tmp_path / board).read_bytes()
+        assert_input_error(capsys, "reduce", "--in", board, "--to", "D=1,2 S=",
+                           "--out", "t.graph", *map_argv, mentions=f"is also the {flag} path")
+        assert (tmp_path / board).read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [board]
+
 
 class TestVerify:
     def test_passing_corpus_exits_zero(self, capsys):
@@ -319,16 +337,21 @@ class TestBadVerifyInput:
         self.verify(capsys, "--reduction", "snort-family", "--corpus", "exhaustive:2",
                     "--params", "n=2", "--jobs", jobs, mentions="jobs")
 
+    # The splice checks the gadget size first, so the error names the
+    # value the user gave rather than the path length derived from it.
     @pytest.mark.parametrize("reduction, corpus, params", [
         ("snort-family", "exhaustive:1", ["n=200000"]),
         ("col-family", "exhaustive:0", ["k=65"]),
         ("bgnk-window", "exhaustive:0", ["d=1-2", "k=65", "allow_out_of_range=true"]),
+        ("col-family", "exhaustive:1", ["k=1000"]),
     ])
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_reduction_bound_above_cap_on_edgeless_graphs(self, capsys, reduction,
                                                           corpus, params, jobs):
+        got = next(p[2:] for p in params if p[:2] in ("n=", "k="))
         self.verify(capsys, "--reduction", reduction, "--corpus", corpus,
-                    "--params", *params, "--jobs", jobs, mentions=f"{MAX_GADGET_SIZE}, got")
+                    "--params", *params, "--jobs", jobs,
+                    mentions=f"gadget size r must be between 1 and {MAX_GADGET_SIZE}, got {got}\n")
 
     @pytest.mark.parametrize("value, piece", [
         ("1-1000000", "1-1000000"), ("1+65", "65"), ("65-70", "65-70"),

@@ -25,7 +25,7 @@ from distance_games import (
     replace_edge,
     stones_position,
 )
-from distance_games.gadgets import MAX_GADGET_SIZE, GadgetInstance, embed_gadget, path_shape
+from distance_games.gadgets import MAX_GADGET_SIZE, GadgetInstance, embed_gadget
 
 from helpers import block_at, build_graph, gadget_view, reference_forbidden_path
 
@@ -229,6 +229,8 @@ class TestGadgetLemmaCheck:
         )
         report = check_gadget_lemma(broken, {1, 2}, set(), 2)
         assert not report.passed
+        # The lemma host names the copy as the CLI board does, under g0.
+        assert report.checks[0].detail == "g0.v playable by RIGHT"
 
 
 class TestStonesAndPortsArePositions:
@@ -296,11 +298,10 @@ class TestStonesAndPortsArePositions:
 class TestFreshNaming:
     def test_instances_disjoint_in_one_graph(self):
         g = Graph()
-        a = forbidden_vertex_gadget(3, prefix="g0")
-        b = forbidden_vertex_gadget(3, prefix="g1")
-        embed_gadget(g, a)
-        embed_gadget(g, b)  # would raise DuplicateVertexError on a clash
-        assert not set(a.vertices) & set(b.vertices)
+        shape = forbidden_vertex_gadget(3)
+        embed_gadget(g, shape)
+        embed_gadget(g, shape, "g1")  # would raise DuplicateVertexError on a clash
+        assert g.names == tuple(f"g{k}{v}" for k in range(2) for v in shape.vertices)
 
 
 class TestRenamedCopies:
@@ -312,12 +313,12 @@ class TestRenamedCopies:
     @pytest.mark.parametrize("t", range(1, 9))
     @pytest.mark.parametrize("r", range(1, 9))
     def test_renamed_shape_equals_fresh_copies(self, t, r):
-        shape = forbidden_path(t, r, prefix="")
+        # Dataclass equality: vertices, edges, stones, ports, radius and
+        # span; the shape's names carry no prefix.
+        shape = forbidden_path(t, r)
+        assert shape == reference_forbidden_path(t, r)
         for prefix in self.PREFIXES:
-            # Dataclass equality: vertices, edges, stones, ports, radius
-            # and span.
             expected = reference_forbidden_path(t, r, prefix)
-            assert forbidden_path(t, r, prefix) == expected
             host = build_graph(["host0"], [])
             first = embed_gadget(host, shape, prefix)
             assert first == 1
@@ -331,18 +332,17 @@ class TestRenamedCopies:
         # follow one another, each as long as the shape.
         g = build_graph("abc", [("a", "b"), ("b", "c")])
         new, paths = replace_all_edges(g, t, r)
-        shape = path_shape(t, r)
+        shape = forbidden_path(t, r)
         assert all(placed is shape for _, placed in paths.values())
         size = len(shape.vertices)
         assert [first for first, _ in paths.values()] == [3, 3 + size]
         assert new.vertex_count == 3 + 2 * size
 
-    def test_path_shape_is_cached_and_bounded(self):
-        assert path_shape(2, 3) is path_shape(2, 3)
-        assert path_shape(2, 3) == forbidden_path(2, 3, prefix="")
-        assert path_shape.cache_info().maxsize == 16
+    def test_forbidden_path_is_cached_and_bounded(self):
+        assert forbidden_path(2, 3) is forbidden_path(2, 3)
+        assert forbidden_path.cache_info().maxsize == 16
         with pytest.raises(InvalidParameterError):
-            path_shape(0, 3)
+            forbidden_path(0, 3)
 
     @pytest.mark.parametrize("t, r", [(1, 1), (2, 3), (3, 4)])
     def test_spliced_paths_equal_fresh_copies(self, t, r):

@@ -1,4 +1,5 @@
-"""Golden bytes of the write side: serialize and DOT of each reduction's target.
+"""Golden bytes of the write side: serialize and DOT of each reduction's
+target, and the CLI `gadget` output.
 
 One fixed small source goes through all five reductions (the 4-cycle plus an
 isolated vertex, which is also a bigraph for the two bgnk reductions). Its
@@ -13,6 +14,7 @@ import hashlib
 import pytest
 
 from distance_games import REDUCTIONS, serialize, to_dot
+from distance_games.cli import main
 
 from helpers import build_graph
 
@@ -57,3 +59,27 @@ def test_reduced_board_bytes(name, params, vertices, board_sha, dot_sha):
     names = ri.target_graph.names
     highlight = [v for first, shape in ri.gadgets for v in names[first:first + len(shape.vertices)]]
     assert sha256(to_dot(ri.target_graph, ri.initial_position, highlight)) == dot_sha
+
+
+# (gadget argv, sha256 of stdout) for the CLI `gadget` board, and with
+# --check its lemma report lines; the board names each vertex under g0.
+# Taken from the implementation whose gadget constructors put the g0
+# prefix on their own names.
+GADGET_GOLDEN = [
+    (["--r", "1"], "a5dd096cc03015af6cc963c5536161ae052c138db031e514a7aeadffc30326c9"),
+    (["--r", "2"], "212022de578a9137705e6825824b9af6f076cbc853c6bf789a4ca46a454dd1f1"),
+    (["--r", "7"], "2f180213e7c666e37d543700fc44309748dff5cc833589fc262af4367bc53073"),
+    (["--r", "4", "--t", "3"],
+     "5ba972f440d1ed7fcb3cef2bbe771df2a23759410e6e04ee7c086404aab892e7"),
+    (["--r", "5", "--check", "D=1,2,3,4,5 S=1,2"],
+     "715074b805c2133ac85bff02b9ad3811cae9c0c14782b16d6f135a245398691d"),
+]
+
+
+@pytest.mark.parametrize("argv, out_sha", GADGET_GOLDEN,
+                         ids=[" ".join(argv) for argv, _ in GADGET_GOLDEN])
+def test_gadget_command_bytes(capsys, argv, out_sha):
+    assert main(["gadget", *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert sha256(captured.out) == out_sha

@@ -33,10 +33,12 @@ from distance_games import (
     serialize,
 )
 from distance_games import graph as graph_module
-from distance_games.gadgets import embed_gadget, path_shape
+from distance_games.gadgets import embed_gadget
 from distance_games.graph import MAX_GENERATED_VERTICES
 
-from helpers import ball_distances, bfs_distance, build_graph, graph_from_edge_mask
+from helpers import (
+    ball_distances, bfs_distance, build_graph, graph_from_edge_mask, reference_forbidden_path,
+)
 
 
 class TestConstruction:
@@ -154,8 +156,8 @@ class TestAddBlock:
     @pytest.mark.parametrize("r", range(1, 9))
     def test_embed_equals_per_edge_construction(self, t, r):
         # A prefixed copy of the shared shape, as the reductions embed, and
-        # a path built afresh.
-        for gadget, prefix in ((path_shape(t, r), "g7"), (forbidden_path(t, r), "")):
+        # a path built afresh from t blockers.
+        for gadget, prefix in ((forbidden_path(t, r), "g7"), (reference_forbidden_path(t, r), "")):
             self.check_embed(gadget, prefix)
 
     @staticmethod
