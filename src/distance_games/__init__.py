@@ -23,7 +23,6 @@ from .errors import (
     ParameterViolationError,
     SearchTooDeepError,
     SelfLoopError,
-    UnknownEdgeError,
     UnknownVertexError,
 )
 from .fileformat import format_ruleset, parse_graph, parse_ruleset_text, serialize, to_dot
@@ -31,8 +30,6 @@ from .gadgets import (
     GadgetInstance,
     forbidden_path,
     forbidden_vertex_gadget,
-    replace_all_edges,
-    replace_edge,
     stones_position,
 )
 from .graph import (

@@ -216,10 +216,19 @@ def _cmd_reduce(args) -> int:
     bipartition = (own.left, own.right) if spec.bipartite else None
     params["allow_out_of_range"] = args.allow_out_of_range
     ri = spec.build(g, bipartition, params)
-    _write(serialize(ri.target_graph, ri.initial_position, ri.target_ruleset), args.out)
-    Path(map_path).write_text(
-        "".join(f"{name} -> {name}\n" for name in ri.source_graph.names)
-    )
+    # The board is opened before the map is written, and written only after
+    # it: appending changes no existing file, and a board this opening made
+    # is removed again if the map cannot be written. So an exit 2 here
+    # leaves both paths as they were.
+    fresh = not os.path.exists(args.out)
+    open(args.out, "a").close()
+    try:
+        Path(map_path).write_text("".join(f"{name} -> {name}\n" for name in ri.source_graph.names))
+    except OSError:
+        if fresh:
+            os.remove(os.path.realpath(args.out))
+        raise
+    Path(args.out).write_text(serialize(ri.target_graph, ri.initial_position, ri.target_ruleset))
     print(
         f"reduced source-vertices={ri.source_graph.vertex_count}"
         f" target-vertices={ri.target_graph.vertex_count}"

@@ -17,10 +17,6 @@ class SelfLoopError(DistanceGameError):
     """An edge from a vertex to itself was requested."""
 
 
-class UnknownEdgeError(DistanceGameError):
-    """An edge operation referenced a pair that is not an edge."""
-
-
 class FrozenGraphError(DistanceGameError):
     """A mutation was attempted on a frozen graph."""
 

@@ -1,4 +1,4 @@
-"""Unplayable-vertex gadgets and the edge replacement operation.
+"""Unplayable-vertex gadgets and `splice_edges`, which splices them into a graph.
 
 The size-r blocker gadget surrounds a port vertex with one fixed red and
 one fixed blue stone, both exactly r away, arranged so that every internal
@@ -28,7 +28,8 @@ shortest path is 2q = r+1 for odd r and, through the shortcut,
 
 Chaining t of these gadgets port-to-port gives an unplayable path whose
 end ports are t-1 apart; splicing it in place of an edge puts the old
-endpoints at distance t+1.
+endpoints at distance t+1. Every reduction splices every edge of its
+source or none, so `splice_edges` does exactly that.
 
 A `GadgetInstance` holds its edges, fixed stones and ports as positions
 in its vertex tuple. Its names carry no prefix, so each starts with '.'
@@ -45,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidParameterError, UnknownEdgeError
+from .errors import InvalidParameterError
 from .graph import Graph
 from .rules import Colour, Position
 
@@ -198,52 +199,33 @@ def stones_position(placements) -> Position:
     return Position(blue, red)
 
 
-def splice_edges(g: Graph, targets, t: int, r: int) -> tuple[Graph, list[Placement]]:
-    """Replace each (i, j) target edge with a fresh path of t size-r blockers.
+def splice_edges(g: Graph, t: int, r: int) -> tuple[Graph, list[Placement]]:
+    """Every edge or none: with t >= 1, replace each edge (i, j) with a
+    fresh path of t size-r blockers; with t = 0, keep every edge.
 
-    Both sizes are checked before any vertex is added, r first, even when
-    there are no targets (t = 0 is allowed only then), and so is the size
-    of the new graph when there are. Original vertices come first in the
-    new graph, in their old order, so old indices stay valid. Every path
+    Both sizes are checked before any vertex is added, r first, and so is
+    the size of the new graph when t >= 1. Original vertices come first in
+    the new graph, in their old order, so old indices stay valid. Every path
     places the one shape `forbidden_path(t, r)`, and `embed_gadget` names
-    copy k under the prefix `g{k}`. Returns the unfrozen graph and the
-    paths' placements `(first, shape)` in `targets` order; the caller
-    freezes when construction is complete.
+    copy k, the path of the k-th edge of `g.edges()`, under the prefix
+    `g{k}`. Returns the unfrozen graph and the paths' placements
+    `(first, shape)` in edge order; the caller freezes when construction is
+    complete.
     """
     check_gadget_size("gadget size r", r, 1)
     check_gadget_size("path length t", t, 0)
-    if targets:
-        shape = forbidden_path(t, r)
-        check_target_size(g.vertex_count + len(targets) * len(shape.vertices))
     new = Graph()
-    target_set = set(targets)
-    new.add_block(g.names, [edge for edge in g.edges() if edge not in target_set])
-    if not targets:
+    if not t:
+        new.add_block(g.names, g.edges())
         return new, []
+    shape = forbidden_path(t, r)
+    check_target_size(g.vertex_count + g.edge_count * len(shape.vertices))
+    new.add_block(g.names)
     left, right = shape.port("left"), shape.port("right")
     paths = []
-    for gid, (i, j) in enumerate(targets):
+    for gid, (i, j) in enumerate(g.edges()):
         first = embed_gadget(new, shape, f"g{gid}")
         new.add_edge(i, first + left)
         new.add_edge(first + right, j)
         paths.append((first, shape))
     return new, paths
-
-
-def replace_edge(g: Graph, u: int | str, v: int | str, t: int, r: int) -> Graph:
-    """New graph with the single edge {u, v} spliced out for a path gadget."""
-    i, j = g.index_of(u), g.index_of(v)
-    if i > j:
-        i, j = j, i
-    if not g.has_edge(i, j):
-        raise UnknownEdgeError(f"no edge {g.name_of(i)!r} -- {g.name_of(j)!r}")
-    new, _ = splice_edges(g, [(i, j)], t, r)
-    return new.freeze()
-
-
-def replace_all_edges(g: Graph, t: int, r: int) -> tuple[Graph, dict[tuple[int, int], Placement]]:
-    """Splice every edge, each with its own disjoint gadget copy; map each
-    old edge to its copy's placement `(first, shape)` in the new graph."""
-    edges = list(g.edges())
-    new, paths = splice_edges(g, edges, t, r)
-    return new.freeze(), dict(zip(edges, paths))

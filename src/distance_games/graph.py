@@ -208,9 +208,6 @@ class Graph:
             raise UnknownVertexError(f"vertex index {i} out of range")
         return self._names[i]
 
-    def has_vertex(self, name: str) -> bool:
-        return name in self._index
-
     def has_edge(self, u: int | str, v: int | str) -> bool:
         i, j = self.index_of(u), self.index_of(v)
         adj = self._adj[i]

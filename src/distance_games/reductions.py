@@ -129,7 +129,7 @@ def _spliced(g: Graph, source_rs: Ruleset, d: Iterable[int], s: Iterable[int],
     """Every edge spliced with a path of r-1 size-r blockers (none when
     r = 1, the identity), then the target ruleset (d, s); the splice checks
     r against the gadget cap first, so r also bounds the distance sets."""
-    new, paths = splice_edges(g, list(g.edges()) if r > 1 else [], r - 1, r)
+    new, paths = splice_edges(g, r - 1, r)
     return _finish(g, source_rs, new, distance_game(d, s), paths)
 
 
@@ -258,7 +258,7 @@ def reduce_bgnk_window(g: Graph, left, right, d: Iterable[int], k: int,
         )
     left, right = _check_bipartition(g, left, right)
 
-    new, gadgets = splice_edges(g, list(g.edges()), n - 1, k)
+    new, gadgets = splice_edges(g, n - 1, k)
     shape = forbidden_path(k - 1, k)
     check_target_size(new.vertex_count + (len(left) + len(right)) * len(shape.vertices)
                       + bool(left) + bool(right))

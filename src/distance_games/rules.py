@@ -66,9 +66,6 @@ class Ownership:
     def covers(self, n: int) -> bool:
         return self.left | self.right == frozenset(range(n))
 
-    def swapped(self) -> "Ownership":
-        return Ownership(self.right, self.left)
-
 
 @dataclass(frozen=True)
 class Ruleset:
@@ -185,9 +182,6 @@ class Position:
     @property
     def stone_count(self) -> int:
         return self.occupied.bit_count()
-
-    def swap_colours(self) -> "Position":
-        return Position(self.red, self.blue)
 
 
 def _owned(rs: Ruleset, i: int, player: Player) -> bool:
@@ -330,12 +324,10 @@ class LegalityIndex:
     construction; safe to share once built.
     """
 
-    __slots__ = ("graph", "ruleset", "d_mask", "s_mask", "_left", "_right")
+    __slots__ = ("d_mask", "s_mask", "_left", "_right")
 
     def __init__(self, g: Graph, rs: Ruleset):
         g.freeze()
-        self.graph = g
-        self.ruleset = rs
         n = g.vertex_count
         radius = rs.max_radius
         balls = [g.ball(i, radius) for i in range(n)] if radius else ()

@@ -39,13 +39,6 @@ class Outcome(Enum):
             return Outcome.RIGHT_WINS
         return Outcome.SECOND_WINS
 
-    def swap_players(self) -> "Outcome":
-        if self is Outcome.LEFT_WINS:
-            return Outcome.RIGHT_WINS
-        if self is Outcome.RIGHT_WINS:
-            return Outcome.LEFT_WINS
-        return self
-
 
 class MoveStatus(Enum):
     """Non-vertex results of a best-move query."""

@@ -24,14 +24,13 @@ from distance_games import (
     gen_random_bipartite,
     parse_graph,
     reduce_bgnk_window,
-    replace_all_edges,
     replays_violation,
     run_corpus,
     serialize,
     wins_moving_first,
 )
 from distance_games.cli import main
-from distance_games.gadgets import embed_gadget
+from distance_games.gadgets import embed_gadget, splice_edges
 from distance_games.rules import bigraph_node_kayles
 from distance_games.verifier import KIND_SOURCE_ONLY
 
@@ -84,7 +83,7 @@ def test_criterion_2_forbidden_path_distances():
             host.add_edge("probe.b", fp.port("right"))
             if host.distance("probe.a", "probe.b") != t + 1:
                 failures.append(f"FP({t},{r}) probe distance")
-            triangle, _ = replace_all_edges(gen_cycle(3), t, r)
+            triangle, _ = splice_edges(gen_cycle(3), t, r)
             for u, v in combinations(range(3), 2):
                 if triangle.distance(u, v) != t + 1:
                     failures.append(f"triangle t={t} r={r} pair {u},{v}")

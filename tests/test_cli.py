@@ -241,6 +241,27 @@ class TestReduce:
         assert (tmp_path / board).read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [board]
 
+    @pytest.mark.parametrize("out, map_argv, existing", [
+        ("t.graph", ["--map", "nodir/t.map"], []),
+        ("nodir/t.graph", [], []),
+        ("t.graph", ["--map", "nodir/t.map"], ["t.graph"]),
+        ("nodir/t.graph", ["--map", "t.map"], ["t.map"]),
+    ])
+    def test_failed_write_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                         out, map_argv, existing):
+        # Not a board left behind by a map that cannot be written, and not
+        # an old board or map changed.
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "gen", "--kind", "path", "--n", "3", "--out", "p.graph")
+        for name in existing:
+            (tmp_path / name).write_text("old bytes\n")
+        assert_input_error(capsys, "reduce", "--in", "p.graph", "--to", "D=1,2 S=",
+                           "--out", out, *map_argv,
+                           mentions="No such file or directory: 'nodir/t.")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["p.graph", *existing])
+        for name in existing:
+            assert (tmp_path / name).read_text() == "old bytes\n"
+
 
 class TestVerify:
     def test_passing_corpus_exits_zero(self, capsys):
@@ -639,9 +660,85 @@ def ruleset_texts(draw):
     return text
 
 
+_PARAM_VALUES = {
+    "int": ["1", "2", "3", "4"],
+    "set": ["empty", "1", "1-2", "2-4", "1+3"],
+    "flag": ["true", "false"],
+}
+
+
+@st.composite
+def verify_argvs(draw):
+    """A `verify` argument vector over corpora of at most 4 vertices, valid
+    or mutated: a malformed corpus, a bad value (3-1, 65, 0), a junk,
+    repeated or missing parameter, a bad depth cap, a job count below 1."""
+    corpus = draw(st.one_of(
+        st.builds("exhaustive:{}".format, st.integers(0, 3)),
+        st.builds("random:{}:{}:{}:{}".format, st.integers(0, 2), st.integers(0, 4),
+                  st.sampled_from(["0", "0.5", "1"]), st.integers(0, 9))))
+    reduction = draw(st.sampled_from(sorted(REDUCTIONS)))
+    params = []
+    for key, kind in REDUCTIONS[reduction].param_types:
+        values = draw(st.lists(st.sampled_from(_PARAM_VALUES[kind]), min_size=1, max_size=2))
+        params.append(f"{key}={','.join(values)}")
+    depth_cap, jobs = draw(st.sampled_from(["auto", "full", "0", "3"])), "1"
+    mutations = st.lists(st.sampled_from(
+        ["corpus", "value", "junk", "drop", "depth", "jobs"]), min_size=1, max_size=2)
+    for mutation in draw(mutations) if draw(st.booleans()) else ():
+        if mutation == "corpus":
+            corpus = draw(st.sampled_from(["exhaustive", "exhaustive:x", "exhaustive:-1",
+                                           "random:1:2", "random:1:2:1.5:1", "random:1:2:x:1",
+                                           "bogus:2", ""]))
+        elif mutation == "value" and params:
+            k = draw(st.integers(0, len(params) - 1))
+            params[k] += "," + draw(st.sampled_from(["0", "65", "3-1", "x", "", "1+65"]))
+        elif mutation == "junk":
+            params.insert(draw(st.integers(0, len(params))),
+                          draw(st.sampled_from(["zz=1", "n", "=2", "s=1", "N=3", "d=1"])))
+        elif mutation == "drop" and params:
+            del params[draw(st.integers(0, len(params) - 1))]
+        elif mutation == "depth":
+            depth_cap = draw(st.sampled_from(["-1", "x", "", "1.5"]))
+        elif mutation == "jobs":
+            jobs = str(draw(st.integers(-2, 0)))
+    return ["verify", "--reduction", reduction, "--corpus", corpus, "--params", *params,
+            "--depth-cap", depth_cap, "--jobs", jobs]
+
+
+@st.composite
+def gadget_argvs(draw):
+    """A `gadget` argument vector with `--r`, `--t` and `--probes` mostly
+    from 1 to 5, now and then -1, 0 or past the cap, and a valid or mutated
+    `--check` ruleset."""
+    def size():
+        bad = draw(st.sampled_from([False, False, False, True]))
+        return str(draw(st.sampled_from([-1, 0, MAX_GADGET_SIZE + 1]) if bad
+                        else st.integers(1, 5)))
+
+    argv = ["gadget", "--r", size()]
+    for flag in ("--t", "--probes"):
+        if draw(st.booleans()):
+            argv += [flag, size()]
+    if draw(st.booleans()):
+        argv += ["--check", draw(ruleset_texts())]
+    return argv
+
+
+def assert_exit_contract(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(argv)
+    err = stderr.getvalue()
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+
+
 class TestExitCodeContract:
-    """Every run of `solve`, `reduce` or `dot` exits 0, 1 or 2; an exit 2
-    writes exactly one `error:` line and no traceback."""
+    """Every run of `solve`, `reduce`, `dot`, `verify` or `gadget` exits 0,
+    1 or 2; an exit 2 writes exactly one `error:` line and no traceback."""
 
     @given(data=board_bytes(), to=ruleset_texts(), highlight=st.booleans())
     @settings(max_examples=60)
@@ -656,12 +753,9 @@ class TestExitCodeContract:
             ["dot", "--in", str(board)] + (["--highlight", "gadgets"] if highlight else []),
         ]
         for argv in commands:
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with redirect_stdout(stdout), redirect_stderr(stderr):
-                code = main(argv)
-            err = stderr.getvalue()
-            event(f"{argv[0]} exit {code}")
-            assert code in (0, 1, 2), argv
-            assert "Traceback" not in err
-            if code == 2:
-                assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+            assert_exit_contract(argv)
+
+    @given(argv=st.one_of(verify_argvs(), gadget_argvs()))
+    @settings(max_examples=200)
+    def test_mutated_verify_and_gadget_arguments(self, argv):
+        assert_exit_contract(argv)

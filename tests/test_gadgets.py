@@ -12,7 +12,6 @@ from distance_games import (
     HypothesisViolatedError,
     InvalidParameterError,
     Player,
-    UnknownEdgeError,
     check_gadget_lemma,
     forbidden_path,
     forbidden_vertex_gadget,
@@ -21,11 +20,9 @@ from distance_games import (
     reduce_bgnk_to_d12,
     reduce_bgnk_window,
     reduce_snort_family,
-    replace_all_edges,
-    replace_edge,
     stones_position,
 )
-from distance_games.gadgets import MAX_GADGET_SIZE, GadgetInstance, embed_gadget
+from distance_games.gadgets import MAX_GADGET_SIZE, GadgetInstance, embed_gadget, splice_edges
 
 from helpers import block_at, build_graph, gadget_view, reference_forbidden_path
 
@@ -135,26 +132,20 @@ class TestForbiddenPath:
 class TestEdgeReplacement:
     def test_k2_single_hop(self):
         g = build_graph("ab", [("a", "b")])
-        new = replace_edge(g, "a", "b", 1, 1)
+        new, _ = splice_edges(g, 1, 1)
         assert new.distance("a", "b") == 2
         assert not new.has_edge("a", "b")
 
-    def test_replacing_missing_edge(self):
-        g = build_graph("ab", [("a", "b")])
-        once = replace_edge(g, "a", "b", 1, 1)
-        with pytest.raises(UnknownEdgeError):
-            replace_edge(once, "a", "b", 1, 1)
-
     def test_triangle_all_edges(self):
         g = gen_cycle(3)
-        new, gadget_map = replace_all_edges(g, 2, 3)
-        assert len(gadget_map) == 3
+        new, placements = splice_edges(g, 2, 3)
+        assert len(placements) == 3
         for u in range(3):
             for v in range(u + 1, 3):
                 assert new.distance(u, v) == 3
         # Disjoint copies, one after another, each under its own prefix.
         end = 3
-        for gid, (first, shape) in enumerate(gadget_map.values()):
+        for gid, (first, shape) in enumerate(placements):
             assert first == end
             end += len(shape.vertices)
             assert new.names[first:end] == reference_forbidden_path(2, 3, f"g{gid}").vertices
@@ -162,14 +153,26 @@ class TestEdgeReplacement:
 
     def test_original_indices_preserved(self):
         g = build_graph("abc", [("a", "b"), ("b", "c")])
-        new, _ = replace_all_edges(g, 1, 2)
+        new, _ = splice_edges(g, 1, 2)
         for i, name in enumerate(g.names):
             assert new.index_of(name) == i
 
-    def test_untouched_edges_survive_single_replacement(self):
-        g = build_graph("abc", [("a", "b"), ("b", "c")])
-        new = replace_edge(g, "a", "b", 1, 1)
-        assert new.has_edge("b", "c")
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_every_edge_or_none(self, r):
+        g = build_graph("abcde", [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e")])
+        edges = list(g.edges())
+        # t = 0 keeps every edge and places nothing.
+        same, placements = splice_edges(g, 0, r)
+        assert (same.names, list(same.edges()), placements) == (g.names, edges, [])
+        for t in (1, 3):
+            new, placements = splice_edges(g, t, r)
+            assert len(placements) == len(edges)
+            # No source edge survives, and copy k joins the ends of edge k.
+            for (i, j), (first, shape) in zip(edges, placements):
+                assert not new.has_edge(i, j)
+                assert new.has_edge(i, first + shape.port("left"))
+                assert new.has_edge(first + shape.port("right"), j)
+                assert new.distance(i, j) == t + 1
 
 
 class TestGadgetLemmaCheck:
@@ -331,11 +334,11 @@ class TestRenamedCopies:
         # Every copy a splice places is the one cached shape; its copies
         # follow one another, each as long as the shape.
         g = build_graph("abc", [("a", "b"), ("b", "c")])
-        new, paths = replace_all_edges(g, t, r)
+        new, paths = splice_edges(g, t, r)
         shape = forbidden_path(t, r)
-        assert all(placed is shape for _, placed in paths.values())
+        assert all(placed is shape for _, placed in paths)
         size = len(shape.vertices)
-        assert [first for first, _ in paths.values()] == [3, 3 + size]
+        assert [first for first, _ in paths] == [3, 3 + size]
         assert new.vertex_count == 3 + 2 * size
 
     def test_forbidden_path_is_cached_and_bounded(self):
@@ -347,9 +350,9 @@ class TestRenamedCopies:
     @pytest.mark.parametrize("t, r", [(1, 1), (2, 3), (3, 4)])
     def test_spliced_paths_equal_fresh_copies(self, t, r):
         g = build_graph("abcd", [("a", "b"), ("b", "c"), ("a", "d")])
-        new, paths = replace_all_edges(g, t, r)
-        pos = stones_position(paths.values())
-        for gid, ((i, j), (first, shape)) in enumerate(paths.items()):
+        new, paths = splice_edges(g, t, r)
+        pos = stones_position(paths)
+        for gid, ((i, j), (first, shape)) in enumerate(zip(g.edges(), paths)):
             expected = reference_forbidden_path(t, r, f"g{gid}")
             assert block_at(new, pos, first, len(shape.vertices)) == gadget_view(expected)
             # Copy g{gid} stands in for edge (i, j).

@@ -118,7 +118,7 @@ class TestAddBlock:
         with pytest.raises(error):
             g.add_block(names, pairs)
         assert (g.names, list(g.edges())) == (("x", "y"), [(0, 1)])
-        assert not g.has_vertex("a")
+        assert "a" not in g.names
 
     @pytest.mark.parametrize("pairs, error, message", [
         # The least bad pair, in ascending order of its sorted positions, is

@@ -196,7 +196,7 @@ def test_colour_swap_symmetry(n, mask, seed):
     rng = random.Random(seed)
     rs = random_ruleset(rng)
     pos = random_legal_position(g, rs, rng)
-    swapped = pos.swap_colours()
+    swapped = Position(pos.red, pos.blue)
     for v in range(n):
         for p in (L, R):
             assert is_legal(g, rs, pos, v, p) == is_legal(g, rs, swapped, v, p.opponent)
@@ -207,12 +207,12 @@ def test_colour_swap_symmetry_bigraph():
 
     g, (left, right) = gen_complete_bipartite(2, 2)
     rs = bigraph_node_kayles(left, right)
-    swapped_rs = Ruleset(rs.d, rs.s, rs.ownership.swapped())
+    swapped_rs = Ruleset(rs.d, rs.s, Ownership(rs.ownership.right, rs.ownership.left))
     pos = apply_move(g, rs, Position(), sorted(left)[0], L)
     for v in range(g.vertex_count):
         for p in (L, R):
             assert is_legal(g, rs, pos, v, p) == is_legal(
-                g, swapped_rs, pos.swap_colours(), v, p.opponent
+                g, swapped_rs, Position(pos.red, pos.blue), v, p.opponent
             )
 
 

@@ -36,6 +36,13 @@ from helpers import (
 )
 
 L, R = Player.LEFT, Player.RIGHT
+# The outcome with the players' roles exchanged.
+MIRRORED = {
+    Outcome.LEFT_WINS: Outcome.RIGHT_WINS,
+    Outcome.RIGHT_WINS: Outcome.LEFT_WINS,
+    Outcome.FIRST_WINS: Outcome.FIRST_WINS,
+    Outcome.SECOND_WINS: Outcome.SECOND_WINS,
+}
 
 
 def naive_outcome(g, rs, pos=Position()):
@@ -149,16 +156,16 @@ def test_colour_swap_duality(n, mask, seed):
     rng = random.Random(seed)
     rs = random_ruleset(rng)
     pos = random_legal_position(g, rs, rng)
-    assert outcome(g, rs, pos.swap_colours()) is outcome(g, rs, pos).swap_players()
+    assert outcome(g, rs, Position(pos.red, pos.blue)) is MIRRORED[outcome(g, rs, pos)]
 
 
 def test_colour_swap_duality_bigraph():
-    from distance_games import Ruleset
+    from distance_games import Ownership, Ruleset
 
     g, (left, right) = gen_complete_bipartite(2, 1)
     rs = bigraph_node_kayles(left, right)
-    swapped_rs = Ruleset(rs.d, rs.s, rs.ownership.swapped())
-    assert outcome(g, swapped_rs, Position()) is outcome(g, rs, Position()).swap_players()
+    swapped_rs = Ruleset(rs.d, rs.s, Ownership(rs.ownership.right, rs.ownership.left))
+    assert outcome(g, swapped_rs, Position()) is MIRRORED[outcome(g, rs, Position())]
 
 
 class TestDeterminismAndStats:
