@@ -64,7 +64,6 @@ from .rules import (
     distance_game,
     is_legal,
     k_col,
-    legal_moves,
     n_snort,
     node_kayles,
     position_is_legal,

@@ -3,12 +3,13 @@
 Vertices are named by opaque strings and mapped to indices in insertion
 order; everything on a hot path works with indices. Each edge is stored
 once, as an entry in the sorted adjacency lists of both its ends; there is
-no separate edge set, so `has_edge` bisects a list and `edges()` walks the
-lists in order. `add_block` appends a batch of named vertices together with
-the edges among them (gadget copies, the vertices of a spliced source) in
-one validated step. A ball is a tuple of vertex bitmasks for the distances
-1 to the radius (the centre is not stored: no rule forbids distance 0), so
-a legality check is one AND of a stone mask with each forbidden layer.
+no separate edge set, so `edges()` walks the lists in order. `add_block`
+appends a batch of named vertices together with the edges among them
+(gadget copies, the vertices of a spliced source) in one validated step.
+Every distance the package reads comes from a ball: a tuple of vertex
+bitmasks for the distances 1 to the radius (the centre is not stored: no
+rule forbids distance 0), so a legality check is one AND of a stone mask
+with each forbidden layer.
 
 Balls are built from per-vertex neighbour bitmasks and memoized in one row
 per radius, indexed by vertex. The first ball asked for at a radius fills
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from collections import deque
 from itertools import combinations
 from typing import Iterator
 
@@ -208,15 +208,6 @@ class Graph:
             raise UnknownVertexError(f"vertex index {i} out of range")
         return self._names[i]
 
-    def has_edge(self, u: int | str, v: int | str) -> bool:
-        i, j = self.index_of(u), self.index_of(v)
-        adj = self._adj[i]
-        k = bisect_left(adj, j)
-        return k < len(adj) and adj[k] == j
-
-    def neighbors(self, v: int | str) -> tuple[int, ...]:
-        return tuple(self._adj[self.index_of(v)])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as index pairs (i, j) with i < j, in ascending order.
 
@@ -227,24 +218,6 @@ class Graph:
             for j in adj:
                 if j > i:
                     yield i, j
-
-    def distance(self, u: int | str, v: int | str) -> int | None:
-        """Shortest-path length between u and v, or None if unreachable."""
-        src, dst = self.index_of(u), self.index_of(v)
-        if src == dst:
-            return 0
-        seen = {src: 0}
-        queue = deque([src])
-        while queue:
-            cur = queue.popleft()
-            d = seen[cur] + 1
-            for nxt in self._adj[cur]:
-                if nxt not in seen:
-                    if nxt == dst:
-                        return d
-                    seen[nxt] = d
-                    queue.append(nxt)
-        return None
 
     def ball(self, u: int | str, radius: int) -> tuple[int, ...]:
         """The vertices at distance 1 to `radius` from u, as one bitmask

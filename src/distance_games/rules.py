@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import IllegalMoveError, InvalidParameterError
 from .graph import Graph
@@ -170,15 +170,6 @@ class Position:
             return Position(self.blue | bit, self.red)
         return Position(self.blue, self.red | bit)
 
-    def stones(self) -> Iterator[tuple[int, Colour]]:
-        """Occupied indices with their colours, ascending."""
-        mask = self.occupied
-        while mask:
-            bit = mask & -mask
-            i = bit.bit_length() - 1
-            yield i, Colour.BLUE if self.blue & bit else Colour.RED
-            mask ^= bit
-
     @property
     def stone_count(self) -> int:
         return self.occupied.bit_count()
@@ -226,11 +217,6 @@ def is_legal(g: Graph, rs: Ruleset, pos: Position, v: int | str, player: Player)
     else:
         same, other = pos.red, pos.blue
     return not _clashes(g.ball(i, radius), rs, same, other)
-
-
-def legal_moves(g: Graph, rs: Ruleset, pos: Position, player: Player) -> list[int]:
-    """Indices of all legal placements for `player`, ascending."""
-    return [i for i in range(g.vertex_count) if is_legal(g, rs, pos, i, player)]
 
 
 def apply_move(g: Graph, rs: Ruleset, pos: Position, v: int | str, player: Player) -> Position:

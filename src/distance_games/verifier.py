@@ -289,7 +289,8 @@ def check_gadget_lemma(gadget: GadgetInstance, d, s, probes: int) -> Verificatio
     vertex is illegal for both players at the start, (ii) it stays illegal
     after each single legal probe placement (full persistence follows from
     legality monotonicity), and (iii) the probes themselves sit farther from
-    every fixed stone than the largest forbidden distance.
+    every fixed stone than the largest forbidden distance: no stone is in a
+    probe's ball of that radius.
 
     Refuses to vouch unless one of d, s is exactly {1..r} and the other is
     a subset of it.
@@ -338,10 +339,11 @@ def check_gadget_lemma(gadget: GadgetInstance, d, s, probes: int) -> Verificatio
 
     def probe_near_stone() -> str | None:
         for name in probe_names:
+            layers = host.ball(name, rs.max_radius)
             for stone, _ in gadget.precoloured:
-                dist = host.distance(name, stone)
-                if dist is not None and dist <= rs.max_radius:
-                    return f"{name} at distance {dist} from stone {host.name_of(stone)}"
+                for dist, layer in enumerate(layers, 1):
+                    if layer >> stone & 1:
+                        return f"{name} at distance {dist} from stone {host.name_of(stone)}"
         return None
 
     found = (

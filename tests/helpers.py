@@ -1,8 +1,8 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the library's optimized paths: distances come from
-a local BFS over the adjacency lists, legality from a full recompute, and
-game values from a plain unmemoized recursion through the public rules API.
+a local BFS over `g.edges()`, legality from a full recompute, and game
+values from a plain unmemoized recursion through the public rules API.
 """
 
 from __future__ import annotations
@@ -34,14 +34,43 @@ def build_graph(names, edges) -> Graph:
     return g
 
 
+def neighbors(g: Graph, v) -> tuple[int, ...]:
+    """v's neighbour indices, ascending, read from `g.edges()`."""
+    i = g.index_of(v)
+    return tuple(sorted(b if a == i else a for a, b in g.edges() if i in (a, b)))
+
+
+def has_edge(g: Graph, u, v) -> bool:
+    """Whether {u, v} is an edge, read from `g.edges()`."""
+    i, j = sorted((g.index_of(u), g.index_of(v)))
+    return (i, j) in set(g.edges())
+
+
+def stones(pos: Position) -> list[tuple[int, Colour]]:
+    """Occupied indices with their colours, ascending, read from the stone
+    masks."""
+    return [(i, Colour.BLUE if pos.blue >> i & 1 else Colour.RED)
+            for i in range(pos.occupied.bit_length()) if pos.occupied >> i & 1]
+
+
+def legal_moves(g: Graph, rs: Ruleset, pos: Position, player: Player) -> list[int]:
+    """Indices of all legal placements for `player`, ascending, by `is_legal`."""
+    return [i for i in range(g.vertex_count) if is_legal(g, rs, pos, i, player)]
+
+
 def bfs_distance(g: Graph, u, v):
-    """Plain BFS, written against neighbors() only."""
+    """Plain BFS over adjacency lists built from `g.edges()`; None if v is
+    unreachable from u."""
+    adj = {i: [] for i in range(g.vertex_count)}
+    for a, b in g.edges():
+        adj[a].append(b)
+        adj[b].append(a)
     src, dst = g.index_of(u), g.index_of(v)
     dist = {src: 0}
     queue = deque([src])
     while queue:
         cur = queue.popleft()
-        for nxt in g.neighbors(cur):
+        for nxt in adj[cur]:
             if nxt not in dist:
                 dist[nxt] = dist[cur] + 1
                 queue.append(nxt)
@@ -73,7 +102,7 @@ def naive_is_legal(g: Graph, rs: Ruleset, pos: Position, v, player: Player) -> b
     if rs.ownership is not None and i not in rs.ownership.side(player):
         return False
     own = player.colour
-    for w, colour in pos.stones():
+    for w, colour in stones(pos):
         dist = bfs_distance(g, i, w)
         if dist is None:
             continue
@@ -86,13 +115,13 @@ def naive_is_legal(g: Graph, rs: Ruleset, pos: Position, v, player: Player) -> b
 def naive_position_is_legal(g: Graph, rs: Ruleset, pos: Position) -> bool:
     """Standalone-position legality from the full BFS distance of every
     pair of stones, plus ownership of each stone's vertex."""
-    stones = list(pos.stones())
+    placed = stones(pos)
     if rs.ownership is not None:
-        for i, colour in stones:
+        for i, colour in placed:
             owner = Player.LEFT if colour is Colour.BLUE else Player.RIGHT
             if i not in rs.ownership.side(owner):
                 return False
-    for (i, a), (j, b) in combinations(stones, 2):
+    for (i, a), (j, b) in combinations(placed, 2):
         dist = bfs_distance(g, i, j)
         if dist is not None and dist in (rs.s if a is b else rs.d):
             return False
@@ -123,7 +152,7 @@ def random_legal_position(g: Graph, rs: Ruleset, rng: random.Random,
     pos = Position()
     player = rng.choice([Player.LEFT, Player.RIGHT])
     for _ in range(rng.randrange(max_plies + 1)):
-        moves = [i for i in range(g.vertex_count) if is_legal(g, rs, pos, i, player)]
+        moves = legal_moves(g, rs, pos, player)
         if not moves:
             break
         pos = apply_move(g, rs, pos, rng.choice(moves), player)
@@ -168,8 +197,8 @@ def block_at(g: Graph, pos: Position, first: int, n: int):
     block. Read from the graph alone, to compare with `gadget_view`."""
     stop = first + n
     edges = {(i - first, j - first) for i, j in g.edges() if first <= i and j < stop}
-    stones = {(i - first, colour) for i, colour in pos.stones() if first <= i < stop}
-    return g.names[first:stop], edges, stones
+    placed = {(i - first, colour) for i, colour in stones(pos) if first <= i < stop}
+    return g.names[first:stop], edges, placed
 
 
 def gadget_view(gadget: GadgetInstance):

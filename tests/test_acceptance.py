@@ -34,7 +34,9 @@ from distance_games.gadgets import embed_gadget, splice_edges
 from distance_games.rules import bigraph_node_kayles
 from distance_games.verifier import KIND_SOURCE_ONLY
 
-from helpers import build_graph, naive_wins, random_legal_position, random_ruleset
+from helpers import (
+    bfs_distance, build_graph, naive_wins, random_legal_position, random_ruleset,
+)
 
 L, R = Player.LEFT, Player.RIGHT
 
@@ -60,7 +62,7 @@ def test_criterion_1_gadget_lemma_suite():
         gadget = forbidden_vertex_gadget(r)
         host = Graph()
         embed_gadget(host, gadget)
-        if host.distance(f"g0.R", f"g0.B") != r + 1:
+        if bfs_distance(host, f"g0.R", f"g0.B") != r + 1:
             failures.append(f"r={r}: stone distance != {r + 1}")
         for d, s in sorted(pairs, key=lambda p: (sorted(p[0]), sorted(p[1]))):
             report = check_gadget_lemma(gadget, d, s, probes=2)
@@ -81,11 +83,11 @@ def test_criterion_2_forbidden_path_distances():
             host.add_vertex("probe.b")
             host.add_edge("probe.a", fp.port("left"))
             host.add_edge("probe.b", fp.port("right"))
-            if host.distance("probe.a", "probe.b") != t + 1:
+            if bfs_distance(host, "probe.a", "probe.b") != t + 1:
                 failures.append(f"FP({t},{r}) probe distance")
             triangle, _ = splice_edges(gen_cycle(3), t, r)
             for u, v in combinations(range(3), 2):
-                if triangle.distance(u, v) != t + 1:
+                if bfs_distance(triangle, u, v) != t + 1:
                     failures.append(f"triangle t={t} r={r} pair {u},{v}")
     _report(2, "forbidden path distances", not failures, started, "; ".join(failures[:3]))
 
@@ -169,7 +171,7 @@ def test_criterion_5_out_of_range_counterexample_trace():
         and result.vertex == "z"
         and result.player is L
         and result.kind == KIND_SOURCE_ONLY
-        and ri.target_graph.distance("x", "z") == 4
+        and bfs_distance(ri.target_graph, "x", "z") == 4
         and replays_violation(ri, result)
     )
     _report(5, "out-of-range counterexample trace", ok, started,

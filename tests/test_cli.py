@@ -24,7 +24,10 @@ from distance_games.graph import (
     MAX_RANDOM_CORPUS_GRAPHS,
     MAX_RANDOM_CORPUS_PAIRS,
 )
+from distance_games.reductions import SOURCE_KINDS
 from distance_games.rules import distance_game
+
+from helpers import bfs_distance
 
 
 def run(capsys, *argv):
@@ -143,7 +146,7 @@ class TestReduce:
         assert code == 0
         g, _, rs = parse_graph(out_path.read_text())
         assert rs.d == {1, 2, 3} and rs.s == {1}
-        assert g.distance("v0", "v1") == 3
+        assert bfs_distance(g, "v0", "v1") == 3
 
     def test_source_mismatch(self, capsys, tmp_path):
         board = self.make_bgnk(capsys, tmp_path)
@@ -724,6 +727,47 @@ def gadget_argvs(draw):
     return argv
 
 
+@st.composite
+def gen_argvs(draw):
+    """A `gen` argument vector of any kind, with `--n`, `--p` and `--q`
+    mostly from 0 to 6, now and then -1 or past the vertex bound; `--prob`
+    in or outside [0, 1]; `--seed` now and then missing; `--bigraph` on any
+    kind; and a valid or mutated `--ruleset`. The kind is always one of the
+    choices: argparse's own usage errors also print a usage line."""
+    def size():
+        bad = draw(st.sampled_from([False, False, False, True]))
+        return str(draw(st.sampled_from([-1, MAX_GENERATED_VERTICES + 1]) if bad
+                        else st.integers(0, 6)))
+
+    argv = ["gen", "--kind", draw(st.sampled_from(["path", "cycle", "kpq", "gnp", "bipartite"]))]
+    for flag in ("--n", "--p", "--q"):
+        if draw(st.booleans()):
+            argv += [flag, size()]
+    if draw(st.booleans()):
+        argv += ["--prob", draw(st.sampled_from(["0", "0.5", "1", "-0.5", "1.5", "nan", "inf"]))]
+    if draw(st.sampled_from([True, True, True, False])):
+        argv += ["--seed", str(draw(st.integers(0, 9)))]
+    if draw(st.booleans()):
+        argv.append("--bigraph")
+    if draw(st.booleans()):
+        argv += ["--ruleset", draw(ruleset_texts())]
+    return argv
+
+
+@st.composite
+def reduce_flags(draw):
+    """`reduce`'s `--from`, `--map` and `--allow-out-of-range`, each given
+    or not: a source name, a source ruleset, a mutated ruleset or an unknown
+    name; a map path that is new, the `--out` or `--in` path, in a missing
+    directory, or empty (named here by role)."""
+    source = draw(st.one_of(
+        st.sampled_from(SOURCE_KINDS + ("bogus", "")),
+        st.sampled_from([f"D={d} S={s}" for d, s in _BOARD_RULESETS]),
+        ruleset_texts())) if draw(st.booleans()) else None
+    map_path = draw(st.sampled_from([None, None, None, "new", "out", "in", "nodir", ""]))
+    return source, map_path, draw(st.booleans())
+
+
 def assert_exit_contract(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
@@ -737,8 +781,9 @@ def assert_exit_contract(argv):
 
 
 class TestExitCodeContract:
-    """Every run of `solve`, `reduce`, `dot`, `verify` or `gadget` exits 0,
-    1 or 2; an exit 2 writes exactly one `error:` line and no traceback."""
+    """Every run of `gen`, `solve`, `reduce`, `dot`, `verify` or `gadget`
+    exits 0, 1 or 2; an exit 2 writes exactly one `error:` line and no
+    traceback."""
 
     @given(data=board_bytes(), to=ruleset_texts(), highlight=st.booleans())
     @settings(max_examples=60)
@@ -758,4 +803,27 @@ class TestExitCodeContract:
     @given(argv=st.one_of(verify_argvs(), gadget_argvs()))
     @settings(max_examples=200)
     def test_mutated_verify_and_gadget_arguments(self, argv):
+        assert_exit_contract(argv)
+
+    @given(argv=gen_argvs())
+    @settings(max_examples=200)
+    def test_mutated_gen_arguments(self, argv):
+        assert_exit_contract(argv)
+
+    @given(data=board_bytes(), to=ruleset_texts(), flags=reduce_flags())
+    @settings(max_examples=100)
+    def test_mutated_reduce_flags(self, tmp_path_factory, data, to, flags):
+        work = tmp_path_factory.mktemp("reduce")
+        board, out = work / "board.graph", work / "target.graph"
+        board.write_bytes(data)
+        source, map_path, allow = flags
+        argv = ["reduce", "--in", str(board), f"--to={to}", "--out", str(out)]
+        if source is not None:
+            argv.append(f"--from={source}")
+        if map_path is not None:
+            paths = {"new": work / "t.map", "out": out, "in": board,
+                     "nodir": work / "nodir" / "t.map", "": ""}
+            argv.append(f"--map={paths[map_path]}")
+        if allow:
+            argv.append("--allow-out-of-range")
         assert_exit_contract(argv)

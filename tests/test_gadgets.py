@@ -24,7 +24,9 @@ from distance_games import (
 )
 from distance_games.gadgets import MAX_GADGET_SIZE, GadgetInstance, embed_gadget, splice_edges
 
-from helpers import block_at, build_graph, gadget_view, reference_forbidden_path
+from helpers import (
+    bfs_distance, block_at, build_graph, gadget_view, has_edge, reference_forbidden_path, stones,
+)
 
 
 def host_of(gadget) -> Graph:
@@ -48,16 +50,16 @@ class TestForbiddenVertexGadget:
         f = forbidden_vertex_gadget(1)
         g = host_of(f)
         assert g.vertex_count == 3 and g.edge_count == 2
-        assert g.distance("g0.v", "g0.R") == 1
-        assert g.distance("g0.v", "g0.B") == 1
-        assert g.distance("g0.R", "g0.B") == 2
+        assert bfs_distance(g, "g0.v", "g0.R") == 1
+        assert bfs_distance(g, "g0.v", "g0.B") == 1
+        assert bfs_distance(g, "g0.R", "g0.B") == 2
 
     def test_r2_shape(self):
         f = forbidden_vertex_gadget(2)
         g = host_of(f)
         assert g.vertex_count == 5 and g.edge_count == 5
-        assert g.has_edge("g0.x1", "g0.y1")  # the even-size shortcut
-        assert g.distance("g0.R", "g0.B") == 3
+        assert has_edge(g, "g0.x1", "g0.y1")  # the even-size shortcut
+        assert bfs_distance(g, "g0.R", "g0.B") == 3
 
     def test_r3_no_shortcut(self):
         f = forbidden_vertex_gadget(3)
@@ -65,15 +67,15 @@ class TestForbiddenVertexGadget:
         assert not any(
             {f.vertices[a], f.vertices[b]} == {"g0.x1", "g0.y1"} for a, b in f.edges
         )
-        assert g.distance("g0.R", "g0.B") == 4
+        assert bfs_distance(g, "g0.R", "g0.B") == 4
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_distance_arithmetic(self, r):
         f = forbidden_vertex_gadget(r)
         g = host_of(f)
-        assert g.distance("g0.v", "g0.R") == r
-        assert g.distance("g0.v", "g0.B") == r
-        assert g.distance("g0.R", "g0.B") == r + 1
+        assert bfs_distance(g, "g0.v", "g0.R") == r
+        assert bfs_distance(g, "g0.v", "g0.B") == r
+        assert bfs_distance(g, "g0.R", "g0.B") == r + 1
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_counts_match_formula(self, r):
@@ -86,8 +88,8 @@ class TestForbiddenVertexGadget:
         f = forbidden_vertex_gadget(r)
         g = host_of(f)
         for v in f.uncoloured:
-            assert g.distance(v, "g0.R") <= r
-            assert g.distance(v, "g0.B") <= r
+            assert bfs_distance(g, v, "g0.R") <= r
+            assert bfs_distance(g, v, "g0.B") <= r
 
     def test_invalid_size(self):
         with pytest.raises(InvalidParameterError):
@@ -109,7 +111,7 @@ class TestForbiddenPath:
             for r in (2, 3, 4):
                 fp = forbidden_path(t, r)
                 g = host_of(fp)
-                assert g.distance(fp.port("left"), fp.port("right")) == t - 1
+                assert bfs_distance(g, fp.port("left"), fp.port("right")) == t - 1
 
     def test_probe_to_probe_distance(self):
         fp = forbidden_path(3, 4)
@@ -119,8 +121,8 @@ class TestForbiddenPath:
         g.add_vertex("y")
         g.add_edge("x", fp.port("left"))
         g.add_edge("y", fp.port("right"))
-        assert g.distance(fp.port("left"), fp.port("right")) == 2
-        assert g.distance("x", "y") == 4
+        assert bfs_distance(g, fp.port("left"), fp.port("right")) == 2
+        assert bfs_distance(g, "x", "y") == 4
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
@@ -133,8 +135,8 @@ class TestEdgeReplacement:
     def test_k2_single_hop(self):
         g = build_graph("ab", [("a", "b")])
         new, _ = splice_edges(g, 1, 1)
-        assert new.distance("a", "b") == 2
-        assert not new.has_edge("a", "b")
+        assert bfs_distance(new, "a", "b") == 2
+        assert not has_edge(new, "a", "b")
 
     def test_triangle_all_edges(self):
         g = gen_cycle(3)
@@ -142,7 +144,7 @@ class TestEdgeReplacement:
         assert len(placements) == 3
         for u in range(3):
             for v in range(u + 1, 3):
-                assert new.distance(u, v) == 3
+                assert bfs_distance(new, u, v) == 3
         # Disjoint copies, one after another, each under its own prefix.
         end = 3
         for gid, (first, shape) in enumerate(placements):
@@ -169,10 +171,10 @@ class TestEdgeReplacement:
             assert len(placements) == len(edges)
             # No source edge survives, and copy k joins the ends of edge k.
             for (i, j), (first, shape) in zip(edges, placements):
-                assert not new.has_edge(i, j)
-                assert new.has_edge(i, first + shape.port("left"))
-                assert new.has_edge(first + shape.port("right"), j)
-                assert new.distance(i, j) == t + 1
+                assert not has_edge(new, i, j)
+                assert has_edge(new, i, first + shape.port("left"))
+                assert has_edge(new, first + shape.port("right"), j)
+                assert bfs_distance(new, i, j) == t + 1
 
 
 class TestGadgetLemmaCheck:
@@ -235,6 +237,23 @@ class TestGadgetLemmaCheck:
         # The lemma host names the copy as the CLI board does, under g0.
         assert report.checks[0].detail == "g0.v playable by RIGHT"
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_stone_near_a_probe_detected(self, r):
+        # An extra red stone .S joined to the port is two steps from every
+        # probe, inside the forbidden radius r.
+        f = forbidden_vertex_gadget(r)
+        n = len(f.vertices)
+        near = GadgetInstance(
+            vertices=f.vertices + (".S",),
+            edges=f.edges + ((f.port("v"), n),),
+            precoloured=f.precoloured + ((n, Colour.RED),),
+            ports=f.ports,
+            radius=r,
+        )
+        check = check_gadget_lemma(near, range(1, r + 1), (), 2).checks[2]
+        assert (check.name, check.passed) == ("probes-unaffected", False)
+        assert check.detail == "probe.v.0 at distance 2 from stone g0.S"
+
 
 class TestStonesAndPortsArePositions:
     """A stone or port must be an int position of the gadget's vertices;
@@ -291,11 +310,11 @@ class TestStonesAndPortsArePositions:
                    reduce_bgnk_to_d12(path, ["a", "c"], ["b"], {1})):
             g, pos = ri.target_graph, ri.initial_position
             for first, shape in ri.gadgets:
-                _, _, stones = block_at(g, pos, first, len(shape.vertices))
-                assert stones == set(shape.precoloured)
+                _, _, placed = block_at(g, pos, first, len(shape.vertices))
+                assert placed == set(shape.precoloured)
             named = {i: Colour(name[-1]) for i, name in enumerate(g.names)
                      if name.endswith((".R", ".B"))}
-            assert dict(pos.stones()) == named
+            assert dict(stones(pos)) == named
 
 
 class TestFreshNaming:
@@ -356,8 +375,8 @@ class TestRenamedCopies:
             expected = reference_forbidden_path(t, r, f"g{gid}")
             assert block_at(new, pos, first, len(shape.vertices)) == gadget_view(expected)
             # Copy g{gid} stands in for edge (i, j).
-            assert new.has_edge(i, first + expected.port("left"))
-            assert new.has_edge(first + expected.port("right"), j)
+            assert has_edge(new, i, first + expected.port("left"))
+            assert has_edge(new, first + expected.port("right"), j)
 
     def test_window_anchors_equal_fresh_copies(self):
         g = build_graph("abc", [("a", "b"), ("c", "b")])
@@ -366,15 +385,15 @@ class TestRenamedCopies:
         # g0, g1 are the spliced edges, g2, g3 and g5 the anchors of a, c
         # and b, and g4, g6 the two shared stones.
         expected = {0: (1, None), 1: (1, None), 2: (2, "a"), 3: (2, "c"), 5: (2, "b")}
-        stones = {4: Colour.RED, 6: Colour.BLUE}
-        assert len(ri.gadgets) == len(expected) + len(stones)
+        shared = {4: Colour.RED, 6: Colour.BLUE}
+        assert len(ri.gadgets) == len(expected) + len(shared)
         for gid, (first, shape) in enumerate(ri.gadgets):
             view = block_at(new, pos, first, len(shape.vertices))
-            if gid in stones:
-                assert view == ((f"g{gid}.{stones[gid].value}",), set(), {(0, stones[gid])})
+            if gid in shared:
+                assert view == ((f"g{gid}.{shared[gid].value}",), set(), {(0, shared[gid])})
                 continue
             t, anchored = expected[gid]
             fresh = reference_forbidden_path(t, 3, f"g{gid}")
             assert view == gadget_view(fresh)
             if anchored is not None:
-                assert new.has_edge(anchored, first + fresh.port("left"))
+                assert has_edge(new, anchored, first + fresh.port("left"))

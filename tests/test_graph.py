@@ -37,7 +37,8 @@ from distance_games.gadgets import embed_gadget
 from distance_games.graph import MAX_GENERATED_VERTICES
 
 from helpers import (
-    ball_distances, bfs_distance, build_graph, graph_from_edge_mask, reference_forbidden_path,
+    ball_distances, bfs_distance, build_graph, graph_from_edge_mask, has_edge, neighbors,
+    reference_forbidden_path,
 )
 
 
@@ -86,8 +87,8 @@ class TestAddBlock:
         assert g.add_block(["a", "b", "c"], [(0, 1), (2, 1)]) == 2
         assert g.names == ("x", "y", "a", "b", "c")
         assert list(g.edges()) == [(0, 1), (2, 3), (3, 4)]
-        assert g.neighbors("b") == (2, 4)
-        assert g.has_edge("c", "b") and not g.has_edge("c", "a")
+        assert neighbors(g, "b") == (2, 4)
+        assert has_edge(g, "c", "b") and not has_edge(g, "c", "a")
 
     def test_edges_added_in_any_order_stay_sorted(self):
         pairs = list(itertools.combinations(range(4), 2))
@@ -96,14 +97,14 @@ class TestAddBlock:
             for k, (i, j) in enumerate(order):
                 g.add_edge(*((i, j) if k % 2 else (j, i)))
             assert list(g.edges()) == pairs
-            assert all(g.neighbors(v) == tuple(w for w in range(4) if w != v)
+            assert all(neighbors(g, v) == tuple(w for w in range(4) if w != v)
                        for v in range(4))
 
     def test_repeated_pair_adds_one_edge(self):
         g = Graph()
         g.add_block("ab", [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count == 1
-        assert g.neighbors("a") == (1,)
+        assert neighbors(g, "a") == (1,)
 
     @pytest.mark.parametrize("names, pairs, error", [
         (["a", "x"], [], DuplicateVertexError),     # already in the graph
@@ -171,7 +172,7 @@ class TestAddBlock:
         assert list(block.edges()) == list(per_edge.edges())
         assert block.edge_count == per_edge.edge_count
         for v in range(block.vertex_count):
-            assert block.neighbors(v) == per_edge.neighbors(v)
+            assert neighbors(block, v) == neighbors(per_edge, v)
 
 
 # One step of a random construction: ("vertex", name), ("edge", u, v) with u
@@ -288,52 +289,14 @@ class TestAgainstEdgeSetModel:
         assert g.names == tuple(model.names)
         assert list(g.edges()) == sorted(model.edges)
         assert g.edge_count == len(model.edges)
+        if not model.frozen:
+            return
         for i in range(n):
-            assert g.neighbors(i) == tuple(
-                sorted(j for e in model.edges if i in e for j in e if j != i)
-            )
-            for j in range(n):
-                assert g.has_edge(i, j) == ((min(i, j), max(i, j)) in model.edges)
-            if not model.frozen:
-                continue
             distances = model.distances_from(i)
             for radius in range(4):
                 assert ball_distances(g.ball(i, radius)) == {
                     v: d for v, d in distances.items() if 0 < d <= radius
                 }
-
-
-class TestDistance:
-    def test_path_distance(self):
-        g = build_graph("abc", [("a", "b"), ("b", "c")])
-        assert g.distance("a", "c") == 2
-
-    def test_distance_to_self_is_zero(self):
-        g = build_graph("ab", [])
-        assert g.distance("a", "a") == 0
-
-    def test_disconnected_is_none(self):
-        g = build_graph("ab", [])
-        assert g.distance("a", "b") is None
-
-    @given(st.integers(2, 6), st.integers(0, 2**15 - 1), st.integers(0))
-    def test_matches_reference_bfs_and_symmetry(self, n, mask, pick):
-        g = graph_from_edge_mask(n, mask)
-        pairs = list(itertools.combinations(range(n), 2))
-        u, v = pairs[pick % len(pairs)]
-        d = g.distance(u, v)
-        assert d == bfs_distance(g, u, v)
-        assert d == g.distance(v, u)
-
-    def test_triangle_inequality_sampled(self):
-        rng = random.Random(7)
-        for seed in range(5):
-            g = gen_gnp(8, 0.3, seed)
-            for _ in range(30):
-                a, b, c = rng.sample(range(8), 3)
-                ab, bc, ac = g.distance(a, b), g.distance(b, c), g.distance(a, c)
-                if ab is not None and bc is not None:
-                    assert ac is not None and ac <= ab + bc
 
 
 class TestBall:
@@ -354,13 +317,31 @@ class TestBall:
         for seed in range(4):
             g = gen_gnp(50, 0.08, seed)
             for u in range(0, 50, 7):
+                distances = {w: bfs_distance(g, u, w) for w in range(50)}
                 for radius in (1, 2, 4):
-                    expected = {
-                        w: g.distance(u, w)
-                        for w in range(50)
-                        if g.distance(u, w) is not None and 0 < g.distance(u, w) <= radius
-                    }
+                    expected = {w: d for w, d in distances.items()
+                                if d is not None and 0 < d <= radius}
                     assert ball_distances(g.ball(u, radius)) == expected
+
+    @given(st.integers(2, 6), st.integers(0, 2**15 - 1), st.integers(0))
+    def test_ball_distance_matches_bfs_and_is_symmetric(self, n, mask, pick):
+        g = graph_from_edge_mask(n, mask)
+        pairs = list(itertools.combinations(range(n), 2))
+        u, v = pairs[pick % len(pairs)]
+        d = ball_distances(g.ball(u, n)).get(v)
+        assert d == bfs_distance(g, u, v)
+        assert d == ball_distances(g.ball(v, n)).get(u)
+
+    def test_ball_distances_obey_triangle_inequality(self):
+        rng = random.Random(7)
+        for seed in range(5):
+            g = gen_gnp(8, 0.3, seed)
+            dist = [ball_distances(g.ball(v, 7)) for v in range(8)]
+            for _ in range(30):
+                a, b, c = rng.sample(range(8), 3)
+                ab, bc, ac = dist[a].get(b), dist[b].get(c), dist[a].get(c)
+                if ab is not None and bc is not None:
+                    assert ac is not None and ac <= ab + bc
 
     def test_layers_are_exact_distance_masks(self):
         g = build_graph("abcde", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
@@ -595,7 +576,7 @@ class TestGenerators:
         assert g.names == h.names
         assert list(g.edges()) == list(h.edges())
         assert g.edge_count == h.edge_count
-        assert all(g.neighbors(v) == h.neighbors(v) for v in range(g.vertex_count))
+        assert all(neighbors(g, v) == neighbors(h, v) for v in range(g.vertex_count))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 9])
     def test_path_and_cycle_match_per_edge_construction(self, n):
@@ -638,6 +619,17 @@ class TestGenerators:
             with pytest.raises(InvalidParameterError, match="generated vertices"):
                 make()
         assert gen_cycle(MAX_GENERATED_VERTICES).edge_count == MAX_GENERATED_VERTICES
+
+    @pytest.mark.parametrize("p, q", [(-1, 3), (3, -1), (-1, -1)])
+    @pytest.mark.parametrize("make", [
+        gen_complete_bipartite,
+        lambda p, q: gen_random_bipartite(p, q, 0.5, 1),
+        lambda p, q: next(all_labelled_bipartite(p, q)),
+    ], ids=["complete", "random", "enumerated"])
+    def test_negative_side_refused(self, make, p, q):
+        # One negative side is enough, however small the sum.
+        with pytest.raises(InvalidParameterError, match="sizes must be >= 0"):
+            make(p, q)
 
 
 class TestEnumeration:

@@ -19,7 +19,6 @@ from distance_games import (
     gen_complete_bipartite,
     is_legal,
     k_col,
-    legal_moves,
     n_snort,
     node_kayles,
     position_is_legal,
@@ -31,6 +30,7 @@ from helpers import (
     bfs_distance,
     build_graph,
     graph_from_edge_mask,
+    legal_moves,
     naive_is_legal,
     naive_position_is_legal,
     random_legal_position,

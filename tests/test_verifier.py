@@ -41,7 +41,7 @@ from distance_games.verifier import (
 from distance_games import solver, verifier
 from distance_games.graph import MAX_GENERATED_VERTICES, MAX_RANDOM_CORPUS_PAIRS
 
-from helpers import build_graph
+from helpers import build_graph, neighbors
 
 L, R = Player.LEFT, Player.RIGHT
 
@@ -138,6 +138,15 @@ class TestPlayForPlay:
         ri = bgnk_edge_instance()
         forged = CheckResult(PLAY_FOR_PLAY, False, vertex="g0.v2", player=L,
                              kind=KIND_TARGET_ONLY)
+        assert not replays_violation(ri, forged)
+
+    @pytest.mark.parametrize("kind", [KIND_SOURCE_ONLY, KIND_TARGET_ONLY])
+    def test_replay_refuses_an_original_vertex_both_games_allow(self, kind):
+        # Left may take b after a in the Snort source and in its snort-family
+        # target alike, so no claim that one game alone allows it replays.
+        ri = reduce_snort_family(build_graph("ab", [("a", "b")]), 2)
+        forged = CheckResult(PLAY_FOR_PLAY, False, trace=((L, "a"),), vertex="b", player=L,
+                             kind=kind)
         assert not replays_violation(ri, forged)
 
     @pytest.mark.parametrize("build, detail", [
@@ -255,7 +264,7 @@ class TestCorpus:
             shares = False
             for side in (left, right):
                 for u, v in combinations(sorted(side), 2):
-                    if set(g.neighbors(u)) & set(g.neighbors(v)):
+                    if set(neighbors(g, u)) & set(neighbors(g, v)):
                         shares = True
             failed_names = [c.name for c in record.report.failed_checks()]
             assert (PLAY_FOR_PLAY in failed_names) == shares, record.descriptor
