@@ -63,8 +63,6 @@ from .rules import (
     col,
     distance_game,
     is_legal,
-    k_col,
-    n_snort,
     node_kayles,
     position_is_legal,
     snort,

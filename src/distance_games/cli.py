@@ -2,8 +2,9 @@
 verify reductions over corpora, and export DOT drawings.
 
 Exit codes: 0 success (all checks pass), 1 verification failure, 2 usage or
-input error. Output is one record per line and deterministic given the
-flags and seeds; there are no config files or environment knobs.
+input error, told on one `error:` line (newlines in it are escaped). Output
+is one record per line and deterministic given the flags and seeds; there
+are no config files or environment knobs.
 """
 
 from __future__ import annotations
@@ -125,23 +126,31 @@ def _parse_depth_cap(text: str):
 # -- subcommands ---------------------------------------------------------------
 
 
+# Each `gen` kind's generator and the flags it reads, in the generator's
+# argument order, with the value each takes when not given (--seed has none).
+# The kpq and bipartite generators also return the bipartition.
+_GEN_KINDS = {
+    "path": (gen_path, {"n": 0}),
+    "cycle": (gen_cycle, {"n": 0}),
+    "kpq": (gen_complete_bipartite, {"p": 0, "q": 0}),
+    "gnp": (gen_gnp, {"n": 0, "prob": 0.5, "seed": None}),
+    "bipartite": (gen_random_bipartite, {"p": 0, "q": 0, "prob": 0.5, "seed": None}),
+}
+
+
 def _cmd_gen(args) -> int:
     rs = parse_ruleset_text(args.ruleset) if args.ruleset else None
-    bipartition = None
-    if args.kind == "path":
-        g = gen_path(args.n)
-    elif args.kind == "cycle":
-        g = gen_cycle(args.n)
-    elif args.kind == "kpq":
-        g, bipartition = gen_complete_bipartite(args.p, args.q)
-    elif args.kind == "gnp":
-        if args.seed is None:
-            raise InvalidParameterError("gnp needs --seed")
-        g = gen_gnp(args.n, args.prob, args.seed)
-    else:  # bipartite
-        if args.seed is None:
-            raise InvalidParameterError("bipartite needs --seed")
-        g, bipartition = gen_random_bipartite(args.p, args.q, args.prob, args.seed)
+    gen, reads = _GEN_KINDS[args.kind]
+    for flag in ("n", "p", "q", "prob", "seed"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise InvalidParameterError(
+                f"{args.kind} takes no --{flag}; it reads {', '.join('--' + f for f in reads)}"
+            )
+    if "seed" in reads and args.seed is None:
+        raise InvalidParameterError(f"{args.kind} needs --seed")
+    made = gen(*(default if getattr(args, f) is None else getattr(args, f)
+                 for f, default in reads.items()))
+    g, bipartition = made if isinstance(made, tuple) else (made, None)
 
     if args.bigraph:
         if bipartition is None:
@@ -212,9 +221,12 @@ def _cmd_reduce(args) -> int:
             f"no reduction from {kind} reaches {format_ruleset(target)}; "
             + "; ".join(f"{spec.name} needs {spec.reaches}" for spec in specs)
         )
+    if args.allow_out_of_range:
+        if ("allow_out_of_range", "flag") not in spec.param_types:
+            raise InvalidParameterError(f"{spec.name} takes no --allow-out-of-range")
+        params["allow_out_of_range"] = True
     own = src_rs.ownership
     bipartition = (own.left, own.right) if spec.bipartite else None
-    params["allow_out_of_range"] = args.allow_out_of_range
     ri = spec.build(g, bipartition, params)
     # The board is opened before the map is written, and written only after
     # it: appending changes no existing file, and a board this opening made
@@ -248,7 +260,7 @@ def _cmd_gadget(args) -> int:
     else:
         d, s = frozenset(range(1, args.r + 1)), frozenset()
     # Checked before the board is written, so a refused check writes nothing.
-    report = check_gadget_lemma(gadget, d, s, args.probes) if args.check else None
+    report = check_gadget_lemma(gadget, d, s) if args.check else None
 
     host_rs = Ruleset(d, s)
     host = Graph()
@@ -282,19 +294,27 @@ def _cmd_dot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so `main` reports them as one `error:` line like
+    every other input error. Subparsers are made of this class too."""
+
+    def error(self, message):
+        raise InvalidParameterError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="distance-games",
         description="Distance games on graphs: boards, solving, reductions, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a board file")
-    p.add_argument("--kind", required=True, choices=["path", "cycle", "kpq", "gnp", "bipartite"])
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--p", type=int, default=0)
-    p.add_argument("--q", type=int, default=0)
-    p.add_argument("--prob", type=float, default=0.5)
+    p.add_argument("--kind", required=True, choices=list(_GEN_KINDS))
+    p.add_argument("--n", type=int)
+    p.add_argument("--p", type=int)
+    p.add_argument("--q", type=int)
+    p.add_argument("--prob", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--ruleset", help="textual ruleset, e.g. 'D=1 S='")
     p.add_argument("--bigraph", action="store_true",
@@ -321,7 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t", type=int)
     p.add_argument("--check", help="ruleset to check under, e.g. 'D=1,2 S='")
-    p.add_argument("--probes", type=int, default=2)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gadget)
 
@@ -345,15 +364,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # only --help exits, after printing the help
+        return exc.code
     except (DistanceGameError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print("error: " + str(exc).replace("\n", "\\n"), file=sys.stderr)
         return 2
 
 

@@ -50,10 +50,10 @@ from .errors import InvalidParameterError
 from .graph import Graph
 from .rules import Colour, Position
 
-# Largest gadget size r, path length t and probe count accepted. A blocker
-# has about r vertices and a path t times that, so without a cap a single
-# number could ask for a board of any size; reductions build through these
-# constructors and inherit the cap.
+# Largest gadget size r and path length t accepted. A blocker has about r
+# vertices and a path t times that, so without a cap a single number could
+# ask for a board of any size; reductions build through these constructors
+# and inherit the cap.
 MAX_GADGET_SIZE = 64
 # Largest reduction target, in vertices. A reduction adds a gadget path per
 # source edge (or side vertex), so a dense source asks for millions of

@@ -118,20 +118,6 @@ def node_kayles() -> Ruleset:
     return Ruleset(frozenset({1}), frozenset({1}))
 
 
-def n_snort(n: int) -> Ruleset:
-    """Opposite colours forbidden at every distance up to n."""
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    return Ruleset(frozenset(range(1, n + 1)), frozenset())
-
-
-def k_col(k: int) -> Ruleset:
-    """Same colours forbidden at every distance up to k."""
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
-    return Ruleset(frozenset(), frozenset(range(1, k + 1)))
-
-
 def bigraph_node_kayles(left: Iterable[int], right: Iterable[int]) -> Ruleset:
     """Node-Kayles where Left owns one side of a bipartition, Right the other."""
     return Ruleset(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import HypothesisViolatedError, InvalidParameterError
-from .gadgets import GadgetInstance, check_gadget_size, embed_gadget, stones_position
+from .gadgets import GadgetInstance, embed_gadget, stones_position
 from .graph import (
     MAX_RANDOM_CORPUS_GRAPHS,
     MAX_RANDOM_CORPUS_PAIRS,
@@ -281,16 +281,17 @@ def replays_violation(ri: ReducedInstance, result: CheckResult) -> bool:
     return False
 
 
-def check_gadget_lemma(gadget: GadgetInstance, d, s, probes: int) -> VerificationReport:
+def check_gadget_lemma(gadget: GadgetInstance, d, s) -> VerificationReport:
     """Re-derive the gadget guarantees from the rules instead of trusting them.
 
-    Embeds the gadget in a host graph with `probes` fresh external vertices
-    hanging off each port, then checks that (i) every uncoloured gadget
-    vertex is illegal for both players at the start, (ii) it stays illegal
-    after each single legal probe placement (full persistence follows from
-    legality monotonicity), and (iii) the probes themselves sit farther from
-    every fixed stone than the largest forbidden distance: no stone is in a
-    probe's ball of that radius.
+    Embeds the gadget in a host graph with one fresh external vertex, the
+    probe `probe.{role}.0`, hanging off each port (probes on one port are
+    interchangeable, so a second would check nothing new). Then checks that
+    (i) every uncoloured gadget vertex is illegal for both players at the
+    start, (ii) it stays illegal after each single legal probe placement
+    (full persistence follows from legality monotonicity), and (iii) the
+    probes themselves sit farther from every fixed stone than the largest
+    forbidden distance: no stone is in a probe's ball of that radius.
 
     Refuses to vouch unless one of d, s is exactly {1..r} and the other is
     a subset of it.
@@ -298,7 +299,6 @@ def check_gadget_lemma(gadget: GadgetInstance, d, s, probes: int) -> Verificatio
     d, s = frozenset(d), frozenset(s)
     if gadget.radius is None:
         raise HypothesisViolatedError("gadget carries no blocking radius")
-    check_gadget_size("probes", probes, 0)
     interval = frozenset(range(1, gadget.radius + 1))
     if not ((d == interval and s <= interval) or (s == interval and d <= interval)):
         raise HypothesisViolatedError(
@@ -308,13 +308,10 @@ def check_gadget_lemma(gadget: GadgetInstance, d, s, probes: int) -> Verificatio
     # The gadget is the host's first block, so a position is a host index.
     host = Graph()
     embed_gadget(host, gadget)
-    probe_names = []
-    for role, port in gadget.ports:
-        for i in range(probes):
-            name = f"probe.{role}.{i}"
-            host.add_vertex(name)
-            host.add_edge(name, port)
-            probe_names.append(name)
+    probe_names = [f"probe.{role}.0" for role, _ in gadget.ports]
+    for name, (_, port) in zip(probe_names, gadget.ports):
+        host.add_vertex(name)
+        host.add_edge(name, port)
     host.freeze()
 
     rs = rules.distance_game(d, s)

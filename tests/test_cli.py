@@ -17,7 +17,7 @@ from distance_games import (
     serialize,
 )
 from distance_games import gadgets, graph
-from distance_games.cli import main
+from distance_games.cli import _GEN_KINDS, main
 from distance_games.gadgets import MAX_GADGET_SIZE, MAX_TARGET_VERTICES
 from distance_games.graph import (
     MAX_GENERATED_VERTICES,
@@ -109,13 +109,19 @@ class TestGadget:
     @pytest.mark.parametrize("argv, what", [
         (["--r", str(MAX_GADGET_SIZE + 1)], "gadget size r"),
         (["--r", "2", "--t", str(MAX_GADGET_SIZE + 1)], "path length t"),
-        (["--r", "2", "--check", "D=1,2 S=", "--probes", str(MAX_GADGET_SIZE + 1)],
-         "probes"),
     ])
     def test_size_above_cap_writes_nothing(self, capsys, tmp_path, argv, what):
         out_path = tmp_path / "g.graph"
         assert_input_error(capsys, "gadget", *argv, "--out", str(out_path),
                            mentions=f"{what} must be between")
+        assert not out_path.exists()
+
+    def test_probes_flag_is_refused(self, capsys, tmp_path):
+        # The check hangs one probe off each port; there is no count to set.
+        out_path = tmp_path / "g.graph"
+        assert_input_error(capsys, "gadget", "--r", "2", "--check", "D=1,2 S=",
+                           "--probes", "2", "--out", str(out_path),
+                           mentions="unrecognized arguments: --probes 2")
         assert not out_path.exists()
 
 
@@ -552,11 +558,44 @@ class TestUndecodableBoard:
 
 
 class TestUsageErrors:
+    """A usage error is an input error: exit 2 and one `error:` line."""
+
     def test_unknown_flag(self, capsys):
-        assert run(capsys, "solve", "--bogus", "x")[0] == 2
+        assert_input_error(capsys, "solve", "--in", "x", "--bogus", "x",
+                           mentions="unrecognized arguments: --bogus x")
 
     def test_missing_subcommand(self, capsys):
-        assert run(capsys)[0] == 2
+        assert_input_error(capsys, mentions="required: command")
+
+    @pytest.mark.parametrize("argv, mentions", [
+        (["gen", "--kind", "bogus"], "invalid choice: 'bogus'"),
+        (["gen", "--kind", "path", "--n", "x"], "invalid int value: 'x'"),
+        (["gen", "--kind", "kpq", "--n", "5"], "kpq takes no --n; it reads --p, --q"),
+        (["gen", "--kind", "path", "--seed", "1"], "path takes no --seed; it reads --n"),
+        (["gen", "--kind", "cycle", "--n", "3", "--prob", "0.5"], "cycle takes no --prob"),
+        (["gen", "--kind", "gnp", "--n", "3", "--p", "2", "--seed", "1"], "gnp takes no --p"),
+        (["verify", "--reduction", "nope", "--corpus", "exhaustive:1"], "invalid choice: 'nope'"),
+        (["verify", "--reduction", "snort-family", "--corpus", "exhaustive:1", "--jobs", "x"],
+         "invalid int value: 'x'"),
+        (["solve", "--in", "x", "a\nb"], "unrecognized arguments: a\\nb"),
+    ])
+    def test_usage_error_is_one_line(self, capsys, argv, mentions):
+        assert_input_error(capsys, *argv, mentions=mentions)
+
+    def test_allow_out_of_range_only_where_a_reduction_reads_it(self, capsys, tmp_path):
+        board, out_path = tmp_path / "p.graph", tmp_path / "t.graph"
+        run(capsys, "gen", "--kind", "path", "--n", "6", "--ruleset", "D=1 S=",
+            "--out", str(board))
+        assert_input_error(capsys, "reduce", "--in", str(board), "--to", "D=1,2 S=",
+                           "--out", str(out_path), "--allow-out-of-range",
+                           mentions="snort-family takes no --allow-out-of-range")
+        assert not out_path.exists()
+        assert not Path(str(out_path) + ".map").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out.startswith("usage: distance-games") and err == ""
 
     def test_missing_input_file(self, capsys):
         code, _, err = run(capsys, "solve", "--in", "/nonexistent/file.graph")
@@ -674,7 +713,8 @@ _PARAM_VALUES = {
 def verify_argvs(draw):
     """A `verify` argument vector over corpora of at most 4 vertices, valid
     or mutated: a malformed corpus, a bad value (3-1, 65, 0), a junk,
-    repeated or missing parameter, a bad depth cap, a job count below 1."""
+    repeated or missing parameter, a bad depth cap, a job count below 1 or
+    not an integer, an unknown reduction."""
     corpus = draw(st.one_of(
         st.builds("exhaustive:{}".format, st.integers(0, 3)),
         st.builds("random:{}:{}:{}:{}".format, st.integers(0, 2), st.integers(0, 4),
@@ -686,7 +726,8 @@ def verify_argvs(draw):
         params.append(f"{key}={','.join(values)}")
     depth_cap, jobs = draw(st.sampled_from(["auto", "full", "0", "3"])), "1"
     mutations = st.lists(st.sampled_from(
-        ["corpus", "value", "junk", "drop", "depth", "jobs"]), min_size=1, max_size=2)
+        ["corpus", "value", "junk", "drop", "depth", "jobs", "reduction"]),
+        min_size=1, max_size=2)
     for mutation in draw(mutations) if draw(st.booleans()) else ():
         if mutation == "corpus":
             corpus = draw(st.sampled_from(["exhaustive", "exhaustive:x", "exhaustive:-1",
@@ -703,25 +744,26 @@ def verify_argvs(draw):
         elif mutation == "depth":
             depth_cap = draw(st.sampled_from(["-1", "x", "", "1.5"]))
         elif mutation == "jobs":
-            jobs = str(draw(st.integers(-2, 0)))
+            jobs = str(draw(st.sampled_from([-2, -1, 0, "x"])))
+        elif mutation == "reduction":
+            reduction = draw(st.sampled_from(["nope", "", "Snort-Family"]))
     return ["verify", "--reduction", reduction, "--corpus", corpus, "--params", *params,
             "--depth-cap", depth_cap, "--jobs", jobs]
 
 
 @st.composite
 def gadget_argvs(draw):
-    """A `gadget` argument vector with `--r`, `--t` and `--probes` mostly
-    from 1 to 5, now and then -1, 0 or past the cap, and a valid or mutated
-    `--check` ruleset."""
+    """A `gadget` argument vector with `--r` and `--t` mostly from 1 to 5,
+    now and then -1, 0 or past the cap, and a valid or mutated `--check`
+    ruleset."""
     def size():
         bad = draw(st.sampled_from([False, False, False, True]))
         return str(draw(st.sampled_from([-1, 0, MAX_GADGET_SIZE + 1]) if bad
                         else st.integers(1, 5)))
 
     argv = ["gadget", "--r", size()]
-    for flag in ("--t", "--probes"):
-        if draw(st.booleans()):
-            argv += [flag, size()]
+    if draw(st.booleans()):
+        argv += ["--t", size()]
     if draw(st.booleans()):
         argv += ["--check", draw(ruleset_texts())]
     return argv
@@ -729,28 +771,34 @@ def gadget_argvs(draw):
 
 @st.composite
 def gen_argvs(draw):
-    """A `gen` argument vector of any kind, with `--n`, `--p` and `--q`
-    mostly from 0 to 6, now and then -1 or past the vertex bound; `--prob`
-    in or outside [0, 1]; `--seed` now and then missing; `--bigraph` on any
-    kind; and a valid or mutated `--ruleset`. The kind is always one of the
-    choices: argparse's own usage errors also print a usage line."""
+    """A `gen` argument vector of any kind or one outside the choices. Each
+    flag the kind reads is mostly given, and now and then one it does not
+    read: `--n`, `--p` and `--q` mostly from 0 to 6, now and then -1, past
+    the vertex bound or not an integer; `--prob` in or outside [0, 1];
+    `--seed`. Then `--bigraph` on any kind, a valid or mutated `--ruleset`,
+    and now and then an unknown flag."""
     def size():
         bad = draw(st.sampled_from([False, False, False, True]))
-        return str(draw(st.sampled_from([-1, MAX_GENERATED_VERTICES + 1]) if bad
+        return str(draw(st.sampled_from([-1, MAX_GENERATED_VERTICES + 1, "x", "1.5"]) if bad
                         else st.integers(0, 6)))
 
-    argv = ["gen", "--kind", draw(st.sampled_from(["path", "cycle", "kpq", "gnp", "bipartite"]))]
-    for flag in ("--n", "--p", "--q"):
-        if draw(st.booleans()):
-            argv += [flag, size()]
-    if draw(st.booleans()):
-        argv += ["--prob", draw(st.sampled_from(["0", "0.5", "1", "-0.5", "1.5", "nan", "inf"]))]
-    if draw(st.sampled_from([True, True, True, False])):
-        argv += ["--seed", str(draw(st.integers(0, 9)))]
+    values = {
+        "n": size, "p": size, "q": size,
+        "prob": lambda: draw(st.sampled_from(["0", "0.5", "1", "-0.5", "1.5", "nan", "inf"])),
+        "seed": lambda: str(draw(st.integers(0, 9))),
+    }
+    kind = draw(st.sampled_from([*_GEN_KINDS, "bogus"]))
+    reads = _GEN_KINDS[kind][1] if kind in _GEN_KINDS else ()
+    argv = ["gen", "--kind", kind]
+    for flag, value in values.items():
+        if draw(st.integers(0, 7)) < (6 if flag in reads else 1):
+            argv += [f"--{flag}", value()]
     if draw(st.booleans()):
         argv.append("--bigraph")
     if draw(st.booleans()):
         argv += ["--ruleset", draw(ruleset_texts())]
+    if draw(st.sampled_from([False, False, False, True])):
+        argv.append("--bogus")
     return argv
 
 

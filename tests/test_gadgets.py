@@ -179,37 +179,35 @@ class TestEdgeReplacement:
 
 class TestGadgetLemmaCheck:
     def test_f2_under_d_interval(self):
-        report = check_gadget_lemma(forbidden_vertex_gadget(2), {1, 2}, set(), 2)
+        report = check_gadget_lemma(forbidden_vertex_gadget(2), {1, 2}, set())
         assert report.passed
 
     def test_f4_roles_swapped(self):
-        report = check_gadget_lemma(
-            forbidden_vertex_gadget(4), {1, 2}, {1, 2, 3, 4}, 2
-        )
+        report = check_gadget_lemma(forbidden_vertex_gadget(4), {1, 2}, {1, 2, 3, 4})
         assert report.passed
 
     def test_hypothesis_too_small(self):
         with pytest.raises(HypothesisViolatedError):
-            check_gadget_lemma(forbidden_vertex_gadget(3), {1, 2}, set(), 2)
+            check_gadget_lemma(forbidden_vertex_gadget(3), {1, 2}, set())
 
     def test_hypothesis_superset_rejected(self):
         with pytest.raises(HypothesisViolatedError):
-            check_gadget_lemma(forbidden_vertex_gadget(2), {1, 2}, {1, 2, 3}, 2)
+            check_gadget_lemma(forbidden_vertex_gadget(2), {1, 2}, {1, 2, 3})
 
     @pytest.mark.parametrize("r", range(1, MAX_GADGET_SIZE + 1))
     def test_lemma_holds_at_every_size(self, r):
         # The reductions build blockers up to the cap, so the lemma is
-        # checked at every size they can ask for, with one probe per port.
+        # checked at every size they can ask for.
         full, one = frozenset(range(1, r + 1)), frozenset({1})
         forms = [(full, frozenset()), (frozenset(), full), (full, full), (full, one), (one, full)]
         for gadget, checked in ((forbidden_vertex_gadget(r), forms),
                                 (forbidden_path(2, r), forms[:2])):
             for d, s in checked:
-                report = check_gadget_lemma(gadget, d, s, 1)
+                report = check_gadget_lemma(gadget, d, s)
                 assert report.passed, (r, sorted(d), sorted(s), report.lines())
 
     def test_forbidden_path_checks_too(self):
-        report = check_gadget_lemma(forbidden_path(2, 3), {1, 2, 3}, {1}, 2)
+        report = check_gadget_lemma(forbidden_path(2, 3), {1, 2, 3}, {1})
         assert report.passed
 
     def test_port_vertex_actually_unplayable(self):
@@ -232,15 +230,15 @@ class TestGadgetLemmaCheck:
             ports=f.ports,
             radius=f.radius,
         )
-        report = check_gadget_lemma(broken, {1, 2}, set(), 2)
+        report = check_gadget_lemma(broken, {1, 2}, set())
         assert not report.passed
         # The lemma host names the copy as the CLI board does, under g0.
         assert report.checks[0].detail == "g0.v playable by RIGHT"
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_stone_near_a_probe_detected(self, r):
-        # An extra red stone .S joined to the port is two steps from every
-        # probe, inside the forbidden radius r.
+        # An extra red stone .S joined to the port is two steps from the
+        # port's probe, inside the forbidden radius r.
         f = forbidden_vertex_gadget(r)
         n = len(f.vertices)
         near = GadgetInstance(
@@ -250,7 +248,7 @@ class TestGadgetLemmaCheck:
             ports=f.ports,
             radius=r,
         )
-        check = check_gadget_lemma(near, range(1, r + 1), (), 2).checks[2]
+        check = check_gadget_lemma(near, range(1, r + 1), ()).checks[2]
         assert (check.name, check.passed) == ("probes-unaffected", False)
         assert check.detail == "probe.v.0 at distance 2 from stone g0.S"
 

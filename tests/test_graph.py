@@ -21,6 +21,7 @@ from distance_games import (
     all_labelled_bipartite,
     forbidden_path,
     all_labelled_graphs,
+    distance_game,
     gen_complete_bipartite,
     gen_cycle,
     gen_gnp,
@@ -28,7 +29,6 @@ from distance_games import (
     gen_random_bipartite,
     is_legal,
     LegalityIndex,
-    n_snort,
     node_kayles,
     serialize,
 )
@@ -514,7 +514,7 @@ class TestBallRows:
     def test_index_past_the_budget_raises_and_leaves_the_graph_usable(
             self, monkeypatch, budget):
         g = gen_path(40)
-        rs = n_snort(3)
+        rs = distance_game({1, 2, 3}, ())
         monkeypatch.setattr(graph_module, "MAX_BALL_MEMO_BYTES", budget)
         with pytest.raises(BallBudgetError, match="ball memo"):
             LegalityIndex(g, rs)

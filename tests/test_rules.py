@@ -18,8 +18,6 @@ from distance_games import (
     distance_game,
     gen_complete_bipartite,
     is_legal,
-    k_col,
-    n_snort,
     node_kayles,
     position_is_legal,
     snort,
@@ -42,22 +40,17 @@ L, R = Player.LEFT, Player.RIGHT
 
 class TestNamedRulesets:
     def test_definitional_coincidences(self):
-        assert n_snort(1) == snort()
-        assert k_col(1) == col()
+        assert distance_game({1}, ()) == snort()
+        assert distance_game((), {1}) == col()
 
     def test_node_kayles_sets(self):
         rs = node_kayles()
         assert rs.d == {1} and rs.s == {1}
 
     def test_families(self):
-        assert n_snort(3).d == {1, 2, 3} and n_snort(3).s == frozenset()
-        assert k_col(2).s == {1, 2} and k_col(2).d == frozenset()
-
-    def test_zero_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            n_snort(0)
-        with pytest.raises(InvalidParameterError):
-            k_col(0)
+        three_snort, two_col = distance_game(range(1, 4), ()), distance_game((), range(1, 3))
+        assert three_snort.d == {1, 2, 3} and three_snort.s == frozenset()
+        assert two_col.s == {1, 2} and two_col.d == frozenset()
 
     def test_distance_game_validation(self):
         with pytest.raises(InvalidParameterError):
