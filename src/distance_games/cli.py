@@ -181,15 +181,17 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _refuse_out_over_in(args):
+    """Writing the output over the board being read would destroy it."""
+    if args.out and os.path.realpath(args.out) == os.path.realpath(args.infile):
+        raise InvalidParameterError(f"the --out path {args.out} is also the --in path")
+
+
 def _cmd_reduce(args) -> int:
-    # An empty path would send the board to stdout and the map to ".map".
+    # An empty path would send the board to stdout, ahead of the summary line.
     if not args.out:
         raise InvalidParameterError("reduce needs a non-empty --out path")
-    # A map written over the board or the input would leave only the map.
-    map_path = args.map or (args.out + ".map")
-    for flag, path in (("--out", args.out), ("--in", args.infile)):
-        if os.path.realpath(map_path) == os.path.realpath(path):
-            raise InvalidParameterError(f"the map path {map_path} is also the {flag} path")
+    _refuse_out_over_in(args)
     g, pos, src_rs = _read_board(args.infile)
     if pos.stone_count:
         raise InvalidParameterError("reduce expects an empty starting position")
@@ -198,17 +200,6 @@ def _cmd_reduce(args) -> int:
         raise InvalidParameterError(
             f"input ruleset is not one of the supported sources ({', '.join(SOURCE_KINDS)})"
         )
-    if args.source:
-        wanted = args.source
-        if "=" in wanted:  # also accept the textual ruleset form
-            wanted = source_kind(parse_ruleset_text(wanted))
-        elif wanted not in SOURCE_KINDS:
-            raise InvalidParameterError(
-                f"unknown source {args.source!r}; use one of {list(SOURCE_KINDS)} "
-                "or a textual ruleset"
-            )
-        if wanted != kind:
-            raise InvalidParameterError(f"input file is a {kind} board, not {args.source}")
     target = parse_ruleset_text(args.to)
 
     specs = [spec for spec in REDUCTIONS.values() if spec.source == kind]
@@ -228,23 +219,11 @@ def _cmd_reduce(args) -> int:
     own = src_rs.ownership
     bipartition = (own.left, own.right) if spec.bipartite else None
     ri = spec.build(g, bipartition, params)
-    # The board is opened before the map is written, and written only after
-    # it: appending changes no existing file, and a board this opening made
-    # is removed again if the map cannot be written. So an exit 2 here
-    # leaves both paths as they were.
-    fresh = not os.path.exists(args.out)
-    open(args.out, "a").close()
-    try:
-        Path(map_path).write_text("".join(f"{name} -> {name}\n" for name in ri.source_graph.names))
-    except OSError:
-        if fresh:
-            os.remove(os.path.realpath(args.out))
-        raise
-    Path(args.out).write_text(serialize(ri.target_graph, ri.initial_position, ri.target_ruleset))
+    _write(serialize(ri.target_graph, ri.initial_position, ri.target_ruleset), args.out)
     print(
         f"reduced source-vertices={ri.source_graph.vertex_count}"
         f" target-vertices={ri.target_graph.vertex_count}"
-        f" gadgets={len(ri.gadgets)} out={args.out} map={map_path}"
+        f" gadgets={len(ri.gadgets)} out={args.out}"
     )
     return 0
 
@@ -286,6 +265,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dot(args) -> int:
+    _refuse_out_over_in(args)
     g, pos, _rs = _read_board(args.infile)
     highlight = ()
     if args.highlight == "gadgets":
@@ -327,13 +307,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("reduce", help="reduce a board to a target ruleset")
-    p.add_argument("--from", dest="source",
-                   help="expected source: snort, col, node-kayles, bgnk, or a "
-                        "textual ruleset like 'D=1 S='")
     p.add_argument("--to", required=True, help="target ruleset, e.g. 'D=1,2,3 S=1'")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--map", help="mapping sidecar path (default: OUT.map)")
     p.add_argument("--allow-out-of-range", action="store_true")
     p.set_defaults(func=_cmd_reduce)
 

@@ -24,7 +24,6 @@ from distance_games.graph import (
     MAX_RANDOM_CORPUS_GRAPHS,
     MAX_RANDOM_CORPUS_PAIRS,
 )
-from distance_games.reductions import SOURCE_KINDS
 from distance_games.rules import distance_game
 
 from helpers import bfs_distance
@@ -140,8 +139,8 @@ class TestReduce:
         assert code == 0 and "target-vertices=10" in out
         g, pos, rs = parse_graph(out_path.read_text())
         assert g.vertex_count == 10 and pos.stone_count == 4
-        mapping = Path(str(out_path) + ".map").read_text().splitlines()
-        assert mapping == ["l0 -> l0", "r0 -> r0"]
+        assert "map=" not in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bgnk.graph", "out.graph"]
 
     def test_snort_family_selected_by_shape(self, capsys, tmp_path):
         board = tmp_path / "k2.graph"
@@ -153,19 +152,6 @@ class TestReduce:
         g, _, rs = parse_graph(out_path.read_text())
         assert rs.d == {1, 2, 3} and rs.s == {1}
         assert bfs_distance(g, "v0", "v1") == 3
-
-    def test_source_mismatch(self, capsys, tmp_path):
-        board = self.make_bgnk(capsys, tmp_path)
-        code, _, err = run(capsys, "reduce", "--from", "snort", "--in", str(board),
-                           "--to", "D=1,2 S=", "--out", str(tmp_path / "x.graph"))
-        assert code == 2 and "bgnk" in err
-
-    def test_source_as_textual_ruleset(self, capsys, tmp_path):
-        board = tmp_path / "k2.graph"
-        run(capsys, "gen", "--kind", "path", "--n", "2", "--out", str(board))
-        code, _, _ = run(capsys, "reduce", "--from", "D=1 S=", "--in", str(board),
-                         "--to", "D=1,2 S=1", "--out", str(tmp_path / "y.graph"))
-        assert code == 0
 
     def test_out_of_range_needs_flag(self, capsys, tmp_path):
         board = self.make_bgnk(capsys, tmp_path)
@@ -182,7 +168,7 @@ class TestReduce:
     def test_reduce_builds_what_the_registry_builds(self, capsys, tmp_path, name):
         """For every target with D, S within {1,2,3} that this spec is the
         first of its source kind to accept and can build, `reduce` writes
-        the board and map of `spec.build`."""
+        the board of `spec.build`, and no other file."""
         spec = REDUCTIONS[name]
         if spec.bipartite:
             g, bipartition = gen_random_bipartite(2, 3, 0.6, 1)
@@ -211,8 +197,7 @@ class TestReduce:
                 assert code == 0, format_ruleset(target)
                 assert out_path.read_text() == serialize(
                     ri.target_graph, ri.initial_position, ri.target_ruleset)
-                assert Path(str(out_path) + ".map").read_text() == "".join(
-                    f"{name} -> {name}\n" for name in ri.source_graph.names)
+                assert not Path(str(out_path) + ".map").exists()
                 checked += 1
         assert checked
 
@@ -224,7 +209,7 @@ class TestReduce:
         assert code == 2 and "interval" in err
 
     def test_empty_out_path_writes_nothing(self, capsys, tmp_path, monkeypatch):
-        # Not the board on stdout and the map in ".map", as "" as a path would give.
+        # Not the board on stdout ahead of the summary line, as "" as a path would give.
         board = tmp_path / "k2.graph"
         run(capsys, "gen", "--kind", "path", "--n", "2", "--out", str(board))
         monkeypatch.chdir(tmp_path)
@@ -232,41 +217,29 @@ class TestReduce:
                            "--out", "", mentions="--out")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["k2.graph"]
 
-    @pytest.mark.parametrize("board, map_argv, flag", [
-        ("p.graph", ["--map", "t.graph"], "--out"),
-        ("p.graph", ["--map", "p.graph"], "--in"),
-        ("p.graph", ["--map", "./t.graph"], "--out"),
-        ("p.graph", ["--map", "./p.graph"], "--in"),
-        ("t.graph.map", [], "--in"),  # the default map path, OUT.map
-    ])
-    def test_map_over_out_or_in_writes_nothing(self, capsys, tmp_path, monkeypatch,
-                                               board, map_argv, flag):
-        # Not the board or the input left holding only `v -> v` lines.
+    @pytest.mark.parametrize("command", ["reduce", "dot"])
+    @pytest.mark.parametrize("out", ["p.graph", "./p.graph"])
+    def test_out_over_in_writes_nothing(self, capsys, tmp_path, monkeypatch, command, out):
+        # Not the input board overwritten by its own reduction or drawing.
         monkeypatch.chdir(tmp_path)
-        run(capsys, "gen", "--kind", "path", "--n", "2", "--out", board)
-        before = (tmp_path / board).read_bytes()
-        assert_input_error(capsys, "reduce", "--in", board, "--to", "D=1,2 S=",
-                           "--out", "t.graph", *map_argv, mentions=f"is also the {flag} path")
-        assert (tmp_path / board).read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == [board]
+        run(capsys, "gen", "--kind", "path", "--n", "3", "--out", "p.graph")
+        before = (tmp_path / "p.graph").read_bytes()
+        extra = ("--to", "D=1,2 S=") if command == "reduce" else ()
+        assert_input_error(capsys, command, "--in", "p.graph", *extra, "--out", out,
+                           mentions=f"the --out path {out} is also the --in path")
+        assert (tmp_path / "p.graph").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["p.graph"]
 
-    @pytest.mark.parametrize("out, map_argv, existing", [
-        ("t.graph", ["--map", "nodir/t.map"], []),
-        ("nodir/t.graph", [], []),
-        ("t.graph", ["--map", "nodir/t.map"], ["t.graph"]),
-        ("nodir/t.graph", ["--map", "t.map"], ["t.map"]),
-    ])
-    def test_failed_write_writes_nothing(self, capsys, tmp_path, monkeypatch,
-                                         out, map_argv, existing):
-        # Not a board left behind by a map that cannot be written, and not
-        # an old board or map changed.
+    @pytest.mark.parametrize("existing", [[], ["t.graph"]])
+    def test_failed_write_writes_nothing(self, capsys, tmp_path, monkeypatch, existing):
+        # Not a file made anywhere, and not an old board at another path changed.
         monkeypatch.chdir(tmp_path)
         run(capsys, "gen", "--kind", "path", "--n", "3", "--out", "p.graph")
         for name in existing:
             (tmp_path / name).write_text("old bytes\n")
         assert_input_error(capsys, "reduce", "--in", "p.graph", "--to", "D=1,2 S=",
-                           "--out", out, *map_argv,
-                           mentions="No such file or directory: 'nodir/t.")
+                           "--out", "nodir/t.graph",
+                           mentions="No such file or directory: 'nodir/t.graph'")
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["p.graph", *existing])
         for name in existing:
             assert (tmp_path / name).read_text() == "old bytes\n"
@@ -578,6 +551,10 @@ class TestUsageErrors:
         (["verify", "--reduction", "snort-family", "--corpus", "exhaustive:1", "--jobs", "x"],
          "invalid int value: 'x'"),
         (["solve", "--in", "x", "a\nb"], "unrecognized arguments: a\\nb"),
+        (["reduce", "--in", "x", "--to", "D=1,2 S=", "--out", "t.graph", "--map", "m.map"],
+         "unrecognized arguments: --map m.map"),
+        (["reduce", "--in", "x", "--to", "D=1,2 S=", "--out", "t.graph", "--from", "snort"],
+         "unrecognized arguments: --from snort"),
     ])
     def test_usage_error_is_one_line(self, capsys, argv, mentions):
         assert_input_error(capsys, *argv, mentions=mentions)
@@ -590,7 +567,6 @@ class TestUsageErrors:
                            "--out", str(out_path), "--allow-out-of-range",
                            mentions="snort-family takes no --allow-out-of-range")
         assert not out_path.exists()
-        assert not Path(str(out_path) + ".map").exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"]])
     def test_help_exits_zero(self, capsys, argv):
@@ -804,16 +780,13 @@ def gen_argvs(draw):
 
 @st.composite
 def reduce_flags(draw):
-    """`reduce`'s `--from`, `--map` and `--allow-out-of-range`, each given
-    or not: a source name, a source ruleset, a mutated ruleset or an unknown
-    name; a map path that is new, the `--out` or `--in` path, in a missing
-    directory, or empty (named here by role)."""
-    source = draw(st.one_of(
-        st.sampled_from(SOURCE_KINDS + ("bogus", "")),
-        st.sampled_from([f"D={d} S={s}" for d, s in _BOARD_RULESETS]),
-        ruleset_texts())) if draw(st.booleans()) else None
-    map_path = draw(st.sampled_from([None, None, None, "new", "out", "in", "nodir", ""]))
-    return source, map_path, draw(st.booleans())
+    """`reduce`'s `--out` and `--allow-out-of-range`: an `--out` that is new,
+    the `--in` path (also spelled with `./`), in a missing directory, or
+    empty (named here by role); now and then the removed `--map` or `--from`,
+    which are unknown flags."""
+    out = draw(st.sampled_from(["new", "new", "new", "in", "./in", "nodir", ""]))
+    unknown = draw(st.sampled_from([None, None, None, "--map=t.map", "--from=snort"]))
+    return out, draw(st.booleans()), unknown
 
 
 def assert_exit_contract(argv):
@@ -862,16 +835,17 @@ class TestExitCodeContract:
     @settings(max_examples=100)
     def test_mutated_reduce_flags(self, tmp_path_factory, data, to, flags):
         work = tmp_path_factory.mktemp("reduce")
-        board, out = work / "board.graph", work / "target.graph"
+        board = work / "board.graph"
         board.write_bytes(data)
-        source, map_path, allow = flags
-        argv = ["reduce", "--in", str(board), f"--to={to}", "--out", str(out)]
-        if source is not None:
-            argv.append(f"--from={source}")
-        if map_path is not None:
-            paths = {"new": work / "t.map", "out": out, "in": board,
-                     "nodir": work / "nodir" / "t.map", "": ""}
-            argv.append(f"--map={paths[map_path]}")
+        out, allow, unknown = flags
+        paths = {"new": work / "target.graph", "in": board, "./in": f"{work}/./{board.name}",
+                 "nodir": work / "nodir" / "target.graph", "": ""}
+        argv = ["reduce", "--in", str(board), f"--to={to}", f"--out={paths[out]}"]
         if allow:
             argv.append("--allow-out-of-range")
+        if unknown is not None:
+            argv.append(unknown)
         assert_exit_contract(argv)
+        if out != "new":
+            assert board.read_bytes() == data
+            assert sorted(p.name for p in work.iterdir()) == ["board.graph"]
