@@ -26,8 +26,8 @@ from .graph import (
     gen_path,
     gen_random_bipartite,
 )
-from .reductions import REDUCTIONS, SOURCE_KINDS, source_kind
-from .rules import Player, Position, Ruleset, position_is_legal
+from .reductions import PARAM_KINDS, REDUCTIONS, SOURCE_KINDS, source_kind
+from .rules import Player, Position, Ruleset, bigraph_node_kayles, node_kayles, position_is_legal
 from .solver import MoveStatus
 from .verifier import CorpusSpec, check_gadget_lemma, run_corpus
 
@@ -50,32 +50,18 @@ def _read_board(path: str):
     return parse_graph(text)
 
 
-def _parse_set_literal(text: str):
-    """'empty', '2', '1-3' (range), or '1+3' (explicit elements), each
-    element at most gadgets.MAX_GADGET_SIZE (checked before expanding)."""
-    if text == "empty":
-        return frozenset()
-    out: set[int] = set()
-    for piece in text.split("+"):
-        lo, dash, hi = piece.partition("-")
-        lo, hi = int(lo), int(hi if dash else lo)
-        if lo > hi:
-            raise InvalidParameterError(
-                f"bad range {piece!r}; its low end is above its high end"
-            )
-        if hi > gadgets.MAX_GADGET_SIZE:
-            raise InvalidParameterError(
-                f"bad set value {piece!r}; elements must be at most {gadgets.MAX_GADGET_SIZE}"
-            )
-        out.update(range(lo, hi + 1))
-    return frozenset(out)
-
-
-_KIND_TEXT = {
-    "int": "an integer",
-    "set": "a set like empty, 2, 1-3 or 1+3",
-    "flag": "true or false",
-}
+def _check_out(args):
+    """Before any work, refuse an --out that is the --in board, or whose
+    directory cannot be reached, with the error its write would raise."""
+    out, infile = getattr(args, "out", None), getattr(args, "infile", None)
+    if not out:
+        return
+    if infile is not None and os.path.realpath(out) == os.path.realpath(infile):
+        raise InvalidParameterError(f"the --out path {out} is also the --in path")
+    try:
+        os.stat(Path(out).parent)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out) from None
 
 
 def _parse_param_grid(tokens: list[str], reduction: str) -> dict:
@@ -92,21 +78,14 @@ def _parse_param_grid(tokens: list[str], reduction: str) -> dict:
             raise InvalidParameterError(
                 f"parameter {key} given twice; list its values in one entry, like {key}=1,2"
             )
+        kind = PARAM_KINDS[types[key]]
         values = []
         for piece in raw.split(","):
-            kind = types[key]
             try:
-                if kind == "int":
-                    values.append(int(piece))
-                elif kind == "set":
-                    values.append(_parse_set_literal(piece))
-                elif piece.lower() in ("true", "false"):
-                    values.append(piece.lower() == "true")
-                else:
-                    raise ValueError(piece)
+                values.append(kind.read(piece))
             except ValueError:
                 raise InvalidParameterError(
-                    f"bad value {piece!r} for {key}; expected {_KIND_TEXT[kind]}"
+                    f"bad value {piece!r} for {key}; expected {kind.expected}"
                 ) from None
         grid[key] = values
     return grid
@@ -155,10 +134,8 @@ def _cmd_gen(args) -> int:
     if args.bigraph:
         if bipartition is None:
             raise InvalidParameterError("--bigraph only applies to kpq and bipartite kinds")
-        if rs is not None and (rs.d != {1} or rs.s != {1}):
+        if rs is not None and rs != node_kayles():
             raise InvalidParameterError("--bigraph fixes the ruleset to D=1 S=1")
-        from .rules import bigraph_node_kayles
-
         rs = bigraph_node_kayles(*bipartition)
     _write(serialize(g, Position(), rs), args.out)
     return 0
@@ -181,17 +158,10 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _refuse_out_over_in(args):
-    """Writing the output over the board being read would destroy it."""
-    if args.out and os.path.realpath(args.out) == os.path.realpath(args.infile):
-        raise InvalidParameterError(f"the --out path {args.out} is also the --in path")
-
-
 def _cmd_reduce(args) -> int:
     # An empty path would send the board to stdout, ahead of the summary line.
     if not args.out:
         raise InvalidParameterError("reduce needs a non-empty --out path")
-    _refuse_out_over_in(args)
     g, pos, src_rs = _read_board(args.infile)
     if pos.stone_count:
         raise InvalidParameterError("reduce expects an empty starting position")
@@ -265,7 +235,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    _refuse_out_over_in(args)
     g, pos, _rs = _read_board(args.infile)
     highlight = ()
     if args.highlight == "gadgets":
@@ -342,6 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        _check_out(args)
         return args.func(args)
     except SystemExit as exc:  # only --help exits, after printing the help
         return exc.code

@@ -27,7 +27,7 @@ import re
 from . import gadgets, graph
 from .errors import DistanceGameError, FormatError, InvalidParameterError
 from .graph import Graph
-from .rules import Colour, Ownership, Player, Position, Ruleset
+from .rules import Colour, Ownership, Player, Position, Ruleset, node_kayles, snort
 
 _COLOURS = {"B": Colour.BLUE, "R": Colour.RED}
 _OWNERS = {"L": Player.LEFT, "R": Player.RIGHT}
@@ -159,11 +159,12 @@ def parse_graph(text: str) -> tuple[Graph, Position, Ruleset]:
             raise FormatError(f"unknown directive {keyword!r}", lineno)
 
     variant = variant or "distance"
+    default = node_kayles() if variant == "bigraph" else snort()
+    d, s = sets if sets is not None else (default.d, default.s)
     if variant == "bigraph":
         missing = [name for i, name in enumerate(names) if i not in owners]
         if missing:
             raise FormatError(f"bigraph variant: vertices without owner: {missing}")
-        d, s = sets if sets is not None else (frozenset({1}), frozenset({1}))
         ownership = Ownership(
             frozenset(i for i, p in owners.items() if p is Player.LEFT),
             frozenset(i for i, p in owners.items() if p is Player.RIGHT),
@@ -177,7 +178,6 @@ def parse_graph(text: str) -> tuple[Graph, Position, Ruleset]:
             raise FormatError(
                 "owner attributes require 'variant bigraph'", first_owner_line
             )
-        d, s = sets if sets is not None else (frozenset({1}), frozenset())
         rs = Ruleset(d, s)
 
     blue = red = 0
@@ -214,7 +214,7 @@ def _mark(out: list, mask: int, value) -> None:
 def serialize(g: Graph, pos: Position = Position(), rs: Ruleset | None = None) -> str:
     """Canonical text form: ruleset, variant, vertices in index order, sorted edges."""
     if rs is None:
-        rs = Ruleset(frozenset({1}), frozenset())
+        rs = snort()
     names = g.names
     # One search over all the names; the scan name by name only finds the
     # first bad one to report.

@@ -18,11 +18,13 @@ copy as a placement `(first, shape)`; names live only in the target graph.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import InvalidParameterError, NotBipartiteError, ParameterViolationError
 from .gadgets import (
+    MAX_GADGET_SIZE,
     GadgetInstance,
     Placement,
     check_target_size,
@@ -293,17 +295,46 @@ def reduce_bgnk_window(g: Graph, left, right, d: Iterable[int], k: int,
 # -- registry (used by the verifier corpora and the CLI) ----------------------
 
 
+_NAMED_SOURCES = {snort(): "snort", col(): "col", node_kayles(): "node-kayles"}
+
+
 def source_kind(rs: Ruleset) -> str | None:
     """The source game a ruleset plays: bgnk, snort, col, node-kayles, or None."""
-    if rs.ownership is not None:
-        return "bgnk"
-    if rs.d == {1} and not rs.s:
-        return "snort"
-    if not rs.d and rs.s == {1}:
-        return "col"
-    if rs.d == {1} and rs.s == {1}:
-        return "node-kayles"
-    return None
+    return "bgnk" if rs.ownership is not None else _NAMED_SOURCES.get(rs)
+
+
+def _read_set(text: str) -> frozenset[int]:
+    """'empty', '2', '1-3' (range), or '1+3' (explicit elements), each
+    element at most MAX_GADGET_SIZE (checked before expanding)."""
+    if text == "empty":
+        return frozenset()
+    out: set[int] = set()
+    for piece in text.split("+"):
+        lo, dash, hi = piece.partition("-")
+        lo, hi = int(lo), int(hi if dash else lo)
+        if lo > hi:
+            raise InvalidParameterError(
+                f"bad range {piece!r}; its low end is above its high end"
+            )
+        if hi > MAX_GADGET_SIZE:
+            raise InvalidParameterError(
+                f"bad set value {piece!r}; elements must be at most {MAX_GADGET_SIZE}"
+            )
+        out.update(range(lo, hi + 1))
+    return frozenset(out)
+
+
+# For each parameter kind: how `verify --params` text is read (ValueError
+# for text that is not of the kind), how a verify descriptor writes a
+# value, and what a bad value was expected to be.
+ParamKind = namedtuple("ParamKind", "read write expected")
+PARAM_KINDS: dict[str, ParamKind] = {
+    "int": ParamKind(int, str, "an integer"),
+    "set": ParamKind(_read_set, lambda v: "+".join(map(str, sorted(v))) or "empty",
+                     "a set like empty, 2, 1-3 or 1+3"),
+    "flag": ParamKind(lambda text: bool(("false", "true").index(text.lower())),
+                      lambda v: "true" if v else "false", "true or false"),
+}
 
 
 @dataclass(frozen=True)
@@ -318,7 +349,7 @@ class ReductionSpec:
 
     name: str
     source: str  # a source_kind() value
-    param_types: tuple[tuple[str, str], ...]  # (param name, "int"|"set"|"flag")
+    param_types: tuple[tuple[str, str], ...]  # (param name, a PARAM_KINDS key)
     reduce: str  # name of the reduce_* function in this module
     accepts: Callable[[Ruleset], dict | None]
     reaches: str  # the accepted targets, for messages
@@ -339,9 +370,16 @@ class ReductionSpec:
         kwargs = {name: params[name] for name, _ in self.param_types if name in params}
         return reduce(g, *sides, **kwargs)
 
-    def check_params(self, params) -> None:
-        """Raise InvalidParameterError naming any required parameter not given."""
-        missing = [name for name in self.required if name not in params]
+    def check_params(self, grid: dict) -> None:
+        """Raise InvalidParameterError naming a grid entry this reduction does
+        not take or gives no values, or a required parameter not given."""
+        kinds = dict(self.param_types)
+        for name, values in grid.items():
+            if name not in kinds or not values:
+                raise InvalidParameterError(
+                    f"{self.name} takes {sorted(kinds)}, each with values; got {name}={values!r}"
+                )
+        missing = [name for name in self.required if name not in grid]
         if missing:
             raise InvalidParameterError(
                 f"{self.name} needs parameter(s) {', '.join(missing)}"

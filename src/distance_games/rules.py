@@ -216,12 +216,11 @@ def apply_move(g: Graph, rs: Ruleset, pos: Position, v: int | str, player: Playe
 def position_is_legal(g: Graph, rs: Ruleset, pos: Position) -> bool:
     """Whether a standalone position violates no distance or ownership rule.
 
-    Ownership is checked first. Then each colour gets one forbidden mask per
-    distance from 1 up: its own stones where the distance is in `s`, the
-    other colour's where it is in `d`. Each stone's ball layers are ANDed
-    against its colour's masks, stones in ascending index order. No
-    distance past n - 1 can hold a vertex, so no mask is built for one.
-    `is_legal` and `_clashes` are the reference.
+    Ownership is checked first. Then each stone, in ascending index order,
+    is tested with `_clashes`, the rule `is_legal` uses: its ball's layers
+    against its own colour's stones at the distances in `s` and the other
+    colour's at those in `d`. A ball's layers stop at the stone's
+    eccentricity, so a forbidden distance past it costs nothing.
     """
     blue, red = pos.blue, pos.red
     own = rs.ownership
@@ -235,18 +234,13 @@ def position_is_legal(g: Graph, rs: Ruleset, pos: Position) -> bool:
     radius = rs.max_radius
     if radius == 0:
         return True
-    d, s = rs.d, rs.s
-    dists = range(1, min(radius, g.vertex_count - 1) + 1)
-    blue_forbidden = [(blue if k in s else 0) | (red if k in d else 0) for k in dists]
-    red_forbidden = [(red if k in s else 0) | (blue if k in d else 0) for k in dists]
     ball = g.ball
     stones = blue | red
     while stones:
         bit = stones & -stones
-        forbidden = blue_forbidden if blue & bit else red_forbidden
-        for layer, mask in zip(ball(bit.bit_length() - 1, radius), forbidden):
-            if layer & mask:
-                return False
+        same, other = (blue, red) if blue & bit else (red, blue)
+        if _clashes(ball(bit.bit_length() - 1, radius), rs, same, other):
+            return False
         stones ^= bit
     return True
 

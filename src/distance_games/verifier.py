@@ -43,7 +43,7 @@ from .graph import (
     gen_random_bipartite,
 )
 from . import rules, solver
-from .reductions import REDUCTIONS, ReducedInstance
+from .reductions import PARAM_KINDS, REDUCTIONS, ReducedInstance
 from .rules import LegalityIndex, Player, Position
 
 Trace = tuple[tuple[Player, str], ...]
@@ -432,17 +432,6 @@ def _corpus_graphs(spec: CorpusSpec, bipartite: bool):
     return out
 
 
-def format_params(params: dict) -> str:
-    def fmt(value):
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, frozenset | set):
-            return "+".join(str(x) for x in sorted(value)) or "empty"
-        return str(value)
-
-    return ";".join(f"{k}={fmt(params[k])}" for k in sorted(params)) or "-"
-
-
 @dataclass(frozen=True)
 class _Task:
     reduction: str
@@ -532,16 +521,16 @@ def run_corpus(reduction: str, corpus: CorpusSpec, param_grid: dict | None = Non
     grid = param_grid or {}
     spec.check_params(grid)
     graphs = _corpus_graphs(corpus, spec.bipartite)
+    kinds = dict(spec.param_types)
     keys = sorted(grid)
-    combos = [dict(zip(keys, values)) for values in product(*(grid[k] for k in keys))]
-    if not combos:
-        combos = [{}]
     tasks = []
-    for params in combos:
+    for values in product(*(grid[k] for k in keys)):
+        params = dict(zip(keys, values))
+        text = ";".join(f"{k}={PARAM_KINDS[kinds[k]].write(v)}" for k, v in params.items())
         for gi, (g, bipartition) in enumerate(graphs):
             descriptor = (
                 f"reduction={reduction} graph={gi} V={g.vertex_count}"
-                f" E={g.edge_count} params={format_params(params)}"
+                f" E={g.edge_count} params={text or '-'}"
             )
             tasks.append(_Task(reduction, g, bipartition, params, depth_cap, descriptor))
     if jobs == 1:

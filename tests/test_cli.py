@@ -16,7 +16,7 @@ from distance_games import (
     parse_graph,
     serialize,
 )
-from distance_games import gadgets, graph
+from distance_games import cli, gadgets, graph
 from distance_games.cli import _GEN_KINDS, main
 from distance_games.gadgets import MAX_GADGET_SIZE, MAX_TARGET_VERTICES
 from distance_games.graph import (
@@ -33,6 +33,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def never_called(*args, **kwargs):
+    pytest.fail("called before the --out path was checked")
 
 
 class TestGen:
@@ -244,6 +248,25 @@ class TestReduce:
         for name in existing:
             assert (tmp_path / name).read_text() == "old bytes\n"
 
+    @pytest.mark.parametrize("argv, patch", [
+        (["gen", "--kind", "path", "--n", "3"],
+         lambda mp: mp.setitem(_GEN_KINDS, "path", (never_called, {"n": 0}))),
+        (["reduce", "--in", "p.graph", "--to", "D=1,2 S="],
+         lambda mp: mp.setattr(cli, "_read_board", never_called)),
+        (["gadget", "--r", "3"],
+         lambda mp: mp.setattr(gadgets, "forbidden_vertex_gadget", never_called)),
+        (["dot", "--in", "p.graph"], lambda mp: mp.setattr(cli, "_read_board", never_called)),
+    ])
+    def test_missing_out_directory_refused_before_any_work(self, capsys, tmp_path,
+                                                           monkeypatch, argv, patch):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "gen", "--kind", "path", "--n", "3", "--ruleset", "D=1 S=", "--out", "p.graph")
+        patch(monkeypatch)
+        code, out, err = run(capsys, *argv, "--out", "nodir/x.graph")
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: 'nodir/x.graph'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["p.graph"]
+
 
 class TestVerify:
     def test_passing_corpus_exits_zero(self, capsys):
@@ -261,11 +284,27 @@ class TestVerify:
                    for line in out.splitlines())
 
     def test_param_grid_values(self, capsys):
-        code, out, _ = run(capsys, "verify", "--reduction", "snort-family",
-                           "--corpus", "exhaustive:2", "--params", "n=2,3", "s=empty,1")
-        assert code == 0
-        # 4 graphs (n=0,1,2 vertices) x 4 parameter combinations
-        assert "total=16" in out.strip().splitlines()[-1]
+        for reduction, params, total, written in [
+            # 4 graphs (n=0,1,2 vertices) x 4 parameter combinations
+            ("snort-family", ["n=2,3", "s=empty,1"], 16,
+             ["n=2;s=empty", "n=2;s=1", "n=3;s=empty", "n=3;s=1"]),
+            ("snort-family", ["n=4", "s=2,1-3,1+3"], 12,
+             ["n=4;s=2", "n=4;s=1+2+3", "n=4;s=1+3"]),
+            # 5 bipartite graphs with at most one vertex a side
+            ("bgnk-window", ["d=1-2", "k=3", "allow_out_of_range=TRUE"], 5,
+             ["allow_out_of_range=true;d=1+2;k=3"]),
+        ]:
+            code, out, _ = run(capsys, "verify", "--reduction", reduction,
+                               "--corpus", "exhaustive:2", "--params", *params)
+            assert code == 0
+            lines = out.strip().splitlines()
+            assert f"total={total}" in lines[-1]
+            assert list(dict.fromkeys(line.split("params=")[1] for line in lines[:-1])) == written
+            # Each value is written as text that reads back to the same value.
+            for text in written:
+                code, out, _ = run(capsys, "verify", "--reduction", reduction,
+                                   "--corpus", "exhaustive:0", "--params", *text.split(";"))
+                assert code == 0 and out.splitlines()[0].endswith(f" params={text}")
 
     def test_param_keys_are_case_insensitive(self, capsys):
         code, out, _ = run(capsys, "verify", "--reduction", "snort-family",

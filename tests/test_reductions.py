@@ -10,6 +10,8 @@ from distance_games import (
     Player,
     Position,
     ReducedInstance,
+    bigraph_node_kayles,
+    col,
     distance_game,
     gen_cycle,
     is_legal,
@@ -26,6 +28,7 @@ from distance_games import (
 
 from distance_games import reductions
 from distance_games.gadgets import MAX_GADGET_SIZE
+from distance_games.reductions import source_kind
 from helpers import bfs_distance, build_graph, has_edge, stones
 
 L, R = Player.LEFT, Player.RIGHT
@@ -383,6 +386,19 @@ class TestRegistryBuild:
         spec = REDUCTIONS[name]
         ri = spec.build(g, (left, right) if spec.bipartite else None, params)
         assert len(calls) == 1 and calls[0] is ri
+
+
+class TestSourceKind:
+    @pytest.mark.parametrize("rs, kind", [
+        (snort(), "snort"), (col(), "col"), (node_kayles(), "node-kayles"),
+        # Equal rulesets built separately name the same kind.
+        (distance_game([1], []), "snort"), (distance_game([], [1]), "col"),
+        (distance_game([1], [1]), "node-kayles"),
+        (bigraph_node_kayles([0], [1]), "bgnk"),
+        (distance_game([1, 2], []), None),
+    ])
+    def test_kind(self, rs, kind):
+        assert source_kind(rs) == kind
 
 
 OVER_CAP = MAX_GADGET_SIZE + 1

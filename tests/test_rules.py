@@ -280,21 +280,24 @@ class TestPositionIsLegal:
 
 @given(
     st.integers(1, 7), st.integers(0, 2**21 - 1), st.integers(0, 2**7 - 1),
-    st.integers(0, 2**7 - 1), small_seed, st.booleans(),
+    st.integers(0, 2**7 - 1), small_seed, st.sampled_from(["random", "owned", "far"]),
 )
-def test_position_is_legal_matches_pairwise_oracle(n, mask, blue, red, seed, owned):
+def test_position_is_legal_matches_pairwise_oracle(n, mask, blue, red, seed, kind):
     """Arbitrary stone placements, legal and illegal, against pairwise BFS
-    distances; with `owned`, a random ownership map (not always covering)
-    under d = s = {1}."""
+    distances; with "owned", a random ownership map (not always covering)
+    under d = s = {1}; with "far", d = {1, 10**9}, a distance no graph
+    reaches, and a random s."""
     g = graph_from_edge_mask(n, mask)
     everything = (1 << n) - 1
     blue &= everything
     pos = Position(blue, red & everything & ~blue)
     rng = random.Random(seed)
-    if owned:
+    if kind == "owned":
         left = frozenset(v for v in range(n) if rng.random() < 0.5)
         right = frozenset(v for v in range(n) if v not in left and rng.random() < 0.9)
         rs = Ruleset(frozenset({1}), frozenset({1}), Ownership(left, right))
+    elif kind == "far":
+        rs = distance_game({1, 10**9}, random_ruleset(rng, max_radius=4).s)
     else:
         rs = random_ruleset(rng, max_radius=4)
     assert position_is_legal(g, rs, pos) == naive_position_is_legal(g, rs, pos)

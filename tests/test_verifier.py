@@ -231,6 +231,16 @@ class TestCorpus:
         with pytest.raises(InvalidParameterError):
             run_corpus("nope", CorpusSpec(exhaustive_max=2))
 
+    @pytest.mark.parametrize("reduction, grid, mentions", [
+        # Not run with k ignored, and not run under params=-.
+        ("snort-family", {"n": [2], "k": [3]}, r"got k=\[3\]"),
+        ("bgnk-d12", {"s": []}, r"bgnk-d12 takes \['s'\], each with values; got s=\[\]"),
+        ("snort-family", {"n": []}, r"got n=\[\]"),
+    ])
+    def test_unknown_or_empty_parameter(self, reduction, grid, mentions):
+        with pytest.raises(InvalidParameterError, match=mentions):
+            run_corpus(reduction, CorpusSpec(exhaustive_max=2), grid)
+
     def test_random_without_seed(self):
         with pytest.raises(InvalidParameterError):
             run_corpus(
