@@ -11,19 +11,13 @@ reductions move for move on small corpora.
 
 from .errors import (
     BallBudgetError,
-    CorpusTooLargeError,
     DistanceGameError,
-    DuplicateVertexError,
     FormatError,
     FrozenGraphError,
-    HypothesisViolatedError,
     IllegalMoveError,
     InvalidParameterError,
-    NotBipartiteError,
     ParameterViolationError,
     SearchTooDeepError,
-    SelfLoopError,
-    UnknownVertexError,
 )
 from .fileformat import format_ruleset, parse_graph, parse_ruleset_text, serialize, to_dot
 from .gadgets import (

@@ -13,9 +13,10 @@ import argparse
 import os
 import re
 import sys
+from contextlib import suppress
 from pathlib import Path
 
-from . import gadgets, solver
+from . import fileformat, gadgets, solver
 from .errors import DistanceGameError, FormatError, InvalidParameterError
 from .fileformat import format_ruleset, parse_graph, parse_ruleset_text, serialize, to_dot
 from .graph import (
@@ -51,11 +52,14 @@ def _read_board(path: str):
 
 
 def _check_out(args):
-    """Before any work, refuse an --out that is the --in board, or whose
-    directory cannot be reached, with the error its write would raise."""
+    """Before any work, refuse an --out that names a directory (ends in a
+    separator or is one) or the --in board, or whose directory cannot be
+    reached, with the error its write would raise."""
     out, infile = getattr(args, "out", None), getattr(args, "infile", None)
     if not out:
         return
+    if not os.path.basename(out) or os.path.isdir(out):
+        raise InvalidParameterError(f"the --out path {out} names a directory")
     if infile is not None and os.path.realpath(out) == os.path.realpath(infile):
         raise InvalidParameterError(f"the --out path {out} is also the --in path")
     try:
@@ -91,14 +95,23 @@ def _parse_param_grid(tokens: list[str], reduction: str) -> dict:
     return grid
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag read by `fileformat.parse_int`, refused with argparse's message."""
+    try:
+        return fileformat.parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_depth_cap(text: str):
     """'auto', None for 'full', or a ply count >= 0."""
     if text == "auto":
         return "auto"
     if text == "full":
         return None
-    if text.isdecimal():
-        return int(text)
+    with suppress(ValueError):
+        if not text.startswith("-"):
+            return fileformat.parse_int(text)
     raise InvalidParameterError(f"bad depth cap {text!r}; use auto, full, or a ply count >= 0")
 
 
@@ -260,11 +273,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a board file")
     p.add_argument("--kind", required=True, choices=list(_GEN_KINDS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
+    p.add_argument("--n", type=_int_flag)
+    p.add_argument("--p", type=_int_flag)
+    p.add_argument("--q", type=_int_flag)
     p.add_argument("--prob", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_flag)
     p.add_argument("--ruleset", help="textual ruleset, e.g. 'D=1 S='")
     p.add_argument("--bigraph", action="store_true",
                    help="emit ownership for two-sided play (kpq/bipartite only)")
@@ -283,8 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("gadget", help="emit a blocker gadget, optionally checking it")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--t", type=int)
+    p.add_argument("--r", type=_int_flag, required=True)
+    p.add_argument("--t", type=_int_flag)
     p.add_argument("--check", help="ruleset to check under, e.g. 'D=1,2 S='")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gadget)
@@ -296,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", nargs="*", default=[],
                    help="grid entries like n=2,3 s=empty,1 d=1-3")
     p.add_argument("--depth-cap", default="auto", help="auto, full, or a ply count")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_flag, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("dot", help="DOT export of a board file")

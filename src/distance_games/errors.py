@@ -1,48 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per kind of refusal;
+the message tells apart the faults of one kind."""
 
 
 class DistanceGameError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DuplicateVertexError(DistanceGameError):
-    """A vertex name was added twice to the same graph."""
+class InvalidParameterError(DistanceGameError):
+    """An argument refused before any work: out of range or malformed, naming
+    a vertex twice or not at all, or past a size bound."""
 
 
-class UnknownVertexError(DistanceGameError):
-    """A vertex name or index does not exist in the graph."""
-
-
-class SelfLoopError(DistanceGameError):
-    """An edge from a vertex to itself was requested."""
+class ParameterViolationError(DistanceGameError):
+    """Parameters outside what a construction or lemma of the paper covers."""
 
 
 class FrozenGraphError(DistanceGameError):
     """A mutation was attempted on a frozen graph."""
 
 
-class CorpusTooLargeError(DistanceGameError):
-    """An exhaustive enumeration bound was exceeded."""
-
-
-class InvalidParameterError(DistanceGameError):
-    """A constructor or generator argument is out of range."""
-
-
 class IllegalMoveError(DistanceGameError):
     """A move was applied that the ruleset forbids."""
-
-
-class HypothesisViolatedError(DistanceGameError):
-    """A gadget check was asked to vouch for sets outside its hypothesis."""
-
-
-class NotBipartiteError(DistanceGameError):
-    """A supplied partition does not split the graph into two sides."""
-
-
-class ParameterViolationError(DistanceGameError):
-    """Reduction parameters fall outside the range the construction supports."""
 
 
 class BallBudgetError(DistanceGameError):

@@ -37,13 +37,23 @@ _STONE_ATTRS = {colour: f" colour={colour.value}" for colour in Colour}
 _UNSERIALIZABLE = re.compile(r"[\s#]")
 
 
+def parse_int(text: str) -> int:
+    """An optional ASCII '-' and then ASCII digits, and nothing else; unlike
+    int(), no '+', spaces, underscores or other scripts' digits. Anything
+    else raises ValueError."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_distance_list(text: str, lineno: int) -> frozenset[int]:
     if not text:
         return frozenset()
     out = set()
     for piece in text.split(","):
         try:
-            value = int(piece)
+            value = parse_int(piece)
         except ValueError:
             raise FormatError(f"bad distance {piece!r}", lineno) from None
         if value < 1:

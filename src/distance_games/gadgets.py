@@ -106,7 +106,7 @@ class GadgetInstance:
         for r, p in self.ports:
             if r == role:
                 return p
-        raise KeyError(f"gadget has no port {role!r}")
+        raise InvalidParameterError(f"gadget has no port {role!r}")
 
     @property
     def uncoloured(self) -> tuple[int, ...]:

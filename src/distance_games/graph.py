@@ -32,15 +32,7 @@ from bisect import bisect_left, insort
 from itertools import combinations
 from typing import Iterator
 
-from .errors import (
-    BallBudgetError,
-    CorpusTooLargeError,
-    DuplicateVertexError,
-    FrozenGraphError,
-    InvalidParameterError,
-    SelfLoopError,
-    UnknownVertexError,
-)
+from .errors import BallBudgetError, FrozenGraphError, InvalidParameterError
 
 # 2^(n(n-1)/2) labelled graphs; above six vertices the corpus is useless.
 MAX_ENUMERATION_VERTICES = 6
@@ -94,7 +86,7 @@ class Graph:
         if not isinstance(name, str) or not name:
             raise InvalidParameterError("vertex name must be a non-empty string")
         if name in self._index:
-            raise DuplicateVertexError(f"vertex {name!r} already present")
+            raise InvalidParameterError(f"vertex {name!r} already present")
         idx = len(self._names)
         self._names.append(name)
         self._index[name] = idx
@@ -107,7 +99,7 @@ class Graph:
             raise FrozenGraphError("graph is frozen")
         i, j = self.index_of(u), self.index_of(v)
         if i == j:
-            raise SelfLoopError(f"self-loop at {self._names[i]!r}")
+            raise InvalidParameterError(f"self-loop at {self._names[i]!r}")
         adj = self._adj[i]
         k = bisect_left(adj, j)
         if k < len(adj) and adj[k] == j:
@@ -134,10 +126,10 @@ class Graph:
             if not isinstance(name, str) or not name:
                 raise InvalidParameterError("vertex name must be a non-empty string")
             if name in index:
-                raise DuplicateVertexError(f"vertex {name!r} already present")
+                raise InvalidParameterError(f"vertex {name!r} already present")
         if len(set(names)) != n:
             twice = next(v for k, v in enumerate(names) if v in names[:k])
-            raise DuplicateVertexError(f"vertex {twice!r} given twice in one block")
+            raise InvalidParameterError(f"vertex {twice!r} given twice in one block")
         first = len(self._names)
         # One int object per new vertex, shared by the index and every list.
         ids = list(range(first, first + n))
@@ -157,8 +149,8 @@ class Graph:
         if bad:
             a, b = min(bad)
             if a < 0 or b >= n:
-                raise UnknownVertexError(f"block position {a if a < 0 else b} out of range")
-            raise SelfLoopError(f"self-loop at {names[a]!r}")
+                raise InvalidParameterError(f"block position {a if a < 0 else b} out of range")
+            raise InvalidParameterError(f"self-loop at {names[a]!r}")
         # A pair given twice shows as a repeated entry in a sorted list.
         edges = 0
         for neighbours in adj:
@@ -198,14 +190,14 @@ class Graph:
             try:
                 return self._index[v]
             except KeyError:
-                raise UnknownVertexError(f"unknown vertex {v!r}") from None
+                raise InvalidParameterError(f"unknown vertex {v!r}") from None
         if not 0 <= v < len(self._names):
-            raise UnknownVertexError(f"vertex index {v} out of range")
+            raise InvalidParameterError(f"vertex index {v} out of range")
         return v
 
     def name_of(self, i: int) -> str:
         if not 0 <= i < len(self._names):
-            raise UnknownVertexError(f"vertex index {i} out of range")
+            raise InvalidParameterError(f"vertex index {i} out of range")
         return self._names[i]
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -434,7 +426,7 @@ def all_labelled_graphs(n: int) -> Iterator[Graph]:
     if n < 0:
         raise InvalidParameterError("n must be >= 0")
     if n > MAX_ENUMERATION_VERTICES:
-        raise CorpusTooLargeError(f"n = {n} exceeds bound {MAX_ENUMERATION_VERTICES}")
+        raise InvalidParameterError(f"n = {n} exceeds bound {MAX_ENUMERATION_VERTICES}")
     names = _names("v", n)
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
@@ -448,9 +440,7 @@ def all_labelled_bipartite(p: int, q: int) -> Iterator[tuple[Graph, Bipartition]
     if p < 0 or q < 0:
         raise InvalidParameterError("sizes must be >= 0")
     if p + q > MAX_ENUMERATION_VERTICES:
-        raise CorpusTooLargeError(
-            f"p + q = {p + q} exceeds bound {MAX_ENUMERATION_VERTICES}"
-        )
+        raise InvalidParameterError(f"p + q = {p + q} exceeds bound {MAX_ENUMERATION_VERTICES}")
     pairs = [(i, j) for i in range(p) for j in range(p, p + q)]
     for mask in range(1 << len(pairs)):
         yield _sided(p, q, [pair for bit, pair in enumerate(pairs) if mask >> bit & 1])

@@ -22,7 +22,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import InvalidParameterError, NotBipartiteError, ParameterViolationError
+from .errors import InvalidParameterError, ParameterViolationError
+from .fileformat import parse_int
 from .gadgets import (
     MAX_GADGET_SIZE,
     GadgetInstance,
@@ -94,12 +95,12 @@ def _check_bipartition(g: Graph, left, right) -> Bipartition:
     left = _as_index_set(g, left)
     right = _as_index_set(g, right)
     if left & right:
-        raise NotBipartiteError("sides overlap")
+        raise InvalidParameterError("sides overlap")
     if left | right != frozenset(range(g.vertex_count)):
-        raise NotBipartiteError("sides do not cover every vertex")
+        raise InvalidParameterError("sides do not cover every vertex")
     for i, j in g.edges():
         if (i in left) == (j in left):
-            raise NotBipartiteError(
+            raise InvalidParameterError(
                 f"edge {g.name_of(i)!r} -- {g.name_of(j)!r} stays inside one side"
             )
     return left, right
@@ -311,7 +312,7 @@ def _read_set(text: str) -> frozenset[int]:
     out: set[int] = set()
     for piece in text.split("+"):
         lo, dash, hi = piece.partition("-")
-        lo, hi = int(lo), int(hi if dash else lo)
+        lo, hi = parse_int(lo), parse_int(hi if dash else lo)
         if lo > hi:
             raise InvalidParameterError(
                 f"bad range {piece!r}; its low end is above its high end"
@@ -329,7 +330,7 @@ def _read_set(text: str) -> frozenset[int]:
 # value, and what a bad value was expected to be.
 ParamKind = namedtuple("ParamKind", "read write expected")
 PARAM_KINDS: dict[str, ParamKind] = {
-    "int": ParamKind(int, str, "an integer"),
+    "int": ParamKind(parse_int, str, "an integer"),
     "set": ParamKind(_read_set, lambda v: "+".join(map(str, sorted(v))) or "empty",
                      "a set like empty, 2, 1-3 or 1+3"),
     "flag": ParamKind(lambda text: bool(("false", "true").index(text.lower())),
@@ -361,14 +362,14 @@ class ReductionSpec:
 
     def build(self, g: Graph, bipartition: Bipartition | None, params: dict) -> ReducedInstance:
         """Call the reduce function with g, the bipartition's sides for a bgnk
-        source, and the given params named in `param_types`."""
+        source, and `params`, whose names `check_params` checks first."""
+        self.check_params({name: [value] for name, value in params.items()})
         # Looked up by name on every call rather than stored, so that wrappers
         # put on this module's reduce_* functions (perfbench's tracer) see
         # every build.
         reduce = globals()[self.reduce]
         sides = bipartition if self.bipartite else ()
-        kwargs = {name: params[name] for name, _ in self.param_types if name in params}
-        return reduce(g, *sides, **kwargs)
+        return reduce(g, *sides, **params)
 
     def check_params(self, grid: dict) -> None:
         """Raise InvalidParameterError naming a grid entry this reduction does

@@ -31,7 +31,8 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import HypothesisViolatedError, InvalidParameterError
+from .errors import InvalidParameterError, ParameterViolationError
+from .fileformat import parse_int
 from .gadgets import GadgetInstance, embed_gadget, stones_position
 from .graph import (
     MAX_RANDOM_CORPUS_GRAPHS,
@@ -298,10 +299,10 @@ def check_gadget_lemma(gadget: GadgetInstance, d, s) -> VerificationReport:
     """
     d, s = frozenset(d), frozenset(s)
     if gadget.radius is None:
-        raise HypothesisViolatedError("gadget carries no blocking radius")
+        raise ParameterViolationError("gadget carries no blocking radius")
     interval = frozenset(range(1, gadget.radius + 1))
     if not ((d == interval and s <= interval) or (s == interval and d <= interval)):
-        raise HypothesisViolatedError(
+        raise ParameterViolationError(
             f"need d or s equal to {{1..{gadget.radius}}} and the other a subset"
         )
 
@@ -377,13 +378,13 @@ class CorpusSpec:
         spec = None
         try:
             if parts[0] == "exhaustive" and len(parts) == 2:
-                spec = cls(exhaustive_max=int(parts[1]))
+                spec = cls(exhaustive_max=parse_int(parts[1]))
             elif parts[0] == "random" and len(parts) == 5:
                 spec = cls(
-                    random_count=int(parts[1]),
-                    random_size=int(parts[2]),
+                    random_count=parse_int(parts[1]),
+                    random_size=parse_int(parts[2]),
                     random_edge_prob=float(parts[3]),
-                    seed=int(parts[4]),
+                    seed=parse_int(parts[4]),
                 )
         except ValueError:
             pass

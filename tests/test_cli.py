@@ -267,6 +267,27 @@ class TestReduce:
         assert err == "error: [Errno 2] No such file or directory: 'nodir/x.graph'\n"
         assert [p.name for p in tmp_path.iterdir()] == ["p.graph"]
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "path", "--n", "2"],
+        ["reduce", "--in", "p.graph", "--to", "D=1,2 S="],
+        ["gadget", "--r", "3"],
+        ["dot", "--in", "p.graph"],
+    ])
+    @pytest.mark.parametrize("out", ["afile/", "newdir/", "adir", "adir/"])
+    def test_out_naming_a_directory_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                                   argv, out):
+        # Not the file afile overwritten through "afile/", nor a file newdir made.
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "gen", "--kind", "path", "--n", "3", "--ruleset", "D=1 S=", "--out", "p.graph")
+        (tmp_path / "afile").write_text("old bytes\n")
+        (tmp_path / "adir").mkdir()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert_input_error(capsys, *argv, "--out", out,
+                           mentions=f"the --out path {out} names a directory\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile", "p.graph"]
+        assert not any((tmp_path / "adir").iterdir())
+
 
 class TestVerify:
     def test_passing_corpus_exits_zero(self, capsys):
@@ -402,6 +423,51 @@ class TestBadVerifyInput:
         self.verify(capsys, "--reduction", "snort-family", "--corpus", "exhaustive:1",
                     "--params", "n=2", f"s={value}",
                     mentions=f"{piece!r}; elements must be at most {MAX_GADGET_SIZE}")
+
+
+# Python's int() takes each of these; integers in text input are an optional
+# ASCII '-' and ASCII digits only.
+NOT_ASCII_INTEGERS = ["1_0", "\u0663", " 3"]
+
+
+@pytest.mark.parametrize("bad", NOT_ASCII_INTEGERS)
+class TestIntegersAreAsciiDigits:
+    def test_board_ruleset(self, capsys, tmp_path, bad):
+        board = tmp_path / "b.graph"
+        board.write_text(f"ruleset D=1,{bad} S=\nvertex a\n", encoding="utf-8")
+        assert_input_error(capsys, "solve", "--in", str(board), mentions="error: line 1: ")
+
+    @pytest.mark.parametrize("param", ["n", "s"])
+    def test_params(self, capsys, bad, param):
+        values = {"n": "2", param: bad}
+        assert_input_error(capsys, "verify", "--reduction", "snort-family",
+                           "--corpus", "exhaustive:1", "--params",
+                           *(f"{k}={v}" for k, v in values.items()),
+                           mentions=f"bad value {bad!r} for {param}")
+
+    def test_depth_cap(self, capsys, bad):
+        assert_input_error(capsys, "verify", "--reduction", "snort-family",
+                           "--corpus", "exhaustive:1", "--params", "n=2", "--depth-cap", bad,
+                           mentions=f"bad depth cap {bad!r}")
+
+    @pytest.mark.parametrize("corpus", ["exhaustive:{}", "random:{}:3:0.5:1",
+                                        "random:2:{}:0.5:1", "random:2:3:0.5:{}"])
+    def test_corpus(self, capsys, bad, corpus):
+        assert_input_error(capsys, "verify", "--reduction", "snort-family",
+                           "--corpus", corpus.format(bad), "--params", "n=2",
+                           mentions=f"bad corpus spec {corpus.format(bad)!r}")
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "path", "--n"],
+        ["gen", "--kind", "kpq", "--p", "2", "--q"],
+        ["gen", "--kind", "gnp", "--n", "3", "--seed"],
+        ["gadget", "--r"],
+        ["gadget", "--r", "2", "--t"],
+        ["verify", "--reduction", "snort-family", "--corpus", "exhaustive:1",
+         "--params", "n=2", "--jobs"],
+    ])
+    def test_int_flags(self, capsys, bad, argv):
+        assert_input_error(capsys, *argv, bad, mentions=f"invalid int value: {bad!r}")
 
 
 class TestGeneratedSizeBounds:

@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 
 from distance_games import gadgets, graph
+from distance_games.fileformat import parse_int
 from distance_games import (
     Colour,
     FormatError,
@@ -263,6 +265,27 @@ class TestRulesetText:
             parse_ruleset_text("D=1")
         with pytest.raises(FormatError):
             parse_ruleset_text("D=x S=")
+
+    # int() takes each of these; a distance is ASCII digits only.
+    @pytest.mark.parametrize("bad", ["1_0", "\u0663", "+3"])
+    def test_distance_must_be_ascii_digits(self, bad):
+        with pytest.raises(FormatError, match=re.escape(f"line 1: bad distance {bad!r}")):
+            parse_graph(f"ruleset D=1,{bad} S=\n")
+        with pytest.raises(FormatError, match=re.escape(f"bad distance {bad!r}")):
+            parse_ruleset_text(f"D= S=2,{bad}")
+
+
+class TestParseInt:
+    @pytest.mark.parametrize("text, value", [("0", 0), ("007", 7), ("-12", -12), ("65", 65)])
+    def test_ascii_digits_accepted(self, text, value):
+        assert parse_int(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "", "-", "+3", "--3", "1_0", " 3", "3 ", "\u0663", "3.0", "1e3", "0x10",
+    ])
+    def test_anything_else_refused(self, text):
+        with pytest.raises(ValueError):
+            parse_int(text)
 
 
 class TestDot:

@@ -9,8 +9,8 @@ import distance_games
 from distance_games import (
     Colour,
     Graph,
-    HypothesisViolatedError,
     InvalidParameterError,
+    ParameterViolationError,
     Player,
     check_gadget_lemma,
     forbidden_path,
@@ -187,11 +187,15 @@ class TestGadgetLemmaCheck:
         assert report.passed
 
     def test_hypothesis_too_small(self):
-        with pytest.raises(HypothesisViolatedError):
+        with pytest.raises(ParameterViolationError, match="need d or s equal to"):
             check_gadget_lemma(forbidden_vertex_gadget(3), {1, 2}, set())
 
+    def test_gadget_without_radius_rejected(self):
+        with pytest.raises(ParameterViolationError, match="gadget carries no blocking radius"):
+            check_gadget_lemma(TestStonesAndPortsArePositions.build(), {1}, set())
+
     def test_hypothesis_superset_rejected(self):
-        with pytest.raises(HypothesisViolatedError):
+        with pytest.raises(ParameterViolationError, match="need d or s equal to"):
             check_gadget_lemma(forbidden_vertex_gadget(2), {1, 2}, {1, 2, 3})
 
     @pytest.mark.parametrize("r", range(1, MAX_GADGET_SIZE + 1))
@@ -272,6 +276,10 @@ class TestStonesAndPortsArePositions:
         gadget = self.build()
         assert (gadget.port("v"), gadget.uncoloured) == (0, (0, 1))
 
+    def test_unknown_port_role_refused(self):
+        with pytest.raises(InvalidParameterError, match="gadget has no port 'nope'"):
+            self.build().port("nope")
+
     @pytest.mark.parametrize("where", ["stone", "port"])
     @pytest.mark.parametrize("bad", [b for b, _ in BAD], ids=[i for _, i in BAD])
     def test_refused(self, where, bad):
@@ -320,7 +328,7 @@ class TestFreshNaming:
         g = Graph()
         shape = forbidden_vertex_gadget(3)
         embed_gadget(g, shape)
-        embed_gadget(g, shape, "g1")  # would raise DuplicateVertexError on a clash
+        embed_gadget(g, shape, "g1")  # a name clash would be refused
         assert g.names == tuple(f"g{k}{v}" for k in range(2) for v in shape.vertices)
 
 

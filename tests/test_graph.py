@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 import tracemalloc
 from unittest import mock
@@ -7,17 +8,15 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import distance_games
 from distance_games import (
     BallBudgetError,
-    CorpusTooLargeError,
-    DuplicateVertexError,
+    DistanceGameError,
     FrozenGraphError,
     Graph,
     InvalidParameterError,
     Player,
     Position,
-    SelfLoopError,
-    UnknownVertexError,
     all_labelled_bipartite,
     forbidden_path,
     all_labelled_graphs,
@@ -32,7 +31,7 @@ from distance_games import (
     node_kayles,
     serialize,
 )
-from distance_games import graph as graph_module
+from distance_games import errors, graph as graph_module
 from distance_games.gadgets import embed_gadget
 from distance_games.graph import MAX_GENERATED_VERTICES
 
@@ -53,7 +52,7 @@ class TestConstruction:
 
     def test_duplicate_name_rejected(self):
         g = build_graph(["a"], [])
-        with pytest.raises(DuplicateVertexError):
+        with pytest.raises(InvalidParameterError, match="vertex 'a' already present"):
             g.add_vertex("a")
 
     def test_edge_count_and_idempotence(self):
@@ -65,12 +64,12 @@ class TestConstruction:
 
     def test_self_loop_rejected(self):
         g = build_graph(["a"], [])
-        with pytest.raises(SelfLoopError):
+        with pytest.raises(InvalidParameterError, match="self-loop at 'a'"):
             g.add_edge("a", "a")
 
     def test_unknown_vertex_rejected(self):
         g = build_graph(["a"], [])
-        with pytest.raises(UnknownVertexError):
+        with pytest.raises(InvalidParameterError, match="unknown vertex 'b'"):
             g.add_edge("a", "b")
 
     def test_freeze_blocks_mutation(self):
@@ -106,33 +105,34 @@ class TestAddBlock:
         assert g.edge_count == 1
         assert neighbors(g, "a") == (1,)
 
-    @pytest.mark.parametrize("names, pairs, error", [
-        (["a", "x"], [], DuplicateVertexError),     # already in the graph
-        (["a", "b", "a"], [], DuplicateVertexError),  # twice in the block
-        (["a", ""], [], InvalidParameterError),
-        (["a", "b"], [(0, 2)], UnknownVertexError),
-        (["a", "b"], [(-1, 0)], UnknownVertexError),
-        (["a", "b"], [(0, 1), (1, 1)], SelfLoopError),
-    ])
-    def test_errors_leave_the_graph_unchanged(self, names, pairs, error):
+    @pytest.mark.parametrize("names, pairs, message", [
+        (["a", "x"], [], "vertex 'x' already present"),
+        (["a", "b", "a"], [], "vertex 'a' given twice in one block"),
+        (["a", ""], [], "vertex name must be a non-empty string"),
+        (["a", "b"], [(0, 2)], "block position 2 out of range"),
+        (["a", "b"], [(-1, 0)], "block position -1 out of range"),
+        (["a", "b"], [(0, 1), (1, 1)], "self-loop at 'b'"),
+    ], ids=["already-present", "twice-in-block", "empty-name", "past-end", "negative",
+            "self-loop"])
+    def test_errors_leave_the_graph_unchanged(self, names, pairs, message):
         g = build_graph("xy", [("x", "y")])
-        with pytest.raises(error):
+        with pytest.raises(InvalidParameterError, match=message):
             g.add_block(names, pairs)
         assert (g.names, list(g.edges())) == (("x", "y"), [(0, 1)])
         assert "a" not in g.names
 
-    @pytest.mark.parametrize("pairs, error, message", [
+    @pytest.mark.parametrize("pairs, message", [
         # The least bad pair, in ascending order of its sorted positions, is
         # the one reported, whatever the order the pairs come in.
-        ([(2, 2), (-1, 0)], UnknownVertexError, "block position -1 out of range"),
-        ([(5, 1), (1, 1)], SelfLoopError, "self-loop at 'b'"),
-        ([(0, 1), (3, 2), (1, 1)], SelfLoopError, "self-loop at 'b'"),
-        ([(0, 1), (3, 0), (2, 0), (1, 1)], UnknownVertexError, "block position 3 out of range"),
-        ([(0, 1), (4, 2), (3, 2)], UnknownVertexError, "block position 3 out of range"),
-    ])
-    def test_least_bad_pair_is_reported(self, pairs, error, message):
+        ([(2, 2), (-1, 0)], "block position -1 out of range"),
+        ([(5, 1), (1, 1)], "self-loop at 'b'"),
+        ([(0, 1), (3, 2), (1, 1)], "self-loop at 'b'"),
+        ([(0, 1), (3, 0), (2, 0), (1, 1)], "block position 3 out of range"),
+        ([(0, 1), (4, 2), (3, 2)], "block position 3 out of range"),
+    ], ids=["negative", "self-loop", "self-loop-2", "past-end", "past-end-2"])
+    def test_least_bad_pair_is_reported(self, pairs, message):
         g = build_graph("xy", [("x", "y")])
-        with pytest.raises(error, match=message):
+        with pytest.raises(InvalidParameterError, match=message):
             g.add_block(["a", "b", "c"], iter(pairs))
         assert (g.names, list(g.edges())) == (("x", "y"), [(0, 1)])
 
@@ -192,8 +192,9 @@ _STEP = st.one_of(
 
 class _EdgeSetModel:
     """Reference graph: a list of names and a set of (i, j) pairs, i < j.
-    Each mutation returns the error types the graph may raise for it (any
-    one of them when several faults coincide), or an empty set."""
+    Each mutation returns fragments of the error messages the graph may
+    raise for it (any one of them when several faults coincide), or an
+    empty set."""
 
     def __init__(self):
         self.names: list[str] = []
@@ -207,38 +208,40 @@ class _EdgeSetModel:
 
     def add_vertex(self, name):
         if self.frozen:
-            return {FrozenGraphError}
+            return {"graph is frozen"}
         if not name:
-            return {InvalidParameterError}
+            return {"non-empty string"}
         if name in self.names:
-            return {DuplicateVertexError}
+            return {"already present"}
         self.names.append(name)
         return set()
 
     def add_edge(self, u, v):
         if self.frozen:
-            return {FrozenGraphError}
+            return {"graph is frozen"}
         i, j = self.resolve(u), self.resolve(v)
         if i is None or j is None:
-            return {UnknownVertexError}
+            return {"unknown vertex", "out of range"}
         if i == j:
-            return {SelfLoopError}
+            return {"self-loop"}
         self.edges.add((min(i, j), max(i, j)))
         return set()
 
     def add_block(self, names, pairs):
         if self.frozen:
-            return {FrozenGraphError}
+            return {"graph is frozen"}
         errors = set()
         if "" in names:
-            errors.add(InvalidParameterError)
-        if len(set(names)) != len(names) or set(names) & set(self.names):
-            errors.add(DuplicateVertexError)
+            errors.add("non-empty string")
+        if set(names) & set(self.names):
+            errors.add("already present")
+        if len(set(names)) != len(names):
+            errors.add("given twice in one block")
         for a, b in pairs:
             if not (0 <= a < len(names) and 0 <= b < len(names)):
-                errors.add(UnknownVertexError)
+                errors.add("out of range")
             elif a == b:
-                errors.add(SelfLoopError)
+                errors.add("self-loop")
         if not errors:
             first = len(self.names)
             self.names.extend(names)
@@ -272,7 +275,7 @@ class TestAgainstEdgeSetModel:
                 model.frozen = True
             errors = getattr(model, f"add_{kind}")(*args)
             if errors:
-                with pytest.raises(tuple(errors)):
+                with pytest.raises(DistanceGameError, match="|".join(map(re.escape, errors))):
                     getattr(g, f"add_{kind}")(*args)
             else:
                 getattr(g, f"add_{kind}")(*args)
@@ -386,8 +389,8 @@ class TestBall:
 
     def test_an_invalid_query_does_not_freeze(self):
         g = build_graph("ab", [])
-        for bad in ("missing", 2):
-            with pytest.raises(UnknownVertexError):
+        for bad, message in (("missing", "unknown vertex 'missing'"), (2, "index 2 out of range")):
+            with pytest.raises(InvalidParameterError, match=message):
                 g.ball(bad, 1)
         with pytest.raises(InvalidParameterError):
             g.ball("a", -1)
@@ -489,7 +492,7 @@ class TestBallRows:
         g = gen_path(6)
         g.ball(0, 2)
         for bad in (-1, 6, "missing"):
-            with pytest.raises(UnknownVertexError):
+            with pytest.raises(InvalidParameterError, match="unknown vertex|out of range"):
                 g.ball(bad, 2)
         with pytest.raises(InvalidParameterError):
             g.ball(0, -1)
@@ -659,7 +662,17 @@ class TestEnumeration:
             assert sides == (frozenset({0, 1}), frozenset({2, 3, 4}))
 
     def test_too_large_rejected(self):
-        with pytest.raises(CorpusTooLargeError):
+        with pytest.raises(InvalidParameterError, match="n = 7 exceeds bound 6"):
             list(all_labelled_graphs(7))
-        with pytest.raises(CorpusTooLargeError):
+        with pytest.raises(InvalidParameterError, match="p \\+ q = 7 exceeds bound 6"):
             list(all_labelled_bipartite(4, 3))
+
+
+def test_one_exception_class_per_kind_of_refusal():
+    kinds = {"DistanceGameError", "InvalidParameterError", "ParameterViolationError",
+             "FormatError", "IllegalMoveError", "FrozenGraphError", "BallBudgetError",
+             "SearchTooDeepError"}
+    classes = {name: value for name, value in vars(errors).items() if isinstance(value, type)}
+    assert set(classes) == kinds and len(set(classes.values())) == len(kinds)
+    assert {name for name in distance_games.__all__ if name.endswith("Error")} == kinds
+    assert all(issubclass(cls, DistanceGameError) for cls in classes.values())

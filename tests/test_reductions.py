@@ -5,7 +5,6 @@ from distance_games import (
     Colour,
     GadgetInstance,
     InvalidParameterError,
-    NotBipartiteError,
     ParameterViolationError,
     Player,
     Position,
@@ -85,10 +84,12 @@ class TestBgnkToD12:
 
     def test_not_bipartite_rejected(self):
         g = build_graph("ab", [("a", "b")])
-        with pytest.raises(NotBipartiteError):
+        with pytest.raises(InvalidParameterError, match="edge 'a' -- 'b' stays inside one side"):
             reduce_bgnk_to_d12(g, [0, 1], [], s=frozenset())
-        with pytest.raises(NotBipartiteError):
+        with pytest.raises(InvalidParameterError, match="sides do not cover every vertex"):
             reduce_bgnk_to_d12(g, [0], [], s=frozenset())
+        with pytest.raises(InvalidParameterError, match="sides overlap"):
+            reduce_bgnk_to_d12(g, [0], [0, 1], s=frozenset())
 
 
 class TestSnortFamily:
@@ -386,6 +387,16 @@ class TestRegistryBuild:
         spec = REDUCTIONS[name]
         ri = spec.build(g, (left, right) if spec.bipartite else None, params)
         assert len(calls) == 1 and calls[0] is ri
+
+    @pytest.mark.parametrize("params, message", [
+        ({"n": 2, "k": 3, "zz": 1}, r"snort-family takes \['n', 's'\], each with values; got k="),
+        ({"s": frozenset()}, r"snort-family needs parameter\(s\) n"),
+        ({}, r"snort-family needs parameter\(s\) n"),
+    ])
+    def test_build_refuses_what_check_params_refuses(self, params, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            REDUCTIONS["snort-family"].build(build_graph("abc", [("a", "b"), ("b", "c")]),
+                                             None, params)
 
 
 class TestSourceKind:
