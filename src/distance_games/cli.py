@@ -54,7 +54,7 @@ def _read_board(path: str):
 def _check_out(args):
     """Before any work, refuse an --out that names a directory (ends in a
     separator or is one) or the --in board, or whose directory cannot be
-    reached, with the error its write would raise."""
+    reached or is not a directory, with the error its write would raise."""
     out, infile = getattr(args, "out", None), getattr(args, "infile", None)
     if not out:
         return
@@ -63,7 +63,8 @@ def _check_out(args):
     if infile is not None and os.path.realpath(out) == os.path.realpath(infile):
         raise InvalidParameterError(f"the --out path {out} is also the --in path")
     try:
-        os.stat(Path(out).parent)
+        # With a trailing separator, a parent that is a file fails as well.
+        os.stat(os.path.join(Path(out).parent, ""))
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, out) from None
 
@@ -95,12 +96,19 @@ def _parse_param_grid(tokens: list[str], reduction: str) -> dict:
     return grid
 
 
-def _int_flag(text: str) -> int:
-    """An integer flag read by `fileformat.parse_int`, refused with argparse's message."""
-    try:
-        return fileformat.parse_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+def _number_flag(read, kind: str):
+    """A flag type that reads its text with `read` (`fileformat.parse_int` or
+    `parse_float`) and refuses it with argparse's own message."""
+    def flag(text: str):
+        try:
+            return read(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind} value: {text!r}") from None
+    return flag
+
+
+_int_flag = _number_flag(fileformat.parse_int, "int")
+_float_flag = _number_flag(fileformat.parse_float, "float")
 
 
 def _parse_depth_cap(text: str):
@@ -176,7 +184,7 @@ def _cmd_reduce(args) -> int:
     if not args.out:
         raise InvalidParameterError("reduce needs a non-empty --out path")
     g, pos, src_rs = _read_board(args.infile)
-    if pos.stone_count:
+    if pos.occupied:
         raise InvalidParameterError("reduce expects an empty starting position")
     kind = source_kind(src_rs)
     if kind is None:
@@ -199,8 +207,11 @@ def _cmd_reduce(args) -> int:
         if ("allow_out_of_range", "flag") not in spec.param_types:
             raise InvalidParameterError(f"{spec.name} takes no --allow-out-of-range")
         params["allow_out_of_range"] = True
-    own = src_rs.ownership
-    bipartition = (own.left, own.right) if spec.bipartite else None
+    bipartition = None
+    if spec.bipartite:
+        own, n = src_rs.ownership, g.vertex_count
+        bipartition = tuple(frozenset(i for i in range(n) if side >> i & 1)
+                            for side in (own.left, own.right))
     ri = spec.build(g, bipartition, params)
     _write(serialize(ri.target_graph, ri.initial_position, ri.target_ruleset), args.out)
     print(
@@ -276,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_flag)
     p.add_argument("--p", type=_int_flag)
     p.add_argument("--q", type=_int_flag)
-    p.add_argument("--prob", type=float)
+    p.add_argument("--prob", type=_float_flag)
     p.add_argument("--seed", type=_int_flag)
     p.add_argument("--ruleset", help="textual ruleset, e.g. 'D=1 S='")
     p.add_argument("--bigraph", action="store_true",

@@ -27,10 +27,12 @@ import re
 from . import gadgets, graph
 from .errors import DistanceGameError, FormatError, InvalidParameterError
 from .graph import Graph
-from .rules import Colour, Ownership, Player, Position, Ruleset, node_kayles, snort
+from .rules import Colour, Ownership, Position, Ruleset, node_kayles, snort
 
-_COLOURS = {"B": Colour.BLUE, "R": Colour.RED}
-_OWNERS = {"L": Player.LEFT, "R": Player.RIGHT}
+# Each colour and owner value, as the index of the mask it sets in
+# `parse_graph`: blue and Left first, red and Right second.
+_COLOURS = {"B": 0, "R": 1}
+_OWNERS = {"L": 0, "R": 1}
 _STONE_ATTRS = {colour: f" colour={colour.value}" for colour in Colour}
 # A name serialize cannot write: whitespace (exactly the characters where
 # str.isspace() is true) would split its line, and '#' would start a comment.
@@ -45,6 +47,15 @@ def parse_int(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+def parse_float(text: str) -> float:
+    """ASCII digits, optionally then '.' and more ASCII digits, and nothing
+    else; unlike float(), no sign, exponent, 'nan', 'inf', underscores,
+    spaces or other scripts' digits. Anything else raises ValueError."""
+    if not re.fullmatch(r"[0-9]+(\.[0-9]+)?", text):
+        raise ValueError(f"not a decimal number: {text!r}")
+    return float(text)
 
 
 def _parse_distance_list(text: str, lineno: int) -> frozenset[int]:
@@ -93,8 +104,9 @@ def parse_graph(text: str) -> tuple[Graph, Position, Ruleset]:
     index: dict[str, int] = {}
     # The two ends of each edge line in turn, as indices into `names`.
     ends: list[int] = []
-    colours: dict[int, Colour] = {}
-    owners: dict[int, Player] = {}
+    # Blue and red stones, and Left's and Right's vertices, as index bitmasks.
+    stones = [0, 0]
+    owned = [0, 0]
     first_owner_line: int | None = None
     sets: tuple[frozenset[int], frozenset[int]] | None = None
     variant: str | None = None
@@ -135,22 +147,22 @@ def parse_graph(text: str) -> tuple[Graph, Position, Ruleset]:
                                   lineno)
             index[name] = idx
             names.append(name)
+            seen = set()
             for attr in parts[2:]:
                 key, eq, value = attr.partition("=")
                 if not eq:
                     raise FormatError(f"bad attribute {attr!r}", lineno)
+                if key in seen:
+                    raise FormatError(f"duplicate {key} attribute", lineno)
+                seen.add(key)
                 if key == "colour":
-                    if idx in colours:
-                        raise FormatError("duplicate colour attribute", lineno)
                     if value not in _COLOURS:
                         raise FormatError(f"colour must be B or R, got {value!r}", lineno)
-                    colours[idx] = _COLOURS[value]
+                    stones[_COLOURS[value]] |= 1 << idx
                 elif key == "owner":
-                    if idx in owners:
-                        raise FormatError("duplicate owner attribute", lineno)
                     if value not in _OWNERS:
                         raise FormatError(f"owner must be L or R, got {value!r}", lineno)
-                    owners[idx] = _OWNERS[value]
+                    owned[_OWNERS[value]] |= 1 << idx
                     if first_owner_line is None:
                         first_owner_line = lineno
                 else:
@@ -172,34 +184,25 @@ def parse_graph(text: str) -> tuple[Graph, Position, Ruleset]:
     default = node_kayles() if variant == "bigraph" else snort()
     d, s = sets if sets is not None else (default.d, default.s)
     if variant == "bigraph":
-        missing = [name for i, name in enumerate(names) if i not in owners]
-        if missing:
+        everyone = owned[0] | owned[1]
+        if everyone != (1 << len(names)) - 1:
+            missing = [name for i, name in enumerate(names) if not everyone >> i & 1]
             raise FormatError(f"bigraph variant: vertices without owner: {missing}")
-        ownership = Ownership(
-            frozenset(i for i, p in owners.items() if p is Player.LEFT),
-            frozenset(i for i, p in owners.items() if p is Player.RIGHT),
-        )
         try:
-            rs = Ruleset(d, s, ownership)
+            rs = Ruleset(d, s, Ownership(*owned))
         except DistanceGameError as exc:
             raise FormatError(str(exc)) from None
     else:
-        if owners:
+        if first_owner_line is not None:
             raise FormatError(
                 "owner attributes require 'variant bigraph'", first_owner_line
             )
         rs = Ruleset(d, s)
 
-    blue = red = 0
-    for idx, colour in colours.items():
-        if colour is Colour.BLUE:
-            blue |= 1 << idx
-        else:
-            red |= 1 << idx
     g = Graph()
     pairs = iter(ends)
     g.add_block(names, zip(pairs, pairs))
-    return g.freeze(), Position(blue, red), rs
+    return g.freeze(), Position(*stones), rs
 
 
 def _check_stones(pos: Position, count: int) -> None:
@@ -233,20 +236,21 @@ def serialize(g: Graph, pos: Position = Position(), rs: Ruleset | None = None) -
             if _UNSERIALIZABLE.search(name):
                 raise FormatError(f"vertex name {name!r} is not serializable")
     _check_stones(pos, len(names))
-    attrs = [""] * len(names)
-    _mark(attrs, pos.blue, _STONE_ATTRS[Colour.BLUE])
-    _mark(attrs, pos.red, _STONE_ATTRS[Colour.RED])
+    stone = [""] * len(names)
+    _mark(stone, pos.blue, _STONE_ATTRS[Colour.BLUE])
+    _mark(stone, pos.red, _STONE_ATTRS[Colour.RED])
+    owner = [""] * len(names)
     own = rs.ownership
     if own is not None:
-        for i, name in enumerate(names):
-            if i in own.left:
-                attrs[i] += " owner=L"
-            elif i in own.right:
-                attrs[i] += " owner=R"
-            else:
-                raise FormatError(f"vertex {name!r} has no owner in a bigraph ruleset")
+        everything = (1 << len(names)) - 1
+        unowned = everything & ~(own.left | own.right)
+        if unowned:
+            name = names[(unowned & -unowned).bit_length() - 1]
+            raise FormatError(f"vertex {name!r} has no owner in a bigraph ruleset")
+        _mark(owner, own.left & everything, " owner=L")
+        _mark(owner, own.right & everything, " owner=R")
     lines = [f"ruleset {format_ruleset(rs)}", f"variant {rs.variant}"]
-    lines.extend(f"vertex {name}{a}" for name, a in zip(names, attrs))
+    lines.extend(f"vertex {name}{c}{o}" for name, c, o in zip(names, stone, owner))
     lines.extend(f"edge {names[i]} {names[j]}" for i, j in g.edges())
     return "\n".join(lines) + "\n"
 

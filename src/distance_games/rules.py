@@ -51,20 +51,17 @@ class Player(Enum):
 
 @dataclass(frozen=True)
 class Ownership:
-    """Which player may occupy which vertices (indices into one fixed graph)."""
+    """Which player may occupy which vertices, as bitmasks over the dense
+    vertex indices of one fixed graph."""
 
-    left: frozenset[int]
-    right: frozenset[int]
+    left: int
+    right: int
 
     def __post_init__(self):
+        if self.left < 0 or self.right < 0:
+            raise InvalidParameterError("ownership masks must be >= 0")
         if self.left & self.right:
             raise InvalidParameterError("ownership sides must be disjoint")
-
-    def side(self, player: Player) -> frozenset[int]:
-        return self.left if player is Player.LEFT else self.right
-
-    def covers(self, n: int) -> bool:
-        return self.left | self.right == frozenset(range(n))
 
 
 @dataclass(frozen=True)
@@ -119,10 +116,13 @@ def node_kayles() -> Ruleset:
 
 
 def bigraph_node_kayles(left: Iterable[int], right: Iterable[int]) -> Ruleset:
-    """Node-Kayles where Left owns one side of a bipartition, Right the other."""
-    return Ruleset(
-        frozenset({1}), frozenset({1}), Ownership(frozenset(left), frozenset(right))
-    )
+    """Node-Kayles where Left owns one side of a bipartition, Right the other;
+    each side is given as vertex indices."""
+    sides = (frozenset(left), frozenset(right))
+    if min(sides[0] | sides[1], default=0) < 0:
+        raise InvalidParameterError("ownership indices must be >= 0")
+    masks = (sum(1 << i for i in side) for side in sides)
+    return Ruleset(frozenset({1}), frozenset({1}), Ownership(*masks))
 
 
 @dataclass(frozen=True)
@@ -142,33 +142,20 @@ class Position:
     def occupied(self) -> int:
         return self.blue | self.red
 
-    def colour_at(self, i: int) -> Colour | None:
-        bit = 1 << i
-        if self.blue & bit:
-            return Colour.BLUE
-        if self.red & bit:
-            return Colour.RED
-        return None
-
     def place(self, i: int, colour: Colour) -> "Position":
         bit = 1 << i
         if colour is Colour.BLUE:
             return Position(self.blue | bit, self.red)
         return Position(self.blue, self.red | bit)
 
-    @property
-    def stone_count(self) -> int:
-        return self.occupied.bit_count()
-
 
 def _owned(rs: Ruleset, i: int, player: Player) -> bool:
-    if rs.ownership is None:
+    own = rs.ownership
+    if own is None:
         return True
-    if i in rs.ownership.side(player):
-        return True
-    if i in rs.ownership.side(player.opponent):
-        return False
-    raise InvalidParameterError(f"ownership map does not cover vertex index {i}")
+    if not (own.left | own.right) >> i & 1:
+        raise InvalidParameterError(f"ownership map does not cover vertex index {i}")
+    return bool((own.left if player is Player.LEFT else own.right) >> i & 1)
 
 
 def _clashes(layers: tuple[int, ...], rs: Ruleset, same: int, other: int) -> bool:
@@ -191,7 +178,7 @@ def is_legal(g: Graph, rs: Ruleset, pos: Position, v: int | str, player: Player)
     forbidden distance.
     """
     i = g.index_of(v)
-    if pos.colour_at(i) is not None:
+    if pos.occupied >> i & 1:
         return False
     if not _owned(rs, i, player):
         return False
@@ -224,13 +211,8 @@ def position_is_legal(g: Graph, rs: Ruleset, pos: Position) -> bool:
     """
     blue, red = pos.blue, pos.red
     own = rs.ownership
-    if own is not None:
-        for stones, side in ((blue, own.left), (red, own.right)):
-            while stones:
-                bit = stones & -stones
-                if bit.bit_length() - 1 not in side:
-                    return False
-                stones ^= bit
+    if own is not None and (blue & ~own.left or red & ~own.right):
+        return False
     radius = rs.max_radius
     if radius == 0:
         return True
@@ -299,13 +281,14 @@ class LegalityIndex:
         balls = [g.ball(i, radius) for i in range(n)] if radius else ()
         self.d_mask = _witness_masks(balls, rs.d, n)
         self.s_mask = self.d_mask if rs.s == rs.d else _witness_masks(balls, rs.s, n)
-        if rs.ownership is None:
-            self._left = self._right = (1 << n) - 1
+        everything = (1 << n) - 1
+        own = rs.ownership
+        if own is None:
+            self._left = self._right = everything
+        elif own.left | own.right != everything:
+            raise InvalidParameterError("ownership map must cover every vertex")
         else:
-            if not rs.ownership.covers(n):
-                raise InvalidParameterError("ownership map must cover every vertex")
-            self._left = sum(1 << i for i in rs.ownership.left)
-            self._right = sum(1 << i for i in rs.ownership.right)
+            self._left, self._right = own.left, own.right
 
     def allowed(self, player: Player) -> int:
         """Vertices `player` may ever occupy (all of them outside bigraphs)."""
@@ -335,13 +318,3 @@ class LegalityIndex:
         else:
             allowed, own, opp = self._right, pos.red, pos.blue
         return allowed & ~(own | opp) & ~self._blocked_for(own, opp)
-
-    def legal_moves(self, pos: Position, player: Player) -> list[int]:
-        """Legal placement indices, ascending."""
-        mask = self.legal_moves_mask(pos, player)
-        out = []
-        while mask:
-            bit = mask & -mask
-            out.append(bit.bit_length() - 1)
-            mask ^= bit
-        return out

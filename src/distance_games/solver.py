@@ -87,10 +87,11 @@ def _search(index: LegalityIndex, table: dict, stats: SearchStats,
     win = False
     opponent = player.opponent
     colour = player.colour
-    for i in index.legal_moves(pos, player):
-        if not _search(index, table, stats, pos.place(i, colour), opponent):
-            win = True
-            break
+    moves = index.legal_moves_mask(pos, player)
+    while moves and not win:
+        bit = moves & -moves
+        moves ^= bit
+        win = not _search(index, table, stats, pos.place(bit.bit_length() - 1, colour), opponent)
     table[key] = win
     if len(table) > stats.peak_entries:
         stats.peak_entries = len(table)
@@ -128,11 +129,13 @@ def best_move(g: Graph, rs: Ruleset, pos: Position = Position(),
     _check_playable(idx, pos)
     stats = stats if stats is not None else SearchStats()
     table: dict = {}
-    moves = idx.legal_moves(pos, player)
+    moves = idx.legal_moves_mask(pos, player)
     result: int | MoveStatus = MoveStatus.NO_MOVE if not moves else MoveStatus.NO_WINNING_MOVE
-    for i in moves:
-        child = pos.place(i, player.colour)
-        if not _search(idx, table, stats, child, player.opponent):
+    while moves:
+        bit = moves & -moves
+        i = bit.bit_length() - 1
+        if not _search(idx, table, stats, pos.place(i, player.colour), player.opponent):
             result = i
             break
+        moves ^= bit
     return result

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InvalidParameterError, ParameterViolationError
-from .fileformat import parse_int
+from .fileformat import parse_float, parse_int
 from .gadgets import GadgetInstance, embed_gadget, stones_position
 from .graph import (
     MAX_RANDOM_CORPUS_GRAPHS,
@@ -383,7 +383,7 @@ class CorpusSpec:
                 spec = cls(
                     random_count=parse_int(parts[1]),
                     random_size=parse_int(parts[2]),
-                    random_edge_prob=float(parts[3]),
+                    random_edge_prob=parse_float(parts[3]),
                     seed=parse_int(parts[4]),
                 )
         except ValueError:
@@ -511,7 +511,9 @@ def run_corpus(reduction: str, corpus: CorpusSpec, param_grid: dict | None = Non
 
     The grid maps parameter names to lists of values; every combination runs
     against every corpus graph. Results come back in task order whatever the
-    worker count, so reports are reproducible.
+    worker count, so reports are reproducible. A grid cell outside the
+    reduction's range raises `ParameterViolationError` from its `build`, and
+    no record of the cells before it is returned.
     """
     if reduction not in REDUCTIONS:
         raise InvalidParameterError(

@@ -53,6 +53,17 @@ def stones(pos: Position) -> list[tuple[int, Colour]]:
             for i in range(pos.occupied.bit_length()) if pos.occupied >> i & 1]
 
 
+def owns(rs: Ruleset, player: Player, i: int) -> bool:
+    """Whether `player`'s ownership mask holds vertex index i."""
+    own = rs.ownership
+    return bool((own.left if player is Player.LEFT else own.right) >> i & 1)
+
+
+def mask_indices(mask: int) -> list[int]:
+    """The indices of a bitmask's set bits, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def legal_moves(g: Graph, rs: Ruleset, pos: Position, player: Player) -> list[int]:
     """Indices of all legal placements for `player`, ascending, by `is_legal`."""
     return [i for i in range(g.vertex_count) if is_legal(g, rs, pos, i, player)]
@@ -97,9 +108,9 @@ def ball_distances(layers) -> dict[int, int]:
 def naive_is_legal(g: Graph, rs: Ruleset, pos: Position, v, player: Player) -> bool:
     """Legality by recomputing a full BFS distance to every stone."""
     i = g.index_of(v)
-    if pos.colour_at(i) is not None:
+    if pos.occupied >> i & 1:
         return False
-    if rs.ownership is not None and i not in rs.ownership.side(player):
+    if rs.ownership is not None and not owns(rs, player, i):
         return False
     own = player.colour
     for w, colour in stones(pos):
@@ -119,7 +130,7 @@ def naive_position_is_legal(g: Graph, rs: Ruleset, pos: Position) -> bool:
     if rs.ownership is not None:
         for i, colour in placed:
             owner = Player.LEFT if colour is Colour.BLUE else Player.RIGHT
-            if i not in rs.ownership.side(owner):
+            if not owns(rs, owner, i):
                 return False
     for (i, a), (j, b) in combinations(placed, 2):
         dist = bfs_distance(g, i, j)

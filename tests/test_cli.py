@@ -39,6 +39,19 @@ def never_called(*args, **kwargs):
     pytest.fail("called before the --out path was checked")
 
 
+# Each command that writes an --out, with a patch that fails the test once
+# the command starts its work.
+WRITERS_BEFORE_ANY_WORK = [
+    (["gen", "--kind", "path", "--n", "3"],
+     lambda mp: mp.setitem(_GEN_KINDS, "path", (never_called, {"n": 0}))),
+    (["reduce", "--in", "p.graph", "--to", "D=1,2 S="],
+     lambda mp: mp.setattr(cli, "_read_board", never_called)),
+    (["gadget", "--r", "3"],
+     lambda mp: mp.setattr(gadgets, "forbidden_vertex_gadget", never_called)),
+    (["dot", "--in", "p.graph"], lambda mp: mp.setattr(cli, "_read_board", never_called)),
+]
+
+
 class TestGen:
     def test_path_roundtrips(self, capsys):
         code, out, _ = run(capsys, "gen", "--kind", "path", "--n", "3")
@@ -142,7 +155,7 @@ class TestReduce:
                            "--to", "D=1,2 S=", "--out", str(out_path))
         assert code == 0 and "target-vertices=10" in out
         g, pos, rs = parse_graph(out_path.read_text())
-        assert g.vertex_count == 10 and pos.stone_count == 4
+        assert g.vertex_count == 10 and pos.occupied.bit_count() == 4
         assert "map=" not in out
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bgnk.graph", "out.graph"]
 
@@ -248,15 +261,7 @@ class TestReduce:
         for name in existing:
             assert (tmp_path / name).read_text() == "old bytes\n"
 
-    @pytest.mark.parametrize("argv, patch", [
-        (["gen", "--kind", "path", "--n", "3"],
-         lambda mp: mp.setitem(_GEN_KINDS, "path", (never_called, {"n": 0}))),
-        (["reduce", "--in", "p.graph", "--to", "D=1,2 S="],
-         lambda mp: mp.setattr(cli, "_read_board", never_called)),
-        (["gadget", "--r", "3"],
-         lambda mp: mp.setattr(gadgets, "forbidden_vertex_gadget", never_called)),
-        (["dot", "--in", "p.graph"], lambda mp: mp.setattr(cli, "_read_board", never_called)),
-    ])
+    @pytest.mark.parametrize("argv, patch", WRITERS_BEFORE_ANY_WORK)
     def test_missing_out_directory_refused_before_any_work(self, capsys, tmp_path,
                                                            monkeypatch, argv, patch):
         monkeypatch.chdir(tmp_path)
@@ -266,6 +271,22 @@ class TestReduce:
         assert (code, out) == (2, "")
         assert err == "error: [Errno 2] No such file or directory: 'nodir/x.graph'\n"
         assert [p.name for p in tmp_path.iterdir()] == ["p.graph"]
+
+    @pytest.mark.parametrize("argv, patch", WRITERS_BEFORE_ANY_WORK)
+    def test_out_under_a_file_refused_before_any_work(self, capsys, tmp_path,
+                                                      monkeypatch, argv, patch):
+        # The write would fail on the file afile as a directory; the refusal
+        # comes first, with the same error, and afile is left as it was.
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "gen", "--kind", "path", "--n", "3", "--ruleset", "D=1 S=", "--out", "p.graph")
+        (tmp_path / "afile").write_text("old bytes\n")
+        patch(monkeypatch)
+        for path in ("afile/x.graph", "afile/sub/x.graph"):
+            code, out, err = run(capsys, *argv, "--out", path)
+            assert (code, out) == (2, "")
+            assert err == f"error: [Errno 20] Not a directory: {path!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "p.graph"]
+        assert (tmp_path / "afile").read_text() == "old bytes\n"
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--kind", "path", "--n", "2"],
@@ -468,6 +489,26 @@ class TestIntegersAreAsciiDigits:
     ])
     def test_int_flags(self, capsys, bad, argv):
         assert_input_error(capsys, *argv, bad, mentions=f"invalid int value: {bad!r}")
+
+
+# float() reads each of these; a probability is ASCII digits, optionally
+# followed by '.' and more ASCII digits.
+NOT_DECIMALS = ["0.2_5", " 0.5 ", "-0.5", "nan", "inf", ".5", "1e-3"]
+
+
+@pytest.mark.parametrize("bad", NOT_DECIMALS)
+class TestProbabilitiesAreDecimals:
+    def test_prob_flag(self, capsys, bad):
+        assert_input_error(capsys, "gen", "--kind", "gnp", "--n", "3", "--prob", bad,
+                           "--seed", "1", mentions=f"argument --prob: invalid float value: {bad!r}")
+
+    # An empty random corpus draws no graph, so its PROB is checked only here.
+    @pytest.mark.parametrize("count", ["0", "2"])
+    def test_corpus(self, capsys, bad, count):
+        corpus = f"random:{count}:3:{bad}:1"
+        assert_input_error(capsys, "verify", "--reduction", "snort-family",
+                           "--corpus", corpus, "--params", "n=2",
+                           mentions=f"bad corpus spec {corpus!r}")
 
 
 class TestGeneratedSizeBounds:

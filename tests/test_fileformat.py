@@ -4,12 +4,14 @@ import re
 import pytest
 
 from distance_games import gadgets, graph
-from distance_games.fileformat import parse_int
+from distance_games.fileformat import parse_float, parse_int
 from distance_games import (
     Colour,
     FormatError,
     InvalidParameterError,
+    Ownership,
     Position,
+    Ruleset,
     bigraph_node_kayles,
     gen_complete_bipartite,
     gen_gnp,
@@ -29,15 +31,14 @@ class TestParse:
     def test_minimal(self):
         g, pos, rs = parse_graph("vertex a\nvertex b\nedge a b\n")
         assert g.vertex_count == 2 and g.edge_count == 1
-        assert pos.stone_count == 0
+        assert pos.occupied == 0
         assert rs == snort()  # default when no ruleset line
 
     def test_ruleset_and_colours(self):
         text = "ruleset D=1,2 S=\nvertex a colour=B\nvertex b colour=R\n"
         g, pos, rs = parse_graph(text)
         assert rs.d == {1, 2} and rs.s == frozenset()
-        assert pos.colour_at(0) is Colour.BLUE
-        assert pos.colour_at(1) is Colour.RED
+        assert pos == Position(blue=0b01, red=0b10)
 
     def test_comments_and_blanks(self):
         g, _, _ = parse_graph("# header\n\nvertex a  # trailing\n")
@@ -81,7 +82,7 @@ class TestParse:
             expected = expected.place(i, colour)
         _, pos, _ = parse_graph(text)
         assert pos == expected
-        assert pos.stone_count == len(colours)
+        assert pos.occupied.bit_count() == len(colours)
 
     def test_invalid_colour_token(self):
         with pytest.raises(FormatError) as err:
@@ -138,6 +139,17 @@ class TestParseErrorPrecedence:
         # The first bad line wins over a later one.
         ("vertex a\nedge a a\nvertex a\n", 2, "self-loop at 'a'"),
         ("vertex a\nvertex a\nedge a a\n", 2, "vertex 'a' already present"),
+        # Each other refusal of a line, with its own message.
+        ("vertex a\nvertex b\nedge a\n", 3, "edge line needs exactly two names"),
+        ("vertex a\nvertex b\nedge a b a\n", 3, "edge line needs exactly two names"),
+        ("vertex\n", 1, "vertex line needs a name"),
+        ("vertex a colour\n", 1, "bad attribute 'colour'"),
+        ("vertex a size=2\n", 1, "unknown attribute 'size'"),
+        ("variant bigraph\nvertex a owner=B\n", 2, "owner must be L or R, got 'B'"),
+        ("variant bigraph\nvariant bigraph\n", 2, "duplicate variant line"),
+        ("variant\n", 1, "variant must be 'distance' or 'bigraph'"),
+        ("variant directed\n", 1, "variant must be 'distance' or 'bigraph'"),
+        ("variant bigraph extra\n", 1, "variant must be 'distance' or 'bigraph'"),
     ])
     def test_message_and_line(self, text, line, message):
         with pytest.raises(FormatError) as err:
@@ -199,6 +211,18 @@ class TestStrayStones:
     ])
     def test_stone_on_the_last_vertex_is_written(self, write, line):
         assert line in write(gen_path(2), Position(blue=0b10))
+
+
+class TestSerializeOwnership:
+    def test_vertex_without_owner_is_named(self):
+        rs = Ruleset(frozenset({1}), frozenset({1}), Ownership(0b101, 0))
+        with pytest.raises(FormatError) as err:
+            serialize(gen_path(3), Position(), rs)
+        assert str(err.value) == "vertex 'v1' has no owner in a bigraph ruleset"
+
+    def test_owners_past_the_last_vertex_are_not_written(self):
+        text = serialize(gen_path(2), Position(), bigraph_node_kayles([0, 5], [1, 2]))
+        assert text.splitlines()[2:4] == ["vertex v0 owner=L", "vertex v1 owner=R"]
 
 
 class TestRoundTrip:
@@ -286,6 +310,22 @@ class TestParseInt:
     def test_anything_else_refused(self, text):
         with pytest.raises(ValueError):
             parse_int(text)
+
+
+class TestParseFloat:
+    @pytest.mark.parametrize("text, value", [
+        ("0", 0.0), ("1", 1.0), ("0.5", 0.5), ("007.250", 7.25), ("1.0", 1.0),
+    ])
+    def test_ascii_decimals_accepted(self, text, value):
+        assert parse_float(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "", ".", "-0.5", "+0.5", ".5", "5.", "1.2.3", "0.2_5", " 0.5", "0.5 ", "0.5\n",
+        "nan", "inf", "1e-3", "\u0663", "0x1",
+    ])
+    def test_anything_else_refused(self, text):
+        with pytest.raises(ValueError):
+            parse_float(text)
 
 
 class TestDot:

@@ -634,6 +634,15 @@ class TestGenerators:
         with pytest.raises(InvalidParameterError, match="sizes must be >= 0"):
             make(p, q)
 
+    @pytest.mark.parametrize("make", [
+        gen_path,
+        lambda n: gen_gnp(n, 0.5, 1),
+        lambda n: next(all_labelled_graphs(n)),
+    ], ids=["path", "gnp", "enumerated"])
+    def test_negative_n_refused(self, make):
+        with pytest.raises(InvalidParameterError, match="n must be >= 0"):
+            make(-1)
+
 
 class TestEnumeration:
     def test_counts(self):

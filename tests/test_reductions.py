@@ -276,7 +276,7 @@ class TestInstanceShape:
             for name in ri.source_graph.names:
                 src_idx = ri.source_graph.index_of(name)
                 players = [L, R] if ownership is None else (
-                    [L] if src_idx in ownership.left else [R]
+                    [L] if ownership.left >> src_idx & 1 else [R]
                 )
                 for player in players:
                     assert is_legal(

@@ -29,6 +29,7 @@ from helpers import (
     build_graph,
     graph_from_edge_mask,
     legal_moves,
+    mask_indices,
     naive_is_legal,
     naive_position_is_legal,
     random_legal_position,
@@ -76,16 +77,54 @@ class TestNamedRulesets:
         with pytest.raises(InvalidParameterError):
             from distance_games import Ownership, Ruleset
 
-            Ruleset(frozenset({1, 2}), frozenset({1}), Ownership(frozenset(), frozenset()))
+            Ruleset(frozenset({1, 2}), frozenset({1}), Ownership(0, 0))
 
 
 class TestPositionMasks:
     def test_negative_masks_rejected(self):
-        # A negative mask has infinitely many set bits: stone_count and
-        # colour_at would read garbage and stones() would never end.
+        # A negative mask has infinitely many set bits: `occupied` would
+        # read garbage and a walk over its bits would never end.
         for blue, red in ((-1, 0), (0, -1), (-2, 1), (1, -2), (-1, -1)):
             with pytest.raises(InvalidParameterError, match=">= 0"):
                 Position(blue, red)
+
+    def test_both_colours_on_one_vertex_rejected(self):
+        for blue, red in ((0b1, 0b1), (0b110, 0b011), (1 << 70, 1 << 70 | 1)):
+            with pytest.raises(InvalidParameterError, match="cannot hold both colours"):
+                Position(blue, red)
+
+
+class TestOwnershipMasks:
+    def test_negative_masks_rejected(self):
+        for left, right in ((-1, 0), (0, -2), (-1, -1)):
+            with pytest.raises(InvalidParameterError, match="ownership masks must be >= 0"):
+                Ownership(left, right)
+
+    def test_overlapping_sides_rejected(self):
+        for left, right in ((0b1, 0b1), (0b011, 0b110), (1 << 70, 1 << 70)):
+            with pytest.raises(InvalidParameterError, match="sides must be disjoint"):
+                Ownership(left, right)
+
+    def test_bigraph_sides_are_index_masks(self):
+        own = bigraph_node_kayles([0, 2, 2], iter([1, 70])).ownership
+        assert (own.left, own.right) == (0b101, 0b10 | 1 << 70)
+        with pytest.raises(InvalidParameterError, match="indices must be >= 0"):
+            bigraph_node_kayles([0, -1], [1])
+        with pytest.raises(InvalidParameterError, match="sides must be disjoint"):
+            bigraph_node_kayles([0, 1], [1])
+
+    def test_a_map_that_misses_a_vertex_is_refused(self):
+        g = build_graph("abc", [("a", "b")])
+        rs = bigraph_node_kayles([0], [2])
+        assert is_legal(g, rs, Position(), "a", L) and not is_legal(g, rs, Position(), "a", R)
+        for player in (L, R):
+            with pytest.raises(InvalidParameterError, match="does not cover vertex index 1"):
+                is_legal(g, rs, Position(), "b", player)
+        with pytest.raises(InvalidParameterError, match="must cover every vertex"):
+            LegalityIndex(g, rs)
+        # An index past the last vertex is refused as well.
+        with pytest.raises(InvalidParameterError, match="must cover every vertex"):
+            LegalityIndex(g, bigraph_node_kayles([0, 1], [2, 3]))
 
 
 class TestIsLegal:
@@ -140,13 +179,13 @@ class TestApplyMove:
     def test_apply_records_colour(self):
         g = build_graph("ab", [])
         pos = apply_move(g, snort(), Position(), "a", R)
-        assert pos.colour_at(0) is Colour.RED
+        assert pos == Position(red=0b1)
 
     def test_input_position_unchanged(self):
         g = build_graph("ab", [])
         pos = Position()
         apply_move(g, snort(), pos, "a", L)
-        assert pos.stone_count == 0
+        assert pos == Position()
 
     def test_occupied_vertex_rejected(self):
         g = build_graph("ab", [])
@@ -228,7 +267,7 @@ def test_legality_index_matches_reference(n, mask, seed):
     pos = random_legal_position(g, rs, rng)
     index = LegalityIndex(g, rs)
     for p in (L, R):
-        assert index.legal_moves(pos, p) == legal_moves(g, rs, pos, p)
+        assert mask_indices(index.legal_moves_mask(pos, p)) == legal_moves(g, rs, pos, p)
 
     # Blocked masks kept up to date one stone at a time, as the verifier
     # walk does, must equal the from-scratch masks and give the legal moves.
@@ -277,6 +316,19 @@ class TestPositionIsLegal:
         assert not position_is_legal(g, snort(), bad)
         assert position_is_legal(g, col(), bad)
 
+    def test_stone_off_its_players_side_detected(self):
+        g = build_graph("abc", [])
+        rs = bigraph_node_kayles([0, 2], [1])
+        assert position_is_legal(g, rs, Position(blue=0b101, red=0b010))
+        for pos in (Position(blue=0b010), Position(red=0b001), Position(blue=0b001, red=0b100)):
+            assert not position_is_legal(g, rs, pos)
+
+    def test_radius_zero_forbids_nothing(self):
+        g = build_graph("abc", [("a", "b"), ("b", "c")])
+        rs = distance_game((), ())
+        for pos in (Position(blue=0b111), Position(blue=0b101, red=0b010), Position(red=0b11)):
+            assert position_is_legal(g, rs, pos)
+
 
 @given(
     st.integers(1, 7), st.integers(0, 2**21 - 1), st.integers(0, 2**7 - 1),
@@ -293,8 +345,8 @@ def test_position_is_legal_matches_pairwise_oracle(n, mask, blue, red, seed, kin
     pos = Position(blue, red & everything & ~blue)
     rng = random.Random(seed)
     if kind == "owned":
-        left = frozenset(v for v in range(n) if rng.random() < 0.5)
-        right = frozenset(v for v in range(n) if v not in left and rng.random() < 0.9)
+        left = sum(1 << v for v in range(n) if rng.random() < 0.5)
+        right = sum(1 << v for v in range(n) if not left >> v & 1 and rng.random() < 0.9)
         rs = Ruleset(frozenset({1}), frozenset({1}), Ownership(left, right))
     elif kind == "far":
         rs = distance_game({1, 10**9}, random_ruleset(rng, max_radius=4).s)
@@ -342,8 +394,8 @@ def check_index(rs, walks=6):
         left = right = 0
         while True:
             assert (left, right) == index.blocked(pos)
-            left_moves = index.legal_moves(pos, L)
-            right_moves = index.legal_moves(pos, R)
+            left_moves = mask_indices(index.legal_moves_mask(pos, L))
+            right_moves = mask_indices(index.legal_moves_mask(pos, R))
             assert left_moves == legal_moves(g, rs, pos, L)
             assert right_moves == legal_moves(g, rs, pos, R)
             options = [(L, v) for v in left_moves] + [(R, v) for v in right_moves]
@@ -395,7 +447,7 @@ class TestIndexSharing:
     def test_radius_zero(self):
         index = check_with_contrasts((), ())
         assert index.d_mask == [0] * 14 and index.s_mask is index.d_mask
-        assert index.legal_moves(Position(blue=0b11), L) == list(range(2, 14))
+        assert index.legal_moves_mask(Position(blue=0b11), L) == (1 << 14) - 4
 
 
 class TestWitnessMasks:

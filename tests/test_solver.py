@@ -30,6 +30,7 @@ from distance_games.solver import RECURSION_HEADROOM, check_depth
 from helpers import (
     build_graph,
     graph_from_edge_mask,
+    mask_indices,
     naive_wins,
     random_legal_position,
     random_ruleset,
@@ -138,7 +139,7 @@ def test_zermelo_consistency(n, mask, seed):
     pos = random_legal_position(g, rs, rng)
     index = LegalityIndex(g, rs)
     for p in (L, R):
-        moves = index.legal_moves(pos, p)
+        moves = mask_indices(index.legal_moves_mask(pos, p))
         wins = wins_moving_first(g, rs, pos, p, index=index)
         if not moves:
             assert not wins

@@ -32,6 +32,7 @@ from distance_games.verifier import (
     KIND_TARGET_ONLY,
     KIND_UNEMBEDDED,
     PLAY_FOR_PLAY,
+    TREE_IMPLIES_OUTCOME,
     VERTEX_CONDITION,
     WINNABILITY,
     _corpus_graphs,
@@ -212,6 +213,24 @@ class TestVerifyInstance:
         assert [(c.name, c.passed) for c in report.checks] == [
             (VERTEX_CONDITION, True), (PLAY_FOR_PLAY, False)]
 
+    @pytest.mark.parametrize("depth_cap, cross_check", [(None, True), (2, True), (1, False)])
+    def test_different_outcomes_after_a_full_walk_blame_the_solver(self, monkeypatch,
+                                                                   depth_cap, cross_check):
+        # A stub solver that gives the source and the target different
+        # outcomes; only a walk that covered the whole tree (the source has
+        # two vertices) proves the trees identical.
+        answers = iter([Outcome.LEFT_WINS, Outcome.RIGHT_WINS])
+        monkeypatch.setattr(solver, "outcome", lambda *args, **kwargs: next(answers))
+        report = verify_instance(bgnk_edge_instance(), depth_cap=depth_cap, descriptor="edge")
+        names = [VERTEX_CONDITION, PLAY_FOR_PLAY, WINNABILITY]
+        assert [(c.name, c.passed) for c in report.checks[:3]] == list(zip(names, [True, True, False]))
+        if cross_check:
+            assert report.lines()[3:] == [
+                f"FAIL {TREE_IMPLIES_OUTCOME} edge "
+                "identical full trees but different outcomes: solver bug"]
+        else:
+            assert len(report.checks) == 3
+
     def test_depth_cap_auto(self):
         ri = bgnk_edge_instance()
         assert resolve_depth_cap(ri, "auto") is None
@@ -317,6 +336,8 @@ class TestCorpus:
         with pytest.raises(InvalidParameterError):
             CorpusSpec.parse("everything")
         for bad in ("exhaustive:x", "exhaustive:-1", "random:3:x:0.5:1",
-                    "random:3:4:p:1", "random:-3:4:0.5:1"):
+                    "random:3:4:p:1", "random:-3:4:0.5:1", "random:3:4:0.2_5:1",
+                    "random:3:4: 0.5:1", "random:0:4:nan:1", "random:3:4:.5:1",
+                    "random:3:4:1e-3:1", "random:3:4:-0.5:1"):
             with pytest.raises(InvalidParameterError):
                 CorpusSpec.parse(bad)
