@@ -46,7 +46,6 @@ from .reductions import (
     reduce_snort_family,
 )
 from .rules import (
-    Colour,
     LegalityIndex,
     Ownership,
     Player,

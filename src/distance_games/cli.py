@@ -236,10 +236,11 @@ def _cmd_gadget(args) -> int:
     report = check_gadget_lemma(gadget, d, s) if args.check else None
 
     host_rs = Ruleset(d, s)
+    # The gadget is the host's only block, so its positions are host indices.
     host = Graph()
-    placement = (gadgets.embed_gadget(host, gadget), gadget)
+    gadgets.embed_gadget(host, gadget)
     host.freeze()
-    _write(serialize(host, gadgets.stones_position([placement]), host_rs), args.out)
+    _write(serialize(host, gadget.stones, host_rs), args.out)
 
     if report is None:
         return 0

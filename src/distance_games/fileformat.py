@@ -25,15 +25,14 @@ from __future__ import annotations
 import re
 
 from . import gadgets, graph
-from .errors import DistanceGameError, FormatError, InvalidParameterError
+from .errors import DistanceGameError, FormatError
 from .graph import Graph
-from .rules import Colour, Ownership, Position, Ruleset, node_kayles, snort
+from .rules import Ownership, Position, Ruleset, check_in_range, node_kayles, snort
 
 # Each colour and owner value, as the index of the mask it sets in
 # `parse_graph`: blue and Left first, red and Right second.
 _COLOURS = {"B": 0, "R": 1}
 _OWNERS = {"L": 0, "R": 1}
-_STONE_ATTRS = {colour: f" colour={colour.value}" for colour in Colour}
 # A name serialize cannot write: whitespace (exactly the characters where
 # str.isspace() is true) would split its line, and '#' would start a comment.
 _UNSERIALIZABLE = re.compile(r"[\s#]")
@@ -205,17 +204,6 @@ def parse_graph(text: str) -> tuple[Graph, Position, Ruleset]:
     return g.freeze(), Position(*stones), rs
 
 
-def _check_stones(pos: Position, count: int) -> None:
-    """Raise InvalidParameterError naming the first stone of `pos` at an
-    index past the last of `count` vertices."""
-    stray = pos.occupied >> count
-    if stray:
-        i = count + (stray & -stray).bit_length() - 1
-        raise InvalidParameterError(
-            f"stone at vertex index {i} is past the last vertex (the graph has {count})"
-        )
-
-
 def _mark(out: list, mask: int, value) -> None:
     """Set `out[i] = value` for every index i whose bit is set in `mask`."""
     while mask:
@@ -235,20 +223,20 @@ def serialize(g: Graph, pos: Position = Position(), rs: Ruleset | None = None) -
         for name in names:
             if _UNSERIALIZABLE.search(name):
                 raise FormatError(f"vertex name {name!r} is not serializable")
-    _check_stones(pos, len(names))
+    check_in_range("stone", pos.occupied, len(names))
     stone = [""] * len(names)
-    _mark(stone, pos.blue, _STONE_ATTRS[Colour.BLUE])
-    _mark(stone, pos.red, _STONE_ATTRS[Colour.RED])
+    _mark(stone, pos.blue, " colour=B")
+    _mark(stone, pos.red, " colour=R")
     owner = [""] * len(names)
     own = rs.ownership
     if own is not None:
-        everything = (1 << len(names)) - 1
-        unowned = everything & ~(own.left | own.right)
+        check_in_range("owner", own.left | own.right, len(names))
+        unowned = (1 << len(names)) - 1 & ~(own.left | own.right)
         if unowned:
             name = names[(unowned & -unowned).bit_length() - 1]
             raise FormatError(f"vertex {name!r} has no owner in a bigraph ruleset")
-        _mark(owner, own.left & everything, " owner=L")
-        _mark(owner, own.right & everything, " owner=R")
+        _mark(owner, own.left, " owner=L")
+        _mark(owner, own.right, " owner=R")
     lines = [f"ruleset {format_ruleset(rs)}", f"variant {rs.variant}"]
     lines.extend(f"vertex {name}{c}{o}" for name, c, o in zip(names, stone, owner))
     lines.extend(f"edge {names[i]} {names[j]}" for i, j in g.edges())
@@ -277,7 +265,7 @@ def _dot_attrs(fill: str | None, dashed: bool) -> str:
 def to_dot(g: Graph, pos: Position = Position(), highlight=()) -> str:
     """Undirected DOT text; stones filled blue/red, highlighted vertices dashed."""
     names = g.names
-    _check_stones(pos, len(names))
+    check_in_range("stone", pos.occupied, len(names))
     # Each vertex's attribute list, as an index into `attrs`: 2 for a blue
     # stone, 4 for a red one, plus 1 when the vertex is highlighted.
     kind = [0] * len(names)

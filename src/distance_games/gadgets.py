@@ -31,14 +31,15 @@ end ports are t-1 apart; splicing it in place of an edge puts the old
 endpoints at distance t+1. Every reduction splices every edge of its
 source or none, so `splice_edges` does exactly that.
 
-A `GadgetInstance` holds its edges, fixed stones and ports as positions
-in its vertex tuple. Its names carry no prefix, so each starts with '.'
-(`.v`, `.R`, `.f2.x1`). A copy in a host graph is a placement
-`(first, shape)`: the host index `embed_gadget` returned for the shape's
-position 0, and the shape itself, shared by every copy. `embed_gadget`
-names the copy, putting its prefix (`g0` by default) before every name.
-Position p of the copy is host index first + p, and the copy's names live
-only in the graph.
+A `GadgetInstance` holds its edges and ports as positions in its vertex
+tuple, and its fixed stones as a `Position` over those positions. Its
+names carry no prefix, so each starts with '.' (`.v`, `.R`, `.f2.x1`). A
+copy in a host graph is a placement `(first, shape)`: the host index
+`embed_gadget` returned for the shape's position 0, and the shape itself,
+shared by every copy. `embed_gadget` names the copy, putting its prefix
+(`g0` by default) before every name. Position p of the copy is host index
+first + p, so the copy's stones are the shape's masks shifted by first,
+and the copy's names live only in the graph.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from functools import lru_cache
 
 from .errors import InvalidParameterError
 from .graph import Graph
-from .rules import Colour, Position
+from .rules import Position, check_in_range
 
 # Largest gadget size r and path length t accepted. A blocker has about r
 # vertices and a path t times that, so without a cap a single number could
@@ -81,25 +82,27 @@ def check_target_size(planned: int) -> None:
 @dataclass(frozen=True)
 class GadgetInstance:
     """A gadget shape: vertex names; edges as position pairs, as
-    `Graph.add_block` takes them; stones as `(position, Colour)` and ports
-    as `(role, position)`. A stone or port that is not an int position of
-    `vertices` is refused."""
+    `Graph.add_block` takes them; fixed stones as a `Position` over the
+    positions; ports as `(role, position)`. Stones that are not a
+    `Position` or lie past the last position, and a port that is not an
+    int position of `vertices`, are refused."""
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
-    precoloured: tuple[tuple[int, Colour], ...]
+    stones: Position
     ports: tuple[tuple[str, int], ...]
     radius: int | None = None
     span: int = 1
 
     def __post_init__(self):
         n = len(self.vertices)
-        places = [("stone", p) for p, _ in self.precoloured]
-        places += [("port", p) for _, p in self.ports]
-        for what, p in places:
+        if not isinstance(self.stones, Position):
+            raise InvalidParameterError(f"gadget stones {self.stones!r} are not a Position")
+        check_in_range("gadget stone", self.stones.occupied, n)
+        for _, p in self.ports:
             if type(p) is not int or not 0 <= p < n:
                 raise InvalidParameterError(
-                    f"gadget {what} {p!r} is not a position of its {n} vertices"
+                    f"gadget port {p!r} is not a position of its {n} vertices"
                 )
 
     def port(self, role: str) -> int:
@@ -111,8 +114,8 @@ class GadgetInstance:
     @property
     def uncoloured(self) -> tuple[int, ...]:
         """The positions that hold no fixed stone, in order."""
-        fixed = {p for p, _ in self.precoloured}
-        return tuple(p for p in range(len(self.vertices)) if p not in fixed)
+        fixed = self.stones.occupied
+        return tuple(p for p in range(len(self.vertices)) if not fixed >> p & 1)
 
 
 # A copy of a gadget in a host graph: the host index of its position 0, and
@@ -145,7 +148,7 @@ def forbidden_vertex_gadget(r: int) -> GadgetInstance:
             + [f".y{i}" for i in range(1, q)] + [".B"]
         ),
         edges=tuple(edges),
-        precoloured=((red, Colour.RED), (blue, Colour.BLUE)),
+        stones=Position(blue=1 << blue, red=1 << red),
         ports=(("v", 0),),
         radius=r,
     )
@@ -163,12 +166,14 @@ def forbidden_path(t: int, r: int) -> GadgetInstance:
     blocker = forbidden_vertex_gadget(r)
     size = len(blocker.vertices)
     offsets = range(0, t * size, size)
+    stones = blocker.stones
     ports = [k + blocker.port("v") for k in offsets]
     return GadgetInstance(
         vertices=tuple([f".f{i + 1}{v}" for i in range(t) for v in blocker.vertices]),
         edges=tuple([(k + a, k + b) for k in offsets for a, b in blocker.edges]
                     + list(zip(ports, ports[1:]))),
-        precoloured=tuple([(k + p, colour) for k in offsets for p, colour in blocker.precoloured]),
+        stones=Position(sum(stones.blue << k for k in offsets),
+                        sum(stones.red << k for k in offsets)),
         ports=(("left", ports[0]), ("right", ports[-1])),
         radius=r,
         span=t,
@@ -186,16 +191,11 @@ def embed_gadget(g: Graph, gadget: GadgetInstance, prefix: str = "g0") -> int:
 
 def stones_position(placements) -> Position:
     """Position holding exactly the fixed stones of the placed copies: for
-    each `(first, gadget)`, a stone at host index first + p for each stone
-    position p of the gadget."""
+    each `(first, gadget)`, the gadget's stone masks shifted by first."""
     blue = red = 0
     for first, gadget in placements:
-        for p, colour in gadget.precoloured:
-            bit = 1 << (first + p)
-            if colour is Colour.BLUE:
-                blue |= bit
-            else:
-                red |= bit
+        blue |= gadget.stones.blue << first
+        red |= gadget.stones.red << first
     return Position(blue, red)
 
 

@@ -36,10 +36,11 @@ from .gadgets import (
 )
 from .graph import Bipartition, Graph
 from .rules import (
-    Colour,
+    Player,
     Position,
     Ruleset,
     bigraph_node_kayles,
+    check_in_range,
     col,
     distance_game,
     node_kayles,
@@ -85,6 +86,7 @@ class ReducedInstance:
                 f"the gadget copies end at target index {end}, not at the "
                 f"target's {self.target_graph.vertex_count} vertices"
             )
+        check_in_range("stone", self.initial_position.occupied, end)
 
 
 def _as_index_set(g: Graph, side: Iterable[int | str]) -> frozenset[int]:
@@ -153,23 +155,23 @@ def reduce_bgnk_to_d12(g: Graph, left, right, s: Iterable[int] = ()) -> ReducedI
     new = Graph()
     new.add_block(g.names, g.edges())
     gadgets: list[Placement] = []
-    for side, colour in ((left, Colour.BLUE), (right, Colour.RED)):
+    for side, player, near, far in ((left, Player.LEFT, ".B", ".R"),
+                                    (right, Player.RIGHT, ".R", ".B")):
         if not side:
             continue
-        near = f".{colour.value}"
+        stone = Position().place(1, player)
         if s:
             gadget = GadgetInstance(
                 vertices=(".v", near),
                 edges=((0, 1),),
-                precoloured=((1, colour),),
+                stones=stone,
                 ports=(("attach", 0),),
             )
         else:
-            far_colour = colour.opposite
             gadget = GadgetInstance(
-                vertices=(".v2", near, ".v1", f".{far_colour.value}"),
+                vertices=(".v2", near, ".v1", far),
                 edges=((0, 1), (0, 2), (2, 3)),
-                precoloured=((1, colour), (3, far_colour)),
+                stones=stone.place(3, player.opponent),
                 ports=(("attach", 0),),
             )
         first = embed_gadget(new, gadget, f"g{len(gadgets)}")
@@ -266,7 +268,7 @@ def reduce_bgnk_window(g: Graph, left, right, d: Iterable[int], k: int,
     check_target_size(new.vertex_count + (len(left) + len(right)) * len(shape.vertices)
                       + bool(left) + bool(right))
     left_port, right_port = shape.port("left"), shape.port("right")
-    for side, colour in ((left, Colour.RED), (right, Colour.BLUE)):
+    for side, name, stones in ((left, ".R", Position(red=1)), (right, ".B", Position(blue=1))):
         # The shared stone carries the colour the side may NOT take.
         if not side:
             continue
@@ -276,9 +278,7 @@ def reduce_bgnk_window(g: Graph, left, right, d: Iterable[int], k: int,
             new.add_edge(u, first + left_port)
             ends.append(first + right_port)
             gadgets.append((first, shape))
-        stone_gadget = GadgetInstance(
-            vertices=(f".{colour.value}",), edges=(), precoloured=((0, colour),), ports=(),
-        )
+        stone_gadget = GadgetInstance(vertices=(name,), edges=(), stones=stones, ports=())
         stone = embed_gadget(new, stone_gadget, f"g{len(gadgets)}")
         for end in ends:
             new.add_edge(end, stone)

@@ -27,22 +27,9 @@ from .errors import IllegalMoveError, InvalidParameterError
 from .graph import Graph
 
 
-class Colour(Enum):
-    BLUE = "B"
-    RED = "R"
-
-    @property
-    def opposite(self) -> "Colour":
-        return Colour.RED if self is Colour.BLUE else Colour.BLUE
-
-
 class Player(Enum):
     LEFT = "L"
     RIGHT = "R"
-
-    @property
-    def colour(self) -> Colour:
-        return Colour.BLUE if self is Player.LEFT else Colour.RED
 
     @property
     def opponent(self) -> "Player":
@@ -142,11 +129,23 @@ class Position:
     def occupied(self) -> int:
         return self.blue | self.red
 
-    def place(self, i: int, colour: Colour) -> "Position":
+    def place(self, i: int, player: Player) -> "Position":
+        """This position plus `player`'s stone on i: Left's blue, Right's red."""
         bit = 1 << i
-        if colour is Colour.BLUE:
+        if player is Player.LEFT:
             return Position(self.blue | bit, self.red)
         return Position(self.blue, self.red | bit)
+
+
+def check_in_range(what: str, mask: int, count: int) -> None:
+    """Raise InvalidParameterError naming the first index set in `mask` that
+    is past the last of `count` vertices, as `{what} at vertex index i`."""
+    stray = mask >> count
+    if stray:
+        i = count + (stray & -stray).bit_length() - 1
+        raise InvalidParameterError(
+            f"{what} at vertex index {i} is past the last vertex (the graph has {count})"
+        )
 
 
 def _owned(rs: Ruleset, i: int, player: Player) -> bool:
@@ -197,7 +196,7 @@ def apply_move(g: Graph, rs: Ruleset, pos: Position, v: int | str, player: Playe
     i = g.index_of(v)
     if not is_legal(g, rs, pos, i, player):
         raise IllegalMoveError(f"{player.name} cannot play {g.name_of(i)!r}")
-    return pos.place(i, player.colour)
+    return pos.place(i, player)
 
 
 def position_is_legal(g: Graph, rs: Ruleset, pos: Position) -> bool:
@@ -310,6 +309,7 @@ class LegalityIndex:
 
     def blocked(self, pos: Position) -> tuple[int, int]:
         """(Left, Right): the vertices each player is forbidden to take in `pos`."""
+        check_in_range("stone", pos.occupied, len(self.d_mask))
         return self._blocked_for(pos.blue, pos.red), self._blocked_for(pos.red, pos.blue)
 
     def legal_moves_mask(self, pos: Position, player: Player) -> int:

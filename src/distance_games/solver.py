@@ -20,7 +20,7 @@ from enum import Enum
 
 from .errors import SearchTooDeepError
 from .graph import Graph
-from .rules import LegalityIndex, Player, Position, Ruleset
+from .rules import LegalityIndex, Player, Position, Ruleset, check_in_range
 
 
 class Outcome(Enum):
@@ -72,6 +72,8 @@ def check_depth(plies: int) -> None:
 
 
 def _check_playable(index: LegalityIndex, pos: Position):
+    # Once per search, so the per-node move generation need not check.
+    check_in_range("stone", pos.occupied, len(index.d_mask))
     playable = index.legal_moves_mask(pos, Player.LEFT) | index.legal_moves_mask(pos, Player.RIGHT)
     check_depth(playable.bit_count())
 
@@ -86,12 +88,11 @@ def _search(index: LegalityIndex, table: dict, stats: SearchStats,
         return cached
     win = False
     opponent = player.opponent
-    colour = player.colour
     moves = index.legal_moves_mask(pos, player)
     while moves and not win:
         bit = moves & -moves
         moves ^= bit
-        win = not _search(index, table, stats, pos.place(bit.bit_length() - 1, colour), opponent)
+        win = not _search(index, table, stats, pos.place(bit.bit_length() - 1, player), opponent)
     table[key] = win
     if len(table) > stats.peak_entries:
         stats.peak_entries = len(table)
@@ -134,7 +135,7 @@ def best_move(g: Graph, rs: Ruleset, pos: Position = Position(),
     while moves:
         bit = moves & -moves
         i = bit.bit_length() - 1
-        if not _search(idx, table, stats, pos.place(i, player.colour), player.opponent):
+        if not _search(idx, table, stats, pos.place(i, player), player.opponent):
             result = i
             break
         moves ^= bit

@@ -33,7 +33,7 @@ from itertools import product
 
 from .errors import InvalidParameterError, ParameterViolationError
 from .fileformat import parse_float, parse_int
-from .gadgets import GadgetInstance, embed_gadget, stones_position
+from .gadgets import GadgetInstance, embed_gadget
 from .graph import (
     MAX_RANDOM_CORPUS_GRAPHS,
     MAX_RANDOM_CORPUS_PAIRS,
@@ -316,7 +316,7 @@ def check_gadget_lemma(gadget: GadgetInstance, d, s) -> VerificationReport:
     host.freeze()
 
     rs = rules.distance_game(d, s)
-    start = stones_position([(0, gadget)])
+    start = gadget.stones
     players = (Player.LEFT, Player.RIGHT)
 
     def first_playable(pos: Position) -> str | None:
@@ -337,11 +337,11 @@ def check_gadget_lemma(gadget: GadgetInstance, d, s) -> VerificationReport:
 
     def probe_near_stone() -> str | None:
         for name in probe_names:
-            layers = host.ball(name, rs.max_radius)
-            for stone, _ in gadget.precoloured:
-                for dist, layer in enumerate(layers, 1):
-                    if layer >> stone & 1:
-                        return f"{name} at distance {dist} from stone {host.name_of(stone)}"
+            for dist, layer in enumerate(host.ball(name, rs.max_radius), 1):
+                near = layer & start.occupied
+                if near:
+                    stone = host.name_of((near & -near).bit_length() - 1)
+                    return f"{name} at distance {dist} from stone {stone}"
         return None
 
     found = (

@@ -12,7 +12,6 @@ from collections import deque
 from itertools import combinations
 
 from distance_games import (
-    Colour,
     GadgetInstance,
     Graph,
     Player,
@@ -46,10 +45,10 @@ def has_edge(g: Graph, u, v) -> bool:
     return (i, j) in set(g.edges())
 
 
-def stones(pos: Position) -> list[tuple[int, Colour]]:
-    """Occupied indices with their colours, ascending, read from the stone
-    masks."""
-    return [(i, Colour.BLUE if pos.blue >> i & 1 else Colour.RED)
+def stones(pos: Position) -> list[tuple[int, Player]]:
+    """Occupied indices with the player whose stone each holds (Left's are
+    blue), ascending, read from the stone masks."""
+    return [(i, Player.LEFT if pos.blue >> i & 1 else Player.RIGHT)
             for i in range(pos.occupied.bit_length()) if pos.occupied >> i & 1]
 
 
@@ -112,12 +111,11 @@ def naive_is_legal(g: Graph, rs: Ruleset, pos: Position, v, player: Player) -> b
         return False
     if rs.ownership is not None and not owns(rs, player, i):
         return False
-    own = player.colour
-    for w, colour in stones(pos):
+    for w, owner in stones(pos):
         dist = bfs_distance(g, i, w)
         if dist is None:
             continue
-        forbidden = rs.s if colour is own else rs.d
+        forbidden = rs.s if owner is player else rs.d
         if dist in forbidden:
             return False
     return True
@@ -128,8 +126,7 @@ def naive_position_is_legal(g: Graph, rs: Ruleset, pos: Position) -> bool:
     pair of stones, plus ownership of each stone's vertex."""
     placed = stones(pos)
     if rs.ownership is not None:
-        for i, colour in placed:
-            owner = Player.LEFT if colour is Colour.BLUE else Player.RIGHT
+        for i, owner in placed:
             if not owns(rs, owner, i):
                 return False
     for (i, a), (j, b) in combinations(placed, 2):
@@ -194,8 +191,8 @@ def reference_forbidden_path(t: int, r: int, prefix: str = "") -> GadgetInstance
                        for v in copy.vertices),
         edges=tuple((k + a, k + b) for k, copy in zip(starts, copies) for a, b in copy.edges)
         + tuple(zip(ports, ports[1:])),
-        precoloured=tuple((k + p, c) for k, copy in zip(starts, copies)
-                          for p, c in copy.precoloured),
+        stones=Position(sum(copy.stones.blue << k for k, copy in zip(starts, copies)),
+                        sum(copy.stones.red << k for k, copy in zip(starts, copies))),
         ports=(("left", ports[0]), ("right", ports[-1])),
         radius=r,
         span=t,
@@ -204,15 +201,17 @@ def reference_forbidden_path(t: int, r: int, prefix: str = "") -> GadgetInstance
 
 def block_at(g: Graph, pos: Position, first: int, n: int):
     """What g and pos hold in the n vertices from index `first`: their names,
-    and the edges among them and the stones on them as positions in the
-    block. Read from the graph alone, to compare with `gadget_view`."""
+    the edges among them as position pairs in the block, and the stones on
+    them as a `Position` over the block. Read from the graph and the stone
+    masks alone, to compare with `gadget_view`."""
     stop = first + n
     edges = {(i - first, j - first) for i, j in g.edges() if first <= i and j < stop}
-    placed = {(i - first, colour) for i, colour in stones(pos) if first <= i < stop}
+    block = (1 << n) - 1
+    placed = Position(pos.blue >> first & block, pos.red >> first & block)
     return g.names[first:stop], edges, placed
 
 
 def gadget_view(gadget: GadgetInstance):
     """A gadget's names, edges and stones in the form `block_at` returns."""
     edges = {(min(a, b), max(a, b)) for a, b in gadget.edges}
-    return gadget.vertices, edges, set(gadget.precoloured)
+    return gadget.vertices, edges, gadget.stones

@@ -701,6 +701,8 @@ class TestUsageErrors:
          "unrecognized arguments: --map m.map"),
         (["reduce", "--in", "x", "--to", "D=1,2 S=", "--out", "t.graph", "--from", "snort"],
          "unrecognized arguments: --from snort"),
+        (["gen", "--kind", "kpq", "--p", "1", "--q", "2", "--bigraph", "--ruleset", "D=1 S="],
+         "--bigraph fixes the ruleset to D=1 S=1"),
     ])
     def test_usage_error_is_one_line(self, capsys, argv, mentions):
         assert_input_error(capsys, *argv, mentions=mentions)

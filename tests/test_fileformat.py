@@ -6,10 +6,10 @@ import pytest
 from distance_games import gadgets, graph
 from distance_games.fileformat import parse_float, parse_int
 from distance_games import (
-    Colour,
     FormatError,
     InvalidParameterError,
     Ownership,
+    Player,
     Position,
     Ruleset,
     bigraph_node_kayles,
@@ -70,19 +70,19 @@ class TestParse:
 
     def test_stones_past_index_64_match_placing_each(self):
         rng = random.Random(5)
-        colours = {i: rng.choice(list(Colour)) for i in rng.sample(range(200), 70)}
-        colours.update({64: Colour.BLUE, 65: Colour.RED, 199: Colour.BLUE})
-        letter = {Colour.BLUE: "B", Colour.RED: "R"}
+        owners = {i: rng.choice(list(Player)) for i in rng.sample(range(200), 70)}
+        owners.update({64: Player.LEFT, 65: Player.RIGHT, 199: Player.LEFT})
+        letter = {Player.LEFT: "B", Player.RIGHT: "R"}
         text = "".join(
-            f"vertex v{i}" + (f" colour={letter[colours[i]]}" if i in colours else "") + "\n"
+            f"vertex v{i}" + (f" colour={letter[owners[i]]}" if i in owners else "") + "\n"
             for i in range(200)
         )
         expected = Position()
-        for i, colour in colours.items():
-            expected = expected.place(i, colour)
+        for i, player in owners.items():
+            expected = expected.place(i, player)
         _, pos, _ = parse_graph(text)
         assert pos == expected
-        assert pos.occupied.bit_count() == len(colours)
+        assert pos.occupied.bit_count() == len(owners)
 
     def test_invalid_colour_token(self):
         with pytest.raises(FormatError) as err:
@@ -220,9 +220,11 @@ class TestSerializeOwnership:
             serialize(gen_path(3), Position(), rs)
         assert str(err.value) == "vertex 'v1' has no owner in a bigraph ruleset"
 
-    def test_owners_past_the_last_vertex_are_not_written(self):
-        text = serialize(gen_path(2), Position(), bigraph_node_kayles([0, 5], [1, 2]))
-        assert text.splitlines()[2:4] == ["vertex v0 owner=L", "vertex v1 owner=R"]
+    def test_owners_past_the_last_vertex_are_refused(self):
+        # As LegalityIndex refuses the same ruleset on this graph.
+        with pytest.raises(InvalidParameterError) as err:
+            serialize(gen_path(2), Position(), bigraph_node_kayles([0, 5], [1, 2]))
+        assert str(err.value) == "owner at vertex index 2 is past the last vertex (the graph has 2)"
 
 
 class TestRoundTrip:
@@ -336,7 +338,7 @@ class TestDot:
 
     def test_blue_stone_fill(self):
         g = gen_path(1)
-        out = to_dot(g, Position().place(0, Colour.BLUE))
+        out = to_dot(g, Position().place(0, Player.LEFT))
         assert "fillcolor=blue" in out and "filled" in out
 
     def test_edge_line(self):

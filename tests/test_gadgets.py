@@ -7,11 +7,11 @@ import pytest
 
 import distance_games
 from distance_games import (
-    Colour,
     Graph,
     InvalidParameterError,
     ParameterViolationError,
     Player,
+    Position,
     check_gadget_lemma,
     forbidden_path,
     forbidden_vertex_gadget,
@@ -25,7 +25,7 @@ from distance_games import (
 from distance_games.gadgets import MAX_GADGET_SIZE, GadgetInstance, embed_gadget, splice_edges
 
 from helpers import (
-    bfs_distance, block_at, build_graph, gadget_view, has_edge, reference_forbidden_path, stones,
+    bfs_distance, block_at, build_graph, gadget_view, has_edge, reference_forbidden_path,
 )
 
 
@@ -230,7 +230,7 @@ class TestGadgetLemmaCheck:
         broken = type(f)(
             vertices=f.vertices,
             edges=f.edges,
-            precoloured=tuple((p, c) for p, c in f.precoloured if c is Colour.RED),
+            stones=Position(red=f.stones.red),
             ports=f.ports,
             radius=f.radius,
         )
@@ -248,7 +248,7 @@ class TestGadgetLemmaCheck:
         near = GadgetInstance(
             vertices=f.vertices + (".S",),
             edges=f.edges + ((f.port("v"), n),),
-            precoloured=f.precoloured + ((n, Colour.RED),),
+            stones=f.stones.place(n, Player.RIGHT),
             ports=f.ports,
             radius=r,
         )
@@ -258,17 +258,33 @@ class TestGadgetLemmaCheck:
 
 
 class TestStonesAndPortsArePositions:
-    """A stone or port must be an int position of the gadget's vertices;
-    anything else is refused on construction, also under `python -O`."""
+    """Stones must be a `Position` over the gadget's positions and a port an
+    int position of its vertices; anything else is refused on construction,
+    also under `python -O`."""
 
-    BAD = [(3, "past-end"), (-1, "negative"), ("g0.v", "name"), (True, "bool")]
+    # Each refused value: its id, the field it is given for, its source text
+    # (so that the `python -O` case builds the same ones) and the message.
+    BAD = [
+        ("past-end-stone", "stones", "Position(red=1 << 3)",
+         "gadget stone at vertex index 3 is past the last vertex (the graph has 3)"),
+        ("negative-stone", "stones", "Position(red=-1)", "stone masks must be >= 0"),
+        ("both-colours-stone", "stones", "Position(blue=0b100, red=0b100)",
+         "a vertex cannot hold both colours"),
+        ("pairs-stone", "stones", "((2, 'R'),)", "gadget stones ((2, 'R'),) are not a Position"),
+        ("name-stone", "stones", "'g0.R'", "gadget stones 'g0.R' are not a Position"),
+        ("bool-stone", "stones", "True", "gadget stones True are not a Position"),
+        ("past-end-port", "port", "3", "gadget port 3 is not a position of its 3 vertices"),
+        ("negative-port", "port", "-1", "gadget port -1 is not a position of its 3 vertices"),
+        ("name-port", "port", "'g0.v'", "gadget port 'g0.v' is not a position of its 3 vertices"),
+        ("bool-port", "port", "True", "gadget port True is not a position of its 3 vertices"),
+    ]
 
     @staticmethod
-    def build(stone=2, port=0):
+    def build(stones=Position(red=0b100), port=0):
         return GadgetInstance(
             vertices=("g0.v", "g0.c1", "g0.R"),
             edges=((0, 1), (1, 2)),
-            precoloured=((stone, Colour.RED),),
+            stones=stones,
             ports=(("v", port),),
         )
 
@@ -280,35 +296,36 @@ class TestStonesAndPortsArePositions:
         with pytest.raises(InvalidParameterError, match="gadget has no port 'nope'"):
             self.build().port("nope")
 
-    @pytest.mark.parametrize("where", ["stone", "port"])
-    @pytest.mark.parametrize("bad", [b for b, _ in BAD], ids=[i for _, i in BAD])
-    def test_refused(self, where, bad):
-        with pytest.raises(InvalidParameterError, match=f"gadget {where} .* not a position"):
-            self.build(**{where: bad})
+    @pytest.mark.parametrize("where, text, message", [b[1:] for b in BAD],
+                             ids=[b[0] for b in BAD])
+    def test_refused(self, where, text, message):
+        with pytest.raises(InvalidParameterError) as err:
+            self.build(**{where: eval(text)})
+        assert str(err.value) == message
 
     def test_refused_under_python_O(self):
         code = (
-            "from distance_games import Colour, GadgetInstance, InvalidParameterError\n"
+            "from distance_games import GadgetInstance, InvalidParameterError, Position\n"
             "refused = 0\n"
-            "for where in ('stone', 'port'):\n"
-            f"    for bad in {[b for b, _ in self.BAD]!r}:\n"
-            "        kw = {'stone': 2, 'port': 0, where: bad}\n"
-            "        try:\n"
-            "            GadgetInstance(('a', 'b', 'c'), ((0, 1), (1, 2)),\n"
-            "                           ((kw['stone'], Colour.RED),), (('v', kw['port']),))\n"
-            "        except InvalidParameterError:\n"
-            "            refused += 1\n"
+            f"for where, text in {[b[1:3] for b in self.BAD]!r}:\n"
+            "    try:\n"
+            "        kw = {'stones': Position(red=0b100), 'port': 0, where: eval(text)}\n"
+            "        GadgetInstance(('a', 'b', 'c'), ((0, 1), (1, 2)),\n"
+            "                       kw['stones'], (('v', kw['port']),))\n"
+            "    except InvalidParameterError:\n"
+            "        refused += 1\n"
             "print(refused, __debug__)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(distance_games.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, check=True).stdout
-        assert out.split() == [str(2 * len(self.BAD)), "False"]
+        assert out.split() == [str(len(self.BAD)), "False"]
 
     def test_reduced_stones_sit_on_their_gadgets(self):
         # Position p of a copy is target index first + p, so each copy's
-        # block of the target holds exactly its shape's stones, and every
-        # stone sits on a vertex whose name ends in its colour: ".R" or ".B".
+        # block of the target holds exactly its shape's stones, and the
+        # blue and red stones are the vertices whose names end in ".B" and
+        # ".R".
         path = build_graph("abc", [("a", "b"), ("b", "c")])
         for ri in (reduce_snort_family(gen_cycle(5), 3),
                    reduce_bgnk_window(path, ["a", "c"], ["b"], {1, 2}, 3),
@@ -317,10 +334,10 @@ class TestStonesAndPortsArePositions:
             g, pos = ri.target_graph, ri.initial_position
             for first, shape in ri.gadgets:
                 _, _, placed = block_at(g, pos, first, len(shape.vertices))
-                assert placed == set(shape.precoloured)
-            named = {i: Colour(name[-1]) for i, name in enumerate(g.names)
-                     if name.endswith((".R", ".B"))}
-            assert dict(stones(pos)) == named
+                assert placed == shape.stones
+            named = [sum(1 << i for i, name in enumerate(g.names) if name.endswith(end))
+                     for end in (".B", ".R")]
+            assert pos == Position(*named)
 
 
 class TestFreshNaming:
@@ -391,12 +408,13 @@ class TestRenamedCopies:
         # g0, g1 are the spliced edges, g2, g3 and g5 the anchors of a, c
         # and b, and g4, g6 the two shared stones.
         expected = {0: (1, None), 1: (1, None), 2: (2, "a"), 3: (2, "c"), 5: (2, "b")}
-        shared = {4: Colour.RED, 6: Colour.BLUE}
+        shared = {4: ("R", Position(red=1)), 6: ("B", Position(blue=1))}
         assert len(ri.gadgets) == len(expected) + len(shared)
         for gid, (first, shape) in enumerate(ri.gadgets):
             view = block_at(new, pos, first, len(shape.vertices))
             if gid in shared:
-                assert view == ((f"g{gid}.{shared[gid].value}",), set(), {(0, shared[gid])})
+                letter, stones = shared[gid]
+                assert view == ((f"g{gid}.{letter}",), set(), stones)
                 continue
             t, anchored = expected[gid]
             fresh = reference_forbidden_path(t, 3, f"g{gid}")

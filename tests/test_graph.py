@@ -72,6 +72,10 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError, match="unknown vertex 'b'"):
             g.add_edge("a", "b")
 
+    def test_name_of_an_index_out_of_range(self):
+        with pytest.raises(InvalidParameterError, match="vertex index 5 out of range"):
+            gen_path(3).name_of(5)
+
     def test_freeze_blocks_mutation(self):
         g = build_graph(["a", "b"], [("a", "b")]).freeze()
         with pytest.raises(FrozenGraphError):
@@ -561,6 +565,10 @@ class TestGenerators:
     def test_gnp_probability_range(self):
         with pytest.raises(InvalidParameterError):
             gen_gnp(5, 1.5, 1)
+
+    def test_random_bipartite_probability_range(self):
+        with pytest.raises(InvalidParameterError, match=r"prob must be in \[0, 1\]"):
+            gen_random_bipartite(2, 2, 1.5, 1)
 
     def test_equal_seeds_are_bit_identical(self):
         a = serialize(gen_gnp(9, 0.4, 42))

@@ -1,8 +1,9 @@
+import dataclasses
+
 import pytest
 
 from distance_games import (
     REDUCTIONS,
-    Colour,
     GadgetInstance,
     InvalidParameterError,
     ParameterViolationError,
@@ -13,6 +14,7 @@ from distance_games import (
     col,
     distance_game,
     gen_cycle,
+    gen_path,
     is_legal,
     node_kayles,
     position_is_legal,
@@ -38,11 +40,12 @@ def single_edge_bipartite():
     return g, [0], [1]
 
 
-def shared_stone(ri, colour):
-    """Target index of the bgnk-window stone of one colour: the one-vertex
-    copy that holds it."""
+def shared_stone(ri, player):
+    """Target index of the bgnk-window stone of one player's colour: the
+    one-vertex copy that holds it."""
+    stone = Position().place(0, player)
     return next(first for first, shape in ri.gadgets
-                if len(shape.vertices) == 1 and shape.precoloured == ((0, colour),))
+                if len(shape.vertices) == 1 and shape.stones == stone)
 
 
 class TestBgnkToD12:
@@ -73,7 +76,7 @@ class TestBgnkToD12:
         # The right side's anchor: a red stone next to its attachment, named
         # under the first prefix.
         first, shape = ri.gadgets[0]
-        assert shape.precoloured == ((1, Colour.RED), (3, Colour.BLUE))
+        assert shape.stones == Position(blue=1 << 3, red=1 << 1)
         assert ri.target_graph.names[first:] == ("g0.v2", "g0.R", "g0.v1", "g0.B")
         assert has_edge(ri.target_graph, "b", first + shape.port("attach"))
 
@@ -172,7 +175,7 @@ class TestBgnkWindow:
         g, left, right = single_edge_bipartite()
         ri = reduce_bgnk_window(g, left, right, d={1, 2, 3}, k=4)
         assert bfs_distance(ri.target_graph, "a", "b") == 3
-        shared_red = shared_stone(ri, Colour.RED)
+        shared_red = shared_stone(ri, R)
         assert bfs_distance(ri.target_graph, "a", shared_red) == 4
         pos = ri.initial_position
         assert is_legal(ri.target_graph, ri.target_ruleset, pos, "a", L)
@@ -183,7 +186,7 @@ class TestBgnkWindow:
         g.add_edge("x", "y")
         g.add_edge("z", "y")
         ri = reduce_bgnk_window(g, ["x", "z"], ["y"], d={1, 2, 3}, k=5)
-        shared_red = shared_stone(ri, Colour.RED)
+        shared_red = shared_stone(ri, R)
         # Through the shared stone the two left vertices are 2k apart,
         # and through the spliced edges 2n; both exceed k here.
         assert bfs_distance(ri.target_graph, "x", shared_red) == 5
@@ -228,7 +231,7 @@ class TestInstanceShape:
             return ReducedInstance(src, snort(), build_graph(target_names, []), snort(),
                                    Position(), gadgets)
 
-        one = GadgetInstance(("x",), (), (), ())
+        one = GadgetInstance(("x",), (), Position(), ())
         assert instance("abx", [(2, one)]).target_graph.names == ("a", "b", "x")
         for names in ("ba", "xab", "a", ""):
             with pytest.raises(InvalidParameterError):
@@ -236,7 +239,8 @@ class TestInstanceShape:
 
     def test_gadgets_must_tile_the_rest_of_the_target(self):
         src = build_graph("ab", [("a", "b")])
-        one, two = GadgetInstance(("x",), (), (), ()), GadgetInstance(("x", "y"), (), (), ())
+        one = GadgetInstance(("x",), (), Position(), ())
+        two = GadgetInstance(("x", "y"), (), Position(), ())
 
         def instance(target_names, gadgets):
             return ReducedInstance(src, snort(), build_graph(target_names, []), snort(),
@@ -258,6 +262,16 @@ class TestInstanceShape:
         ]:
             with pytest.raises(InvalidParameterError, match=why):
                 instance(names, gadgets)
+
+    def test_stones_must_lie_on_the_target(self):
+        ri = reduce_snort_family(gen_path(3), 2)
+        n = ri.target_graph.vertex_count
+        assert dataclasses.replace(ri, initial_position=Position(red=1 << n - 1))
+        with pytest.raises(InvalidParameterError) as err:
+            dataclasses.replace(ri, initial_position=Position(blue=1, red=1 << n))
+        assert str(err.value) == (
+            f"stone at vertex index {n} is past the last vertex (the graph has {n})"
+        )
 
     def test_initial_position_is_legal(self, instances):
         for ri in instances:
@@ -317,7 +331,7 @@ class TestInstanceShape:
     def test_window_anchor_stone_distances(self):
         g = build_graph("ab", [("a", "b")])
         ri = reduce_bgnk_window(g, [0], [1], d={1, 2}, k=3)
-        red, blue = shared_stone(ri, Colour.RED), shared_stone(ri, Colour.BLUE)
+        red, blue = shared_stone(ri, R), shared_stone(ri, L)
         assert bfs_distance(ri.target_graph, "a", red) == 3
         assert bfs_distance(ri.target_graph, "b", blue) == 3
 
@@ -325,8 +339,7 @@ class TestInstanceShape:
         for ri in instances:
             for _, shape in ri.gadgets:
                 if shape.radius is not None:
-                    colours = [c for _, c in shape.precoloured]
-                    assert colours.count(Colour.RED) == colours.count(Colour.BLUE)
+                    assert shape.stones.blue.bit_count() == shape.stones.red.bit_count()
 
     def test_deterministic_serialization(self):
         g = build_graph("abc", [("a", "b"), ("b", "c")])

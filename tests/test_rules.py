@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from distance_games import (
-    Colour,
     IllegalMoveError,
     InvalidParameterError,
     LegalityIndex,
@@ -174,6 +173,13 @@ class TestLegalMoves:
         assert legal_moves(g, rs, pos, L) == []
         assert legal_moves(g, rs, pos, R) == []
 
+    def test_blocked_refuses_a_stone_past_the_last_vertex(self):
+        index = LegalityIndex(build_graph("abc", [("a", "b")]), snort())
+        assert index.blocked(Position(blue=0b010)) == (0, 0b001)
+        with pytest.raises(InvalidParameterError) as err:
+            index.blocked(Position(red=1 << 7))
+        assert str(err.value) == "stone at vertex index 7 is past the last vertex (the graph has 3)"
+
 
 class TestApplyMove:
     def test_apply_records_colour(self):
@@ -312,7 +318,7 @@ class TestPositionIsLegal:
 
     def test_violating_position_detected(self):
         g = build_graph("ab", [("a", "b")])
-        bad = Position().place(0, Colour.BLUE).place(1, Colour.RED)
+        bad = Position().place(0, Player.LEFT).place(1, Player.RIGHT)
         assert not position_is_legal(g, snort(), bad)
         assert position_is_legal(g, col(), bad)
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from distance_games import (
-    Colour,
     Graph,
+    InvalidParameterError,
     LegalityIndex,
     MoveStatus,
     Outcome,
@@ -145,7 +145,7 @@ def test_zermelo_consistency(n, mask, seed):
             assert not wins
         else:
             has_winning_child = any(
-                not wins_moving_first(g, rs, pos.place(v, p.colour), p.opponent, index=index)
+                not wins_moving_first(g, rs, pos.place(v, p), p.opponent, index=index)
                 for v in moves
             )
             assert wins == has_winning_child
@@ -185,6 +185,24 @@ class TestDeterminismAndStats:
         assert 0 < stats.peak_entries <= stats.nodes
 
 
+class TestStonesPastTheLastVertex:
+    """Each search refuses a stone past the last vertex once, before its
+    first node, with the message the board writers use."""
+
+    @pytest.mark.parametrize("search, pos, index", [
+        (lambda pos: outcome(gen_path(3), snort(), pos), Position(blue=1 << 5), 5),
+        (lambda pos: best_move(gen_path(3), snort(), pos), Position(red=1 << 7), 7),
+        (lambda pos: wins_moving_first(gen_path(3), col(), pos, Player.RIGHT),
+         Position(blue=0b1, red=1 << 3), 3),
+    ], ids=["outcome", "best_move", "wins_moving_first"])
+    def test_refused(self, search, pos, index):
+        with pytest.raises(InvalidParameterError) as err:
+            search(pos)
+        assert str(err.value) == (
+            f"stone at vertex index {index} is past the last vertex (the graph has 3)"
+        )
+
+
 class TestDepthGuard:
     def test_limit_is_fixed_headroom_below_recursion_limit(self):
         limit = sys.getrecursionlimit() - RECURSION_HEADROOM
@@ -195,7 +213,7 @@ class TestDepthGuard:
     def test_counts_playable_not_empty_vertices(self):
         # 1,200 empty leaves, none playable: the stone on the hub blocks all.
         g, (hub, _leaves) = gen_complete_bipartite(1, 1200)
-        pos = Position().place(min(hub), Colour.BLUE)
+        pos = Position().place(min(hub), Player.LEFT)
         assert outcome(g, node_kayles(), pos) is Outcome.SECOND_WINS
         with pytest.raises(SearchTooDeepError):
             outcome(g, node_kayles())

@@ -141,6 +141,23 @@ class TestPlayForPlay:
                              kind=KIND_TARGET_ONLY)
         assert not replays_violation(ri, forged)
 
+    def test_replay_refuses_an_added_vertex_named_as_source_only(self):
+        # Left may take g0.v2 once g0.R is gone; that replays as an added
+        # vertex, not as a source-only move.
+        broken = bgnk_edge_instance_without("g0.R")
+        claim = dict(vertex="g0.v2", player=L)
+        assert replays_violation(broken, CheckResult(PLAY_FOR_PLAY, False, **claim,
+                                                     kind=KIND_UNEMBEDDED))
+        assert not replays_violation(broken, CheckResult(PLAY_FOR_PLAY, False, **claim,
+                                                         kind=KIND_SOURCE_ONLY))
+
+    def test_replay_refuses_an_unknown_kind(self):
+        # The example-one violation replays only under its own kind.
+        ri = example_one_instance()
+        result = check_play_for_play(ri)
+        assert replays_violation(ri, result)
+        assert not replays_violation(ri, dataclasses.replace(result, kind="other"))
+
     @pytest.mark.parametrize("kind", [KIND_SOURCE_ONLY, KIND_TARGET_ONLY])
     def test_replay_refuses_an_original_vertex_both_games_allow(self, kind):
         # Left may take b after a in the Snort source and in its snort-family
