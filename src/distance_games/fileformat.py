@@ -16,8 +16,9 @@ form serialize emits.
 before it, and builds the graph in one `Graph.add_block` at the end. A
 board holds at most `gadgets.MAX_TARGET_VERTICES` vertices and
 `graph.MAX_RANDOM_CORPUS_PAIRS` edge lines; the first line past either
-bound is refused with its line number. `serialize` checks every name
-with one search over their concatenation.
+bound is refused with its line number. Both functions check owners with
+`rules.allowed_masks`; `parse_graph` raises its refusal as a FormatError.
+`serialize` checks every name with one search over their concatenation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 from . import gadgets, graph
 from .errors import DistanceGameError, FormatError
 from .graph import Graph
-from .rules import Ownership, Position, Ruleset, check_in_range, node_kayles, snort
+from .rules import Ownership, Position, Ruleset, allowed_masks, check_in_range, node_kayles, snort
 
 # Each colour and owner value, as the index of the mask it sets in
 # `parse_graph`: blue and Left first, red and Right second.
@@ -179,28 +180,22 @@ def parse_graph(text: str) -> tuple[Graph, Position, Ruleset]:
         else:
             raise FormatError(f"unknown directive {keyword!r}", lineno)
 
+    g = Graph()
+    pairs = iter(ends)
+    g.add_block(names, zip(pairs, pairs))
     variant = variant or "distance"
     default = node_kayles() if variant == "bigraph" else snort()
     d, s = sets if sets is not None else (default.d, default.s)
     if variant == "bigraph":
-        everyone = owned[0] | owned[1]
-        if everyone != (1 << len(names)) - 1:
-            missing = [name for i, name in enumerate(names) if not everyone >> i & 1]
-            raise FormatError(f"bigraph variant: vertices without owner: {missing}")
         try:
             rs = Ruleset(d, s, Ownership(*owned))
+            allowed_masks(g, rs)
         except DistanceGameError as exc:
             raise FormatError(str(exc)) from None
+    elif first_owner_line is not None:
+        raise FormatError("owner attributes require 'variant bigraph'", first_owner_line)
     else:
-        if first_owner_line is not None:
-            raise FormatError(
-                "owner attributes require 'variant bigraph'", first_owner_line
-            )
         rs = Ruleset(d, s)
-
-    g = Graph()
-    pairs = iter(ends)
-    g.add_block(names, zip(pairs, pairs))
     return g.freeze(), Position(*stones), rs
 
 
@@ -228,15 +223,10 @@ def serialize(g: Graph, pos: Position = Position(), rs: Ruleset | None = None) -
     _mark(stone, pos.blue, " colour=B")
     _mark(stone, pos.red, " colour=R")
     owner = [""] * len(names)
-    own = rs.ownership
-    if own is not None:
-        check_in_range("owner", own.left | own.right, len(names))
-        unowned = (1 << len(names)) - 1 & ~(own.left | own.right)
-        if unowned:
-            name = names[(unowned & -unowned).bit_length() - 1]
-            raise FormatError(f"vertex {name!r} has no owner in a bigraph ruleset")
-        _mark(owner, own.left, " owner=L")
-        _mark(owner, own.right, " owner=R")
+    if rs.ownership is not None:
+        left, right = allowed_masks(g, rs)
+        _mark(owner, left, " owner=L")
+        _mark(owner, right, " owner=R")
     lines = [f"ruleset {format_ruleset(rs)}", f"variant {rs.variant}"]
     lines.extend(f"vertex {name}{c}{o}" for name, c, o in zip(names, stone, owner))
     lines.extend(f"edge {names[i]} {names[j]}" for i, j in g.edges())

@@ -14,6 +14,8 @@ gadgets instead of erroring.
 Every builder starts its target with one `add_block` of the source and
 then embeds each gadget copy under its own prefix `g{k}`, recording the
 copy as a placement `(first, shape)`; names live only in the target graph.
+The two bigraph builders check their source ruleset with
+`rules.allowed_masks` and read its sides as ownership masks.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .rules import (
     Player,
     Position,
     Ruleset,
+    allowed_masks,
     bigraph_node_kayles,
     check_in_range,
     col,
@@ -89,23 +92,18 @@ class ReducedInstance:
         check_in_range("stone", self.initial_position.occupied, end)
 
 
-def _as_index_set(g: Graph, side: Iterable[int | str]) -> frozenset[int]:
-    return frozenset(g.index_of(v) for v in side)
-
-
-def _check_bipartition(g: Graph, left, right) -> Bipartition:
-    left = _as_index_set(g, left)
-    right = _as_index_set(g, right)
-    if left & right:
-        raise InvalidParameterError("sides overlap")
-    if left | right != frozenset(range(g.vertex_count)):
-        raise InvalidParameterError("sides do not cover every vertex")
+def _bigraph_source(g: Graph, left, right) -> Ruleset:
+    """The two-sided Node-Kayles ruleset whose sides are `left` and `right`
+    (vertex names or indices), refused unless `rules.allowed_masks` accepts
+    it on g and no edge stays inside one side."""
+    rs = bigraph_node_kayles(map(g.index_of, left), map(g.index_of, right))
+    left_mask, _ = allowed_masks(g, rs)
     for i, j in g.edges():
-        if (i in left) == (j in left):
+        if not (left_mask >> i ^ left_mask >> j) & 1:
             raise InvalidParameterError(
                 f"edge {g.name_of(i)!r} -- {g.name_of(j)!r} stays inside one side"
             )
-    return left, right
+    return rs
 
 
 def _finish(source_graph: Graph, source_rs: Ruleset, target_graph: Graph,
@@ -150,13 +148,14 @@ def reduce_bgnk_to_d12(g: Graph, left, right, s: Iterable[int] = ()) -> ReducedI
     s = frozenset(s)
     if s not in (frozenset(), frozenset({1})):
         raise ParameterViolationError("same-colour set must be {} or {1}")
-    left, right = _check_bipartition(g, left, right)
+    source_rs = _bigraph_source(g, left, right)
+    own = source_rs.ownership
 
     new = Graph()
     new.add_block(g.names, g.edges())
     gadgets: list[Placement] = []
-    for side, player, near, far in ((left, Player.LEFT, ".B", ".R"),
-                                    (right, Player.RIGHT, ".R", ".B")):
+    for side, player, near, far in ((own.left, Player.LEFT, ".B", ".R"),
+                                    (own.right, Player.RIGHT, ".R", ".B")):
         if not side:
             continue
         stone = Position().place(1, player)
@@ -175,13 +174,11 @@ def reduce_bgnk_to_d12(g: Graph, left, right, s: Iterable[int] = ()) -> ReducedI
                 ports=(("attach", 0),),
             )
         first = embed_gadget(new, gadget, f"g{len(gadgets)}")
-        for u in sorted(side):
+        for u in (u for u in range(g.vertex_count) if side >> u & 1):
             new.add_edge(u, first + gadget.port("attach"))
         gadgets.append((first, gadget))
 
-    return _finish(
-        g, bigraph_node_kayles(left, right), new, distance_game({1, 2}, s), gadgets
-    )
+    return _finish(g, source_rs, new, distance_game({1, 2}, s), gadgets)
 
 
 def reduce_snort_family(g: Graph, n: int, s: Iterable[int] = ()) -> ReducedInstance:
@@ -261,19 +258,22 @@ def reduce_bgnk_window(g: Graph, left, right, d: Iterable[int], k: int,
             f"{2 * n} apart after the splice, within the same-colour range; the "
             "construction is unsound there (pass allow_out_of_range to build it anyway)"
         )
-    left, right = _check_bipartition(g, left, right)
+    source_rs = _bigraph_source(g, left, right)
+    own = source_rs.ownership
 
     new, gadgets = splice_edges(g, n - 1, k)
     shape = forbidden_path(k - 1, k)
-    check_target_size(new.vertex_count + (len(left) + len(right)) * len(shape.vertices)
-                      + bool(left) + bool(right))
+    # The sides own every source vertex once, so each gets one path.
+    check_target_size(new.vertex_count + g.vertex_count * len(shape.vertices)
+                      + bool(own.left) + bool(own.right))
     left_port, right_port = shape.port("left"), shape.port("right")
-    for side, name, stones in ((left, ".R", Position(red=1)), (right, ".B", Position(blue=1))):
+    for side, name, stones in ((own.left, ".R", Position(red=1)),
+                               (own.right, ".B", Position(blue=1))):
         # The shared stone carries the colour the side may NOT take.
         if not side:
             continue
         ends = []
-        for u in sorted(side):
+        for u in (u for u in range(g.vertex_count) if side >> u & 1):
             first = embed_gadget(new, shape, f"g{len(gadgets)}")
             new.add_edge(u, first + left_port)
             ends.append(first + right_port)
@@ -284,13 +284,7 @@ def reduce_bgnk_window(g: Graph, left, right, d: Iterable[int], k: int,
             new.add_edge(end, stone)
         gadgets.append((stone, stone_gadget))
 
-    return _finish(
-        g,
-        bigraph_node_kayles(left, right),
-        new,
-        distance_game(d, range(1, k + 1)),
-        gadgets,
-    )
+    return _finish(g, source_rs, new, distance_game(d, range(1, k + 1)), gadgets)
 
 
 # -- registry (used by the verifier corpora and the CLI) ----------------------

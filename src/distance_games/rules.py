@@ -4,7 +4,9 @@ A ruleset is a pair of forbidden-distance sets: placing a stone is illegal
 at any distance in `d` from an opposite-colour stone and at any distance in
 `s` from a same-colour stone. The restricted two-sided variant layers an
 ownership map on top of the all-distances-one ruleset, so one legality code
-path serves every game.
+path serves every game. `allowed_masks` is the one check of a map against
+its board, so `is_legal`, `position_is_legal` and `LegalityIndex` refuse
+the same (graph, ruleset) pairs.
 
 Every forbidden distance is at least 1, so a ball's layers start at
 distance 1. `is_legal` is the reference implementation: it takes the ball
@@ -148,13 +150,20 @@ def check_in_range(what: str, mask: int, count: int) -> None:
         )
 
 
-def _owned(rs: Ruleset, i: int, player: Player) -> bool:
+def allowed_masks(g: Graph, rs: Ruleset) -> tuple[int, int]:
+    """(Left, Right): the vertices each player may ever occupy on `g`, every
+    vertex for both outside bigraphs. An ownership map is refused unless it
+    owns every vertex of `g` and none past the last."""
+    everything = (1 << g.vertex_count) - 1
     own = rs.ownership
     if own is None:
-        return True
-    if not (own.left | own.right) >> i & 1:
-        raise InvalidParameterError(f"ownership map does not cover vertex index {i}")
-    return bool((own.left if player is Player.LEFT else own.right) >> i & 1)
+        return everything, everything
+    check_in_range("owner", own.left | own.right, g.vertex_count)
+    unowned = everything & ~(own.left | own.right)
+    if unowned:
+        name = g.name_of((unowned & -unowned).bit_length() - 1)
+        raise InvalidParameterError(f"vertex {name!r} has no owner")
+    return own.left, own.right
 
 
 def _clashes(layers: tuple[int, ...], rs: Ruleset, same: int, other: int) -> bool:
@@ -173,22 +182,20 @@ def is_legal(g: Graph, rs: Ruleset, pos: Position, v: int | str, player: Player)
     Reference implementation: only stones inside the ball of radius
     max(d | s) around v can forbid the move, so each of its distance
     layers, from distance 1 up, is tested against the stones of each
-    colour. Unreachable vertices lie in no layer and never match a
-    forbidden distance.
+    colour; unreachable vertices lie in no layer. Stones past the board
+    and a map `allowed_masks` refuses are refused whatever `v` is.
     """
     i = g.index_of(v)
-    if pos.occupied >> i & 1:
-        return False
-    if not _owned(rs, i, player):
+    check_in_range("stone", pos.occupied, g.vertex_count)
+    left, right = allowed_masks(g, rs)
+    if player is Player.LEFT:
+        allowed, same, other = left, pos.blue, pos.red
+    else:
+        allowed, same, other = right, pos.red, pos.blue
+    if not (allowed & ~pos.occupied) >> i & 1:
         return False
     radius = rs.max_radius
-    if radius == 0:
-        return True
-    if player is Player.LEFT:
-        same, other = pos.blue, pos.red
-    else:
-        same, other = pos.red, pos.blue
-    return not _clashes(g.ball(i, radius), rs, same, other)
+    return radius == 0 or not _clashes(g.ball(i, radius), rs, same, other)
 
 
 def apply_move(g: Graph, rs: Ruleset, pos: Position, v: int | str, player: Player) -> Position:
@@ -202,15 +209,16 @@ def apply_move(g: Graph, rs: Ruleset, pos: Position, v: int | str, player: Playe
 def position_is_legal(g: Graph, rs: Ruleset, pos: Position) -> bool:
     """Whether a standalone position violates no distance or ownership rule.
 
-    Ownership is checked first. Then each stone, in ascending index order,
-    is tested with `_clashes`, the rule `is_legal` uses: its ball's layers
-    against its own colour's stones at the distances in `s` and the other
-    colour's at those in `d`. A ball's layers stop at the stone's
-    eccentricity, so a forbidden distance past it costs nothing.
+    Refuses what `is_legal` refuses, then checks ownership. Then each stone,
+    in ascending index order, is tested with `is_legal`'s `_clashes` rule:
+    its ball's layers against its own colour's stones at the distances in
+    `s` and the other colour's at those in `d`. A ball's layers stop at the
+    stone's eccentricity, so a forbidden distance past it costs nothing.
     """
+    check_in_range("stone", pos.occupied, g.vertex_count)
+    left, right = allowed_masks(g, rs)
     blue, red = pos.blue, pos.red
-    own = rs.ownership
-    if own is not None and (blue & ~own.left or red & ~own.right):
+    if blue & ~left or red & ~right:
         return False
     radius = rs.max_radius
     if radius == 0:
@@ -274,20 +282,13 @@ class LegalityIndex:
     __slots__ = ("d_mask", "s_mask", "_left", "_right")
 
     def __init__(self, g: Graph, rs: Ruleset):
+        self._left, self._right = allowed_masks(g, rs)
         g.freeze()
         n = g.vertex_count
         radius = rs.max_radius
         balls = [g.ball(i, radius) for i in range(n)] if radius else ()
         self.d_mask = _witness_masks(balls, rs.d, n)
         self.s_mask = self.d_mask if rs.s == rs.d else _witness_masks(balls, rs.s, n)
-        everything = (1 << n) - 1
-        own = rs.ownership
-        if own is None:
-            self._left = self._right = everything
-        elif own.left | own.right != everything:
-            raise InvalidParameterError("ownership map must cover every vertex")
-        else:
-            self._left, self._right = own.left, own.right
 
     def allowed(self, player: Player) -> int:
         """Vertices `player` may ever occupy (all of them outside bigraphs)."""
@@ -313,6 +314,9 @@ class LegalityIndex:
         return self._blocked_for(pos.blue, pos.red), self._blocked_for(pos.red, pos.blue)
 
     def legal_moves_mask(self, pos: Position, player: Player) -> int:
+        """`player`'s legal moves in `pos` as a mask. Unchecked (it runs per
+        search node): stones must lie on the board, as the solver checks once
+        per search, a `ReducedInstance` once when built, and `blocked`."""
         if player is Player.LEFT:
             allowed, own, opp = self._left, pos.blue, pos.red
         else:

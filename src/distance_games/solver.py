@@ -101,10 +101,9 @@ def _search(index: LegalityIndex, table: dict, stats: SearchStats,
 
 def wins_moving_first(g: Graph, rs: Ruleset, pos: Position = Position(),
                       player: Player = Player.LEFT, *,
-                      index: LegalityIndex | None = None,
                       stats: SearchStats | None = None) -> bool:
     """Whether `player`, moving next from `pos`, can force the last move."""
-    idx = index if index is not None else LegalityIndex(g, rs)
+    idx = LegalityIndex(g, rs)
     _check_playable(idx, pos)
     return _search(idx, {}, stats if stats is not None else SearchStats(), pos, player)
 
@@ -113,9 +112,10 @@ def outcome(g: Graph, rs: Ruleset, pos: Position = Position(), *,
             stats: SearchStats | None = None) -> Outcome:
     """Outcome class of `pos`: who wins under optimal alternating play."""
     idx = LegalityIndex(g, rs)
-    left = wins_moving_first(g, rs, pos, Player.LEFT, index=idx, stats=stats)
-    right = wins_moving_first(g, rs, pos, Player.RIGHT, index=idx, stats=stats)
-    return Outcome.from_first_move_wins(left, right)
+    _check_playable(idx, pos)
+    stats = stats if stats is not None else SearchStats()
+    wins = [_search(idx, {}, stats, pos, player) for player in (Player.LEFT, Player.RIGHT)]
+    return Outcome.from_first_move_wins(*wins)
 
 
 def best_move(g: Graph, rs: Ruleset, pos: Position = Position(),

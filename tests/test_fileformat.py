@@ -215,10 +215,11 @@ class TestStrayStones:
 
 class TestSerializeOwnership:
     def test_vertex_without_owner_is_named(self):
+        # The map is refused as an argument, as the rules refuse it.
         rs = Ruleset(frozenset({1}), frozenset({1}), Ownership(0b101, 0))
-        with pytest.raises(FormatError) as err:
+        with pytest.raises(InvalidParameterError) as err:
             serialize(gen_path(3), Position(), rs)
-        assert str(err.value) == "vertex 'v1' has no owner in a bigraph ruleset"
+        assert str(err.value) == "vertex 'v1' has no owner"
 
     def test_owners_past_the_last_vertex_are_refused(self):
         # As LegalityIndex refuses the same ruleset on this graph.

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from distance_games import (
+    FormatError,
     IllegalMoveError,
     InvalidParameterError,
     LegalityIndex,
@@ -16,9 +17,15 @@ from distance_games import (
     col,
     distance_game,
     gen_complete_bipartite,
+    gen_path,
     is_legal,
     node_kayles,
+    outcome,
+    parse_graph,
     position_is_legal,
+    reduce_bgnk_to_d12,
+    reduce_bgnk_window,
+    serialize,
     snort,
 )
 from distance_games.rules import _witness_masks
@@ -113,17 +120,20 @@ class TestOwnershipMasks:
             bigraph_node_kayles([0, 1], [1])
 
     def test_a_map_that_misses_a_vertex_is_refused(self):
+        # Whichever vertex is asked about: the map is checked against the board.
         g = build_graph("abc", [("a", "b")])
         rs = bigraph_node_kayles([0], [2])
-        assert is_legal(g, rs, Position(), "a", L) and not is_legal(g, rs, Position(), "a", R)
-        for player in (L, R):
-            with pytest.raises(InvalidParameterError, match="does not cover vertex index 1"):
-                is_legal(g, rs, Position(), "b", player)
-        with pytest.raises(InvalidParameterError, match="must cover every vertex"):
+        for v in "abc":
+            for player in (L, R):
+                with pytest.raises(InvalidParameterError, match="^vertex 'b' has no owner$"):
+                    is_legal(g, rs, Position(), v, player)
+        with pytest.raises(InvalidParameterError, match="^vertex 'b' has no owner$"):
             LegalityIndex(g, rs)
         # An index past the last vertex is refused as well.
-        with pytest.raises(InvalidParameterError, match="must cover every vertex"):
+        with pytest.raises(InvalidParameterError, match="owner at vertex index 3 is past"):
             LegalityIndex(g, bigraph_node_kayles([0, 1], [2, 3]))
+        # Refused before the index freezes the graph.
+        g.add_vertex("d")
 
 
 class TestIsLegal:
@@ -199,6 +209,65 @@ class TestApplyMove:
         with pytest.raises(IllegalMoveError):
             apply_move(g, snort(), pos, "a", R)
         assert not is_legal(g, snort(), pos, "a", L)
+
+
+# Each takes (graph, ruleset, position) and asks about vertex 0 for Left.
+POSITION_READERS = {
+    "is_legal": lambda g, rs, pos: is_legal(g, rs, pos, 0, L),
+    "apply_move": lambda g, rs, pos: apply_move(g, rs, pos, 0, L),
+    "position_is_legal": position_is_legal,
+}
+
+
+@pytest.mark.parametrize("rs", [snort(), distance_game((), ())], ids=["snort", "empty"])
+@pytest.mark.parametrize("read", POSITION_READERS.values(), ids=POSITION_READERS.keys())
+def test_stone_past_the_last_vertex_is_refused(read, rs):
+    # Under every ruleset, also one with no forbidden distance.
+    with pytest.raises(InvalidParameterError) as err:
+        read(gen_path(3), rs, Position(blue=1 << 5))
+    assert str(err.value) == "stone at vertex index 5 is past the last vertex (the graph has 3)"
+
+
+class TestOneOwnershipCheck:
+    """Every entry point that takes an ownership map checks it against the
+    board with `rules.allowed_masks`, so each refuses the same maps with
+    the same text. On the path v0 - v1 - v2 Left owns v0 and Right v1."""
+
+    # Each takes (graph, ruleset).
+    TAKES_A_MAP = {
+        "is_legal": lambda g, rs: is_legal(g, rs, Position(), 0, L),
+        "apply_move": lambda g, rs: apply_move(g, rs, Position(), 0, L),
+        "position_is_legal": lambda g, rs: position_is_legal(g, rs, Position()),
+        "LegalityIndex": LegalityIndex,
+        "outcome": outcome,
+        "serialize": lambda g, rs: serialize(g, Position(), rs),
+    }
+
+    @pytest.mark.parametrize("call", [
+        *TAKES_A_MAP.values(),
+        # The reductions take the same sides as vertex lists.
+        lambda g, rs: reduce_bgnk_to_d12(g, ["v0"], [1]),
+        lambda g, rs: reduce_bgnk_window(g, ["v0"], [1], {1, 2}, 3),
+    ], ids=[*TAKES_A_MAP, "reduce_bgnk_to_d12", "reduce_bgnk_window"])
+    def test_a_vertex_without_owner(self, call):
+        with pytest.raises(InvalidParameterError) as err:
+            call(gen_path(3), bigraph_node_kayles([0], [1]))
+        assert str(err.value) == "vertex 'v2' has no owner"
+
+    def test_a_vertex_without_owner_in_a_board_file(self):
+        text = ("variant bigraph\nvertex v0 owner=L\nvertex v1 owner=R\nvertex v2\n"
+                "edge v0 v1\nedge v1 v2\n")
+        with pytest.raises(FormatError) as err:
+            parse_graph(text)
+        assert str(err.value) == "vertex 'v2' has no owner"
+
+    @pytest.mark.parametrize("call", TAKES_A_MAP.values(), ids=TAKES_A_MAP.keys())
+    def test_an_owner_past_the_last_vertex(self, call):
+        # The sides of the reductions are vertices, which `Graph.index_of`
+        # resolves first, so no map past the board reaches them.
+        with pytest.raises(InvalidParameterError) as err:
+            call(gen_path(3), bigraph_node_kayles([0, 2], [1, 5]))
+        assert str(err.value) == "owner at vertex index 5 is past the last vertex (the graph has 3)"
 
 
 small_seed = st.integers(0, 10_000)
@@ -342,9 +411,10 @@ class TestPositionIsLegal:
 )
 def test_position_is_legal_matches_pairwise_oracle(n, mask, blue, red, seed, kind):
     """Arbitrary stone placements, legal and illegal, against pairwise BFS
-    distances; with "owned", a random ownership map (not always covering)
-    under d = s = {1}; with "far", d = {1, 10**9}, a distance no graph
-    reaches, and a random s."""
+    distances; with "owned", a random ownership map that owns every vertex
+    (`TestOneOwnershipCheck` covers the maps that do not) under
+    d = s = {1}; with "far", d = {1, 10**9}, a distance no graph reaches,
+    and a random s."""
     g = graph_from_edge_mask(n, mask)
     everything = (1 << n) - 1
     blue &= everything
@@ -352,7 +422,7 @@ def test_position_is_legal_matches_pairwise_oracle(n, mask, blue, red, seed, kin
     rng = random.Random(seed)
     if kind == "owned":
         left = sum(1 << v for v in range(n) if rng.random() < 0.5)
-        right = sum(1 << v for v in range(n) if not left >> v & 1 and rng.random() < 0.9)
+        right = everything & ~left
         rs = Ruleset(frozenset({1}), frozenset({1}), Ownership(left, right))
     elif kind == "far":
         rs = distance_game({1, 10**9}, random_ruleset(rng, max_radius=4).s)

@@ -140,12 +140,12 @@ def test_zermelo_consistency(n, mask, seed):
     index = LegalityIndex(g, rs)
     for p in (L, R):
         moves = mask_indices(index.legal_moves_mask(pos, p))
-        wins = wins_moving_first(g, rs, pos, p, index=index)
+        wins = wins_moving_first(g, rs, pos, p)
         if not moves:
             assert not wins
         else:
             has_winning_child = any(
-                not wins_moving_first(g, rs, pos.place(v, p), p.opponent, index=index)
+                not wins_moving_first(g, rs, pos.place(v, p), p.opponent)
                 for v in moves
             )
             assert wins == has_winning_child
