@@ -12,8 +12,9 @@ line defaults to D={1} S={} for the distance variant and D=S={1} for
 bigraph. `parse_graph` and `serialize` round-trip exactly on the canonical
 form serialize emits.
 
-`parse_graph` checks each line as it comes, against the vertex lines
-before it, and builds the graph in one `Graph.add_block` at the end. A
+`parse_graph` adds each vertex and edge line to its `Graph` as it comes.
+`Graph` refuses a duplicate name, an unknown endpoint and a self-loop, and
+`parse_graph` raises its refusal as a FormatError with the line number. A
 board holds at most `gadgets.MAX_TARGET_VERTICES` vertices and
 `graph.MAX_RANDOM_CORPUS_PAIRS` edge lines; the first line past either
 bound is refused with its line number. Both functions check owners with
@@ -26,7 +27,7 @@ from __future__ import annotations
 import re
 
 from . import gadgets, graph
-from .errors import DistanceGameError, FormatError
+from .errors import DistanceGameError, FormatError, InvalidParameterError
 from .graph import Graph
 from .rules import Ownership, Position, Ruleset, allowed_masks, check_in_range, node_kayles, snort
 
@@ -100,10 +101,9 @@ def parse_graph(text: str) -> tuple[Graph, Position, Ruleset]:
     """
     max_vertices = gadgets.MAX_TARGET_VERTICES
     max_edges = graph.MAX_RANDOM_CORPUS_PAIRS
-    names: list[str] = []
-    index: dict[str, int] = {}
-    # The two ends of each edge line in turn, as indices into `names`.
-    ends: list[int] = []
+    g = Graph()
+    # Edge lines, not distinct edges: a repeated edge counts again.
+    edge_lines = 0
     # Blue and red stones, and Left's and Right's vertices, as index bitmasks.
     stones = [0, 0]
     owned = [0, 0]
@@ -121,32 +121,24 @@ def parse_graph(text: str) -> tuple[Graph, Position, Ruleset]:
         if keyword == "edge":
             if len(parts) != 3:
                 raise FormatError("edge line needs exactly two names", lineno)
-            _, a, b = parts
-            i = index.get(a)
-            if i is None:
-                raise FormatError(f"unknown vertex {a!r}", lineno)
-            j = index.get(b)
-            if j is None:
-                raise FormatError(f"unknown vertex {b!r}", lineno)
-            if i == j:
-                raise FormatError(f"self-loop at {a!r}", lineno)
-            if len(ends) == 2 * max_edges:
+            try:
+                g.add_edge(parts[1], parts[2])
+            except InvalidParameterError as exc:
+                raise FormatError(str(exc), lineno) from None
+            if edge_lines == max_edges:
                 raise FormatError(f"more than {max_edges} edge lines, the bound on a board",
                                   lineno)
-            ends.append(i)
-            ends.append(j)
+            edge_lines += 1
         elif keyword == "vertex":
             if len(parts) < 2:
                 raise FormatError("vertex line needs a name", lineno)
-            name = parts[1]
-            if name in index:
-                raise FormatError(f"vertex {name!r} already present", lineno)
-            idx = len(names)
+            try:
+                idx = g.add_vertex(parts[1])
+            except InvalidParameterError as exc:
+                raise FormatError(str(exc), lineno) from None
             if idx == max_vertices:
                 raise FormatError(f"more than {max_vertices} vertices, the bound on a board",
                                   lineno)
-            index[name] = idx
-            names.append(name)
             seen = set()
             for attr in parts[2:]:
                 key, eq, value = attr.partition("=")
@@ -180,9 +172,6 @@ def parse_graph(text: str) -> tuple[Graph, Position, Ruleset]:
         else:
             raise FormatError(f"unknown directive {keyword!r}", lineno)
 
-    g = Graph()
-    pairs = iter(ends)
-    g.add_block(names, zip(pairs, pairs))
     variant = variant or "distance"
     default = node_kayles() if variant == "bigraph" else snort()
     d, s = sets if sets is not None else (default.d, default.s)

@@ -185,17 +185,21 @@ class Graph:
         return tuple(self._names)
 
     def index_of(self, v: int | str) -> int:
-        """Resolve a name or index to a dense index."""
+        """Resolve a name (a str) or an index (an int, not a bool) to an index."""
         if isinstance(v, str):
             try:
                 return self._index[v]
             except KeyError:
                 raise InvalidParameterError(f"unknown vertex {v!r}") from None
+        if type(v) is not int:
+            raise InvalidParameterError(f"vertex {v!r} is neither a name nor an index")
         if not 0 <= v < len(self._names):
             raise InvalidParameterError(f"vertex index {v} out of range")
         return v
 
     def name_of(self, i: int) -> str:
+        if type(i) is not int:
+            raise InvalidParameterError(f"vertex {i!r} is not an index")
         if not 0 <= i < len(self._names):
             raise InvalidParameterError(f"vertex index {i} out of range")
         return self._names[i]
@@ -230,7 +234,7 @@ class Graph:
         change once it holds a ball, so the tuple can be shared.
         """
         row = self._balls.get(radius)
-        if row is not None and isinstance(u, int) and 0 <= u < len(row):
+        if row is not None and type(u) is int and 0 <= u < len(row):
             out = row[u]
             if out is not None:
                 return out

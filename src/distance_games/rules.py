@@ -107,10 +107,14 @@ def node_kayles() -> Ruleset:
 def bigraph_node_kayles(left: Iterable[int], right: Iterable[int]) -> Ruleset:
     """Node-Kayles where Left owns one side of a bipartition, Right the other;
     each side is given as vertex indices."""
-    sides = (frozenset(left), frozenset(right))
-    if min(sides[0] | sides[1], default=0) < 0:
-        raise InvalidParameterError("ownership indices must be >= 0")
-    masks = (sum(1 << i for i in side) for side in sides)
+    masks = [0, 0]
+    for k, side in enumerate((left, right)):
+        for i in side:
+            if type(i) is not int:
+                raise InvalidParameterError(f"vertex {i!r} is not an index")
+            if i < 0:
+                raise InvalidParameterError("ownership indices must be >= 0")
+            masks[k] |= 1 << i
     return Ruleset(frozenset({1}), frozenset({1}), Ownership(*masks))
 
 

@@ -194,6 +194,22 @@ class TestParseBounds:
         assert err.value.line == 12
         assert str(err.value) == "line 12: more than 6 edge lines, the bound on a board"
 
+    @pytest.mark.parametrize("last, line, message", [
+        ("vertex v0", 7, "vertex 'v0' already present"),
+        ("edge v0 x", 13, "unknown vertex 'x'"),
+        ("edge v1 v1", 13, "self-loop at 'v1'"),
+    ])
+    def test_the_line_past_a_bound_keeps_its_own_fault(self, monkeypatch, last, line, message):
+        # A line that is refused anyway is refused for its own fault, not
+        # for the bound it would also cross.
+        monkeypatch.setattr(gadgets, "MAX_TARGET_VERTICES", 5)
+        monkeypatch.setattr(graph, "MAX_RANDOM_CORPUS_PAIRS", 6)
+        text = self.board(5, 6 if last.startswith("edge") else 0) + last + "\n"
+        with pytest.raises(FormatError) as err:
+            parse_graph(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
 
 class TestStrayStones:
     """A stone past the last vertex is refused, not dropped from the output."""

@@ -28,8 +28,11 @@ from distance_games import (
     gen_random_bipartite,
     is_legal,
     LegalityIndex,
+    bigraph_node_kayles,
     node_kayles,
+    reduce_bgnk_to_d12,
     serialize,
+    snort,
 )
 from distance_games import errors, graph as graph_module
 from distance_games.gadgets import embed_gadget
@@ -75,6 +78,35 @@ class TestConstruction:
     def test_name_of_an_index_out_of_range(self):
         with pytest.raises(InvalidParameterError, match="vertex index 5 out of range"):
             gen_path(3).name_of(5)
+
+    @staticmethod
+    def memoized_ball(u):
+        g = gen_path(3)
+        g.ball(1, 1)
+        return g.ball(u, 1)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: gen_path(3).index_of(True), "vertex True is neither a name nor an index"),
+        (lambda: gen_path(3).index_of(1.0), "vertex 1.0 is neither a name nor an index"),
+        (lambda: gen_path(3).index_of(None), "vertex None is neither a name nor an index"),
+        (lambda: gen_path(3).name_of(True), "vertex True is not an index"),
+        # The memoized row is read by index only; a bool is resolved, and refused.
+        (lambda: TestConstruction.memoized_ball(True), "vertex True is neither a name nor an index"),
+        (lambda: is_legal(gen_path(3), snort(), Position(), True, Player.LEFT),
+         "vertex True is neither a name nor an index"),
+        (lambda: is_legal(gen_path(3), snort(), Position(), 1.0, Player.LEFT),
+         "vertex 1.0 is neither a name nor an index"),
+        (lambda: reduce_bgnk_to_d12(gen_path(2), [False], [True]),
+         "vertex False is neither a name nor an index"),
+        (lambda: bigraph_node_kayles([True], [0]), "vertex True is not an index"),
+        (lambda: bigraph_node_kayles(["a"], []), "vertex 'a' is not an index"),
+    ], ids=["index_of-bool", "index_of-float", "index_of-none", "name_of-bool", "ball-bool",
+            "is_legal-bool", "is_legal-float", "reduce-bool-sides", "bigraph-bool",
+            "bigraph-name"])
+    def test_a_vertex_is_a_name_or_a_non_bool_int(self, call, message):
+        with pytest.raises(InvalidParameterError) as err:
+            call()
+        assert str(err.value) == message
 
     def test_freeze_blocks_mutation(self):
         g = build_graph(["a", "b"], [("a", "b")]).freeze()
