@@ -47,6 +47,9 @@ class Ownership:
     right: int
 
     def __post_init__(self):
+        for mask in (self.left, self.right):
+            if type(mask) is not int:
+                raise InvalidParameterError(f"ownership mask {mask!r} is not an int")
         if self.left < 0 or self.right < 0:
             raise InvalidParameterError("ownership masks must be >= 0")
         if self.left & self.right:
@@ -126,9 +129,14 @@ class Position:
     red: int = 0
 
     def __post_init__(self):
-        if self.blue < 0 or self.red < 0:
+        # Runs per solver node, so each mask is read once.
+        blue, red = self.blue, self.red
+        if type(blue) is not int or type(red) is not int:
+            bad = red if type(blue) is int else blue
+            raise InvalidParameterError(f"stone mask {bad!r} is not an int")
+        if blue < 0 or red < 0:
             raise InvalidParameterError("stone masks must be >= 0")
-        if self.blue & self.red:
+        if blue & red:
             raise InvalidParameterError("a vertex cannot hold both colours")
 
     @property
@@ -274,13 +282,12 @@ class LegalityIndex:
     graph's memo budget raise BallBudgetError here.
 
     Distance is symmetric, so these are also the vertices a stone on i
-    forbids: a blue stone on i blocks `s_mask[i]` for Left and `d_mask[i]`
-    for Right, a red stone the mirror image. `blocked(pos)` ORs those
-    masks over the stones, and the legal moves are then one expression,
-    `allowed & ~occupied & ~blocked`. Callers that place stones one at a
-    time (the verifier walk) keep the two blocked masks up to date with
-    the same rule instead of recomputing them. Freezes the graph on
-    construction; safe to share once built.
+    forbids. Stones are only ever added, so a player's moves after a stone
+    on i are the moves before less i and one mask of i: a stone on i takes
+    i and `s_mask[i]` from its own player's moves and `d_mask[i]` from the
+    other's. `legal_moves_mask` computes a move set from scratch; the
+    verifier walk starts from it and applies the rule per placed stone.
+    Freezes the graph on construction; safe to share once built.
     """
 
     __slots__ = ("d_mask", "s_mask", "_left", "_right")
@@ -293,10 +300,6 @@ class LegalityIndex:
         balls = [g.ball(i, radius) for i in range(n)] if radius else ()
         self.d_mask = _witness_masks(balls, rs.d, n)
         self.s_mask = self.d_mask if rs.s == rs.d else _witness_masks(balls, rs.s, n)
-
-    def allowed(self, player: Player) -> int:
-        """Vertices `player` may ever occupy (all of them outside bigraphs)."""
-        return self._left if player is Player.LEFT else self._right
 
     def _blocked_for(self, own: int, opp: int) -> int:
         # Vertices where a stone of the `own` colour is forbidden.
@@ -312,15 +315,10 @@ class LegalityIndex:
             opp ^= bit
         return out
 
-    def blocked(self, pos: Position) -> tuple[int, int]:
-        """(Left, Right): the vertices each player is forbidden to take in `pos`."""
-        check_in_range("stone", pos.occupied, len(self.d_mask))
-        return self._blocked_for(pos.blue, pos.red), self._blocked_for(pos.red, pos.blue)
-
     def legal_moves_mask(self, pos: Position, player: Player) -> int:
         """`player`'s legal moves in `pos` as a mask. Unchecked (it runs per
         search node): stones must lie on the board, as the solver checks once
-        per search, a `ReducedInstance` once when built, and `blocked`."""
+        per search and a `ReducedInstance` once when built."""
         if player is Player.LEFT:
             allowed, own, opp = self._left, pos.blue, pos.red
         else:

@@ -13,9 +13,10 @@ Three checks per reduced instance, in this order, each returning a
 The originals are the target's first vertices (`ReducedInstance`), so one
 mask holds a move set of either game. The correspondence walk compares the
 full target move set, added vertices included, with the source's at every
-node. It carries the source stones and each game's two blocked masks
-(`LegalityIndex.blocked`) down the tree as plain ints, updated per placed
-stone; the check does not rely on legality being monotone.
+node. It carries each game's Left and Right move sets down the tree as
+plain ints: stones are only ever added, so a stone on i takes i and
+`s_mask[i]` from its own player's moves and `d_mask[i]` from the other's
+(`LegalityIndex`), and each child's sets follow from its parent's.
 
 Every failure carries a replayable trace; `replays_violation` re-derives
 the violation through the public rules API alone.
@@ -132,12 +133,12 @@ def check_play_for_play(ri: ReducedInstance, depth_cap: int | None = None) -> Ch
     solver.check_depth(max_depth)
 
     LEFT, RIGHT = Player.LEFT, Player.RIGHT
-    s_left, s_right = src_index.allowed(LEFT), src_index.allowed(RIGHT)
-    t_left, t_right = tgt_index.allowed(LEFT), tgt_index.allowed(RIGHT)
     sd, ss = src_index.d_mask, src_index.s_mask
     td, ts = tgt_index.d_mask, tgt_index.s_mask
-    start = ri.initial_position
-    t_empty = ~start.occupied
+    # Per player: the shift of its stones in a node's key, and the masks its
+    # stone on i takes from source Left, source Right, target Left and
+    # target Right: `s_mask` from its own moves, `d_mask` from the other's.
+    movers = ((LEFT, 0, ss, sd, ts, td), (RIGHT, n_src, sd, ss, td, ts))
 
     visited: set[int] = set()
     path: list[tuple[Player, int]] = []
@@ -162,55 +163,41 @@ def check_play_for_play(ri: ReducedInstance, depth_cap: int | None = None) -> Ch
             trace=trace, vertex=name, player=player, kind=kind,
         )
 
-    # Positions are plain ints: the source's blue and red stones (the target
-    # adds the gadget stones), plus each game's vertices blocked for Left
-    # and for Right, updated per placed stone. A node is keyed by its source
-    # stones, and a child already visited is skipped before the call.
-    def walk(sb, sr, s_bl, s_br, t_bl, t_br, depth) -> CheckResult | None:
+    # A node carries each game's Left and Right move sets as plain ints, and
+    # a stone on i takes i and its masks from each. A node is keyed by its
+    # source stones, Left's and then Right's, and a child already visited
+    # is skipped before the call.
+    def walk(key, sl, sr, tl, tr, depth) -> CheckResult | None:
         nonlocal nodes
-        key = sb | sr << n_src
         visited.add(key)
         nodes += 1
-        s_free = ~(sb | sr)
-        t_free = t_empty & s_free
-        left = s_left & s_free & ~s_bl
-        right = s_right & s_free & ~s_br
-        tgt_left = t_left & t_free & ~t_bl
-        if left != tgt_left:
-            return mismatch(LEFT, left, tgt_left)
-        tgt_right = t_right & t_free & ~t_br
-        if right != tgt_right:
-            return mismatch(RIGHT, right, tgt_right)
+        if sl != tl:
+            return mismatch(LEFT, sl, tl)
+        if sr != tr:
+            return mismatch(RIGHT, sr, tr)
         if depth >= max_depth:
             return None
         depth += 1
-        while left:
-            bit = left & -left
-            left ^= bit
-            if (key | bit) in visited:
-                continue
-            i = bit.bit_length() - 1
-            path.append((LEFT, i))
-            bad = walk(sb | bit, sr, s_bl | ss[i], s_br | sd[i],
-                       t_bl | ts[i], t_br | td[i], depth)
-            if bad is not None:
-                return bad
-            path.pop()
-        while right:
-            bit = right & -right
-            right ^= bit
-            if (key | bit << n_src) in visited:
-                continue
-            i = bit.bit_length() - 1
-            path.append((RIGHT, i))
-            bad = walk(sb, sr | bit, s_bl | sd[i], s_br | ss[i],
-                       t_bl | td[i], t_br | ts[i], depth)
-            if bad is not None:
-                return bad
-            path.pop()
+        for (player, shift, msl, msr, mtl, mtr), moves in zip(movers, (sl, sr)):
+            while moves:
+                bit = moves & -moves
+                moves ^= bit
+                child = key | bit << shift
+                if child in visited:
+                    continue
+                i = bit.bit_length() - 1
+                path.append((player, i))
+                bad = walk(child, sl & ~(bit | msl[i]), sr & ~(bit | msr[i]),
+                           tl & ~(bit | mtl[i]), tr & ~(bit | mtr[i]), depth)
+                if bad is not None:
+                    return bad
+                path.pop()
         return None
 
-    bad = walk(0, 0, 0, 0, *tgt_index.blocked(start), 0)
+    roots = [index.legal_moves_mask(pos, player)
+             for index, pos in ((src_index, Position()), (tgt_index, ri.initial_position))
+             for player in (LEFT, RIGHT)]
+    bad = walk(0, *roots, 0)
     if bad is not None:
         return bad
     cap_text = "full" if depth_cap is None else str(depth_cap)

@@ -215,3 +215,50 @@ def gadget_view(gadget: GadgetInstance):
     """A gadget's names, edges and stones in the form `block_at` returns."""
     edges = {(min(a, b), max(a, b)) for a, b in gadget.edges}
     return gadget.vertices, edges, gadget.stones
+
+
+def reference_walk(ri, depth_cap=None):
+    """The verifier's play-for-play walk with every move set recomputed
+    from scratch by `legal_moves`, as an oracle for `check_play_for_play`.
+
+    Same order as the walk: at each node Left's sets are compared before
+    Right's, then Left's moves are tried in ascending order, then Right's;
+    a source position is one node however many move orders reach it, and
+    a child already visited is skipped. Returns the node count and the
+    first mismatch as `(player, trace, vertex, kind)`, or None: `trace`
+    holds `(player, name)` pairs, `vertex` is the lowest-index vertex in
+    one move set only, and `kind` says which one holds it.
+    """
+    sg, tg = ri.source_graph, ri.target_graph
+    n = sg.vertex_count
+    max_depth = n if depth_cap is None else min(depth_cap, n)
+    visited = set()
+    nodes = 0
+
+    def walk(spos, tpos, trace, depth):
+        nonlocal nodes
+        visited.add(spos)
+        nodes += 1
+        moves = []
+        for player in (Player.LEFT, Player.RIGHT):
+            src = legal_moves(sg, ri.source_ruleset, spos, player)
+            tgt = legal_moves(tg, ri.target_ruleset, tpos, player)
+            if src != tgt:
+                v = min(set(src) ^ set(tgt))
+                kind = ("source-only" if v in src else "target-only" if v < n
+                        else "unembedded-playable")
+                return player, trace, tg.name_of(v), kind
+            moves += [(player, v) for v in src]
+        if depth == max_depth:
+            return None
+        for player, v in moves:
+            child = spos.place(v, player)
+            if child not in visited:
+                bad = walk(child, tpos.place(v, player),
+                           trace + ((player, sg.name_of(v)),), depth + 1)
+                if bad is not None:
+                    return bad
+        return None
+
+    bad = walk(Position(), ri.initial_position, (), 0)
+    return nodes, bad

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -136,6 +137,21 @@ class TestOwnershipMasks:
         g.add_vertex("d")
 
 
+@pytest.mark.parametrize("make, text", [
+    (lambda: Position(blue=True), "stone mask True is not an int"),
+    (lambda: Position(red=True), "stone mask True is not an int"),
+    (lambda: Position(blue=1.0), "stone mask 1.0 is not an int"),
+    (lambda: Position(blue=None), "stone mask None is not an int"),
+    (lambda: Ownership(True, 2), "ownership mask True is not an int"),
+    (lambda: Ownership(1.0, 2), "ownership mask 1.0 is not an int"),
+], ids=["blue-bool", "red-bool", "blue-float", "blue-none", "owner-bool", "owner-float"])
+def test_a_mask_is_an_int_and_not_a_bool(make, text):
+    # A bool would be kept as a mask, and a float or None would end in a
+    # bare TypeError from `<` or `&`. `match` holds under python -O too.
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(text)}$"):
+        make()
+
+
 class TestIsLegal:
     def test_snort_adjacent_block(self):
         g = build_graph("ab", [("a", "b")])
@@ -182,13 +198,6 @@ class TestLegalMoves:
         pos = apply_move(g, rs, Position(), "a", L)
         assert legal_moves(g, rs, pos, L) == []
         assert legal_moves(g, rs, pos, R) == []
-
-    def test_blocked_refuses_a_stone_past_the_last_vertex(self):
-        index = LegalityIndex(build_graph("abc", [("a", "b")]), snort())
-        assert index.blocked(Position(blue=0b010)) == (0, 0b001)
-        with pytest.raises(InvalidParameterError) as err:
-            index.blocked(Position(red=1 << 7))
-        assert str(err.value) == "stone at vertex index 7 is past the last vertex (the graph has 3)"
 
 
 class TestApplyMove:
@@ -334,6 +343,17 @@ def test_agrees_with_full_bfs_checker(n, mask, seed):
             assert is_legal(g, rs, pos, v, p) == naive_is_legal(g, rs, pos, v, p)
 
 
+def after_stone(index, left, right, v, player):
+    """Left's and Right's move sets after `player`'s stone on v, by the
+    rule the verifier walk uses: v and `s_mask[v]` leave the mover's set,
+    v and `d_mask[v]` the other player's."""
+    own = ~(1 << v | index.s_mask[v])
+    other = ~(1 << v | index.d_mask[v])
+    if player is L:
+        return left & own, right & other
+    return left & other, right & own
+
+
 @given(st.integers(1, 6), st.integers(0, 2**15 - 1), small_seed)
 def test_legality_index_matches_reference(n, mask, seed):
     g = graph_from_edge_mask(n, mask)
@@ -344,28 +364,20 @@ def test_legality_index_matches_reference(n, mask, seed):
     for p in (L, R):
         assert mask_indices(index.legal_moves_mask(pos, p)) == legal_moves(g, rs, pos, p)
 
-    # Blocked masks kept up to date one stone at a time, as the verifier
-    # walk does, must equal the from-scratch masks and give the legal moves.
-    def moves(blocked_mask, pos, p):
-        mask = index.allowed(p) & ~pos.occupied & ~blocked_mask
-        return [v for v in range(n) if mask >> v & 1]
-
-    # Either player may move at each step, as in the walk.
+    # Move sets carried one stone at a time, as the verifier walk carries
+    # them, must give the legal moves at every step; either player may move
+    # at each step, as in the walk.
     pos = Position()
-    left = right = 0
+    left, right = index.legal_moves_mask(pos, L), index.legal_moves_mask(pos, R)
     while True:
-        assert (left, right) == index.blocked(pos)
-        assert moves(left, pos, L) == legal_moves(g, rs, pos, L)
-        assert moves(right, pos, R) == legal_moves(g, rs, pos, R)
-        options = [(L, v) for v in moves(left, pos, L)] + [(R, v) for v in moves(right, pos, R)]
+        assert mask_indices(left) == legal_moves(g, rs, pos, L)
+        assert mask_indices(right) == legal_moves(g, rs, pos, R)
+        options = [(L, v) for v in mask_indices(left)] + [(R, v) for v in mask_indices(right)]
         if not options:
             break
         p, v = rng.choice(options)
         pos = apply_move(g, rs, pos, v, p)
-        if p is L:
-            left, right = left | index.s_mask[v], right | index.d_mask[v]
-        else:
-            left, right = left | index.d_mask[v], right | index.s_mask[v]
+        left, right = after_stone(index, left, right, v, p)
 
 
 @given(st.integers(1, 6), st.integers(0, 2**15 - 1), small_seed)
@@ -446,9 +458,9 @@ def sharing_graph():
 
 def check_index(rs, walks=6):
     """One index on `sharing_graph` against the BFS oracle, `legal_moves`
-    and the walk-style update, and its sharing: `d_mask` and `s_mask` are
-    one list exactly when d = s, and a one-distance set's masks are the
-    ball's own layer objects."""
+    and the walk's move-set update (`after_stone`), and its sharing:
+    `d_mask` and `s_mask` are one list exactly when d = s, and a
+    one-distance set's masks are the ball's own layer objects."""
     g = sharing_graph()
     n = g.vertex_count
     index = LegalityIndex(g, rs)
@@ -467,11 +479,10 @@ def check_index(rs, walks=6):
     rng = random.Random(len(rs.d) * 31 + len(rs.s))
     for _ in range(walks):
         pos = Position()
-        left = right = 0
+        left, right = index.legal_moves_mask(pos, L), index.legal_moves_mask(pos, R)
         while True:
-            assert (left, right) == index.blocked(pos)
-            left_moves = mask_indices(index.legal_moves_mask(pos, L))
-            right_moves = mask_indices(index.legal_moves_mask(pos, R))
+            assert (left, right) == (index.legal_moves_mask(pos, L), index.legal_moves_mask(pos, R))
+            left_moves, right_moves = mask_indices(left), mask_indices(right)
             assert left_moves == legal_moves(g, rs, pos, L)
             assert right_moves == legal_moves(g, rs, pos, R)
             options = [(L, v) for v in left_moves] + [(R, v) for v in right_moves]
@@ -479,10 +490,7 @@ def check_index(rs, walks=6):
                 break
             p, v = rng.choice(options)
             pos = apply_move(g, rs, pos, v, p)
-            if p is L:
-                left, right = left | index.s_mask[v], right | index.d_mask[v]
-            else:
-                left, right = left | index.d_mask[v], right | index.s_mask[v]
+            left, right = after_stone(index, left, right, v, p)
     return index
 
 

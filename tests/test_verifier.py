@@ -2,6 +2,7 @@ import dataclasses
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distance_games import (
     CorpusSpec,
@@ -36,13 +37,15 @@ from distance_games.verifier import (
     VERTEX_CONDITION,
     WINNABILITY,
     _corpus_graphs,
+    format_trace,
     resolve_depth_cap,
     worker_count,
 )
 from distance_games import solver, verifier
 from distance_games.graph import MAX_GENERATED_VERTICES, MAX_RANDOM_CORPUS_PAIRS
+from distance_games.reductions import REDUCTIONS
 
-from helpers import build_graph, neighbors
+from helpers import build_graph, graph_from_edge_mask, mask_indices, neighbors, reference_walk
 
 L, R = Player.LEFT, Player.RIGHT
 
@@ -184,6 +187,67 @@ class TestPlayForPlay:
         for g in all_labelled_graphs(3):
             ri = reduce_snort_family(g, 2)
             assert check_play_for_play(ri, depth_cap=None).passed
+
+
+# Two parameter sets per reduction from the criterion-3 grids, and one
+# bgnk-window set past its range, whose walks fail.
+WALK_PARAMS = [
+    ("bgnk-d12", {"s": frozenset()}),
+    ("bgnk-d12", {"s": frozenset({1})}),
+    ("snort-family", {"n": 2, "s": frozenset()}),
+    ("snort-family", {"n": 3, "s": frozenset({1})}),
+    ("node-kayles-equalmax", {"d": frozenset({1, 2}), "s": frozenset({1, 2})}),
+    ("node-kayles-equalmax", {"d": frozenset({1, 3}), "s": frozenset({1, 2, 3})}),
+    ("col-family", {"k": 2, "d": frozenset()}),
+    ("col-family", {"k": 3, "d": frozenset({1})}),
+    ("bgnk-window", {"d": frozenset({1, 2}), "k": 3}),
+    ("bgnk-window", {"d": frozenset({1, 3}), "k": 4}),
+    ("bgnk-window", {"d": frozenset({1, 2}), "k": 4, "allow_out_of_range": True}),
+]
+
+MISMATCH_TEXT = {
+    KIND_SOURCE_ONLY: "legal in source but not in target",
+    KIND_TARGET_ONLY: "legal in target but not in source",
+    KIND_UNEMBEDDED: "added vertex is playable",
+}
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(WALK_PARAMS), st.integers(0, 5), st.integers(0, 2**10 - 1),
+       st.sampled_from(["as-built", "stone-removed", "node-kayles-source"]),
+       st.integers(0, 2**16))
+def test_walk_matches_the_reference_walk(case, n, mask, mutation, pick):
+    """`check_play_for_play` against `reference_walk` at caps None, 0 and 1,
+    on sources of at most 5 vertices, as built and broken two ways: one
+    gadget stone taken off (as `bgnk_edge_instance_without` does), or the
+    source ruleset swapped to Node-Kayles."""
+    name, params = case
+    spec = REDUCTIONS[name]
+    if spec.bipartite:
+        p = n // 2 + n % 2
+        g, bipartition = gen_random_bipartite(p, n - p, (mask % 4) / 3, pick)
+    else:
+        g, bipartition = graph_from_edge_mask(n, mask), None
+    ri = spec.build(g, bipartition, params)
+    start = ri.initial_position
+    if mutation == "stone-removed" and start.occupied:
+        stones = mask_indices(start.occupied)
+        bit = 1 << stones[pick % len(stones)]
+        ri = dataclasses.replace(ri, initial_position=Position(start.blue & ~bit,
+                                                               start.red & ~bit))
+    elif mutation == "node-kayles-source":
+        ri = dataclasses.replace(ri, source_ruleset=node_kayles())
+    for cap in (None, 0, 1):
+        nodes, bad = reference_walk(ri, cap)
+        if bad is None:
+            depth = "full" if cap is None else cap
+            expected = CheckResult(PLAY_FOR_PLAY, True, f"nodes={nodes} depth={depth}")
+        else:
+            player, trace, vertex, kind = bad
+            detail = (f"after [{format_trace(trace)}]: {vertex!r} {MISMATCH_TEXT[kind]}"
+                      f" for {player.name}")
+            expected = CheckResult(PLAY_FOR_PLAY, False, detail, trace, vertex, player, kind)
+        assert check_play_for_play(ri, cap) == expected
 
 
 class TestWinnability:
